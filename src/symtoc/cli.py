@@ -132,6 +132,10 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
     lower_table = None
     if bounds_path is not None:
         lo, _ = formats.parse_bounds(bounds_path)
+        if lo.size != controller.num_states:
+            raise formats.FormatError(
+                f"bounds file {bounds_path} covers {lo.size} states, "
+                f"the controller {controller.num_states}")
         levels = np.where(np.isinf(lo), controller.num_states + 1, lo + 1).astype(np.int64)
         lower_table = EntryTimeTable(levels, "optimistic", controller.num_states, 0)
     unsafe = _unsafe_cells(cfg, controller, grid) if (cfg.obstacles or cfg.unsafe_states) else None

@@ -3,6 +3,20 @@
 Formats are line oriented and diff friendly; floats are written with Python
 repr so every file re-parses to a structurally identical object and repeated
 runs are byte identical (a timestamp comment can be suppressed).
+
+The integer lines of STS1 (`t x u : s ...`), CTL1 (`c x v : u ...`) and the
+bounds CSV (`x,lower,upper`) go through one block codec built on numpy:
+`_render` turns a block of lines into a uint8 buffer, and `_scan` reads a
+file in blocks of about `_BLOCK_BYTES` bytes cut at the last newline and
+tokenizes each block as a whole. Header, comment and `# grid:` lines are few
+and go through plain Python. Memory beyond the arrays of the written or
+parsed object stays O(`_BLOCK_BYTES`) per block.
+
+Accepted integer grammar: a number is one or more ASCII decimal digits (no
+sign); tokens are separated by any run of spaces, tabs or carriage returns,
+and lines may have leading whitespace. Blank lines and `#` comments may
+appear anywhere after the first line. Everything else raises FormatError
+with the line number.
 """
 
 from __future__ import annotations
@@ -65,14 +79,18 @@ def _parse_grid_block(entries: dict) -> GridSpec | None:
     missing = needed - entries.keys()
     if missing:
         raise FormatError(f"grid metadata missing keys: {sorted(missing)}")
-    return GridSpec(tau=float(entries["tau"]),
-                    eta=np.array(_parse_list(entries["eta"])),
-                    mu=float(entries["mu"]),
-                    domain_lower=np.array(_parse_list(entries["domain_lower"])),
-                    domain_upper=np.array(_parse_list(entries["domain_upper"])),
-                    input_lower=np.array(_parse_list(entries["input_lower"])),
-                    input_upper=np.array(_parse_list(entries["input_upper"])),
-                    periodic=tuple(int(v) != 0 for v in _parse_list(entries["periodic"])))
+    try:
+        return GridSpec(tau=float(entries["tau"]),
+                        eta=np.array(_parse_list(entries["eta"])),
+                        mu=float(entries["mu"]),
+                        domain_lower=np.array(_parse_list(entries["domain_lower"])),
+                        domain_upper=np.array(_parse_list(entries["domain_upper"])),
+                        input_lower=np.array(_parse_list(entries["input_lower"])),
+                        input_upper=np.array(_parse_list(entries["input_upper"])),
+                        periodic=tuple(int(v) != 0
+                                       for v in _parse_list(entries["periodic"])))
+    except ValueError as e:
+        raise FormatError(f"bad grid metadata: {e}") from None
 
 
 def _collect_grid_entry(line: str, entries: dict):
@@ -84,93 +102,332 @@ def _collect_grid_entry(line: str, entries: dict):
         entries[k] = v
 
 
+# -- block codec for the integer lines ----------------------------------------
+
+# Bytes rendered or scanned per block. A block holds about ten temporary
+# arrays of its size; 256 KB blocks were at most slightly faster and raised
+# a 62 MB process's peak RSS by almost 4 MB.
+_BLOCK_BYTES = 1 << 16
+
+_POW10 = [10 ** k for k in range(1, 10)]
+_MAX_DIGITS = 9  # longer numbers are rejected, so values fit int32
+
+
+def _is_digit(a):
+    return (a - ord("0")) <= 9  # uint8: bytes below "0" wrap around
+
+
+def _is_space(a):
+    return (a == ord(" ")) | (((a - ord("\t")) <= 4) & (a != ord("\n")))  # \t \v \f \r
+
+
+def _render(tokens, per_line, sep: bytes, words=()) -> np.ndarray:
+    """Bytes of lines holding `per_line` tokens each, joined by `sep`, ended by newlines.
+
+    A token >= 0 is written in decimal; token -k stands for the text words[k-1].
+    """
+    digits = np.ones(tokens.size, dtype=np.int64)
+    for p in _POW10:
+        above = tokens >= p
+        if not above.any():
+            break
+        digits += above
+    for k, word in enumerate(words, start=1):
+        digits[tokens == -k] = len(word)
+    ends = np.cumsum(digits + 1) - 1  # the byte after each token
+    buf = np.full(int(ends[-1]) + 1, ord(sep), dtype=np.uint8)
+    buf[ends[np.cumsum(per_line) - 1]] = ord("\n")
+    value, pos = tokens, ends - 1  # a word token gets one junk digit, overwritten below
+    while value.size:
+        rest = value // 10
+        buf[pos] = (value - 10 * rest + ord("0")).astype(np.uint8)
+        value = rest
+        more = value > 0
+        value, pos = value[more], pos[more] - 1
+    for k, word in enumerate(words, start=1):
+        at = ends[tokens == -k] - len(word)
+        for i, ch in enumerate(word):
+            buf[at + i] = ch
+    return buf
+
+
+def _segments(starts, counts) -> np.ndarray:
+    """Indices of the concatenated ranges [starts[i], starts[i] + counts[i])."""
+    total = int(counts.sum())
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return shift + np.arange(total, dtype=np.int64)
+
+
+def _write_blocks(fh, width, tokens_of, sep: bytes, words=()):
+    """Write lines of width[i] tokens in blocks; tokens_of(a, b) gives lines a..b-1."""
+    ends = np.cumsum(width)
+    a = 0
+    while a < width.size:
+        budget = (ends[a - 1] if a else 0) + _BLOCK_BYTES // 4  # tokens take ~4 bytes
+        b = max(int(np.searchsorted(ends, budget, side="right")), a + 1)
+        _render(tokens_of(a, b), width[a:b], sep, words).tofile(fh)
+        a = b
+
+
+def _tagged_tokens(heads, offsets, flat, rows) -> np.ndarray:
+    """Tokens of lines `tag h0 h1 : flat[offsets[r]:offsets[r+1]]` (tag -1, colon -2)."""
+    counts = offsets[rows + 1] - offsets[rows]
+    width = counts + 4
+    first = np.cumsum(width) - width
+    tokens = np.empty(int(width.sum()), dtype=np.int32)
+    tail = np.ones(tokens.size, dtype=bool)
+    for i, column in enumerate((-1, heads[0], heads[1], -2)):
+        tokens[first + i] = column
+        tail[first + i] = False
+    tokens[tail] = flat[_segments(offsets[rows], counts)]
+    return tokens
+
+
+def _blocks(fh):
+    """Yield the rest of a binary file as uint8 arrays of whole lines."""
+    pending = []
+    while True:
+        chunk = fh.read(_BLOCK_BYTES)
+        if not chunk:
+            if any(pending):
+                yield np.frombuffer(b"".join(pending) + b"\n", dtype=np.uint8)
+            return
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        yield np.frombuffer(b"".join(pending) + chunk[:cut], dtype=np.uint8)
+        pending = [chunk[cut:]]
+
+
+def _scan(fh, lineno, lead, sep: bytes, fields, what, on_line, inf=False):
+    """Tokenize the record lines of an open binary file, one block at a time.
+
+    A record line starts, after optional whitespace, with the byte `lead`
+    and whitespace (with lead None: with a digit) and holds `fields` groups
+    of decimal tokens split by `sep`. Every other non-blank line goes to
+    on_line(lineno, text) in file order; `lineno` numbers the first line.
+    With `inf`, the token "inf" is allowed and reads as -1.
+
+    Returns the line number of each record, its token count per field as
+    an (records, fields) array, and all token values in file order (int32).
+    """
+    lines_out = [np.zeros(0, dtype=np.int64)]
+    counts_out = [np.zeros((0, fields), dtype=np.int64)]
+    values_out = [np.zeros(0, dtype=np.int32)]
+    for b in _blocks(fh):
+        is_nl = b == ord("\n")
+        nl = np.flatnonzero(is_nl)
+        starts = np.concatenate(([0], nl[:-1] + 1))
+        first = starts.copy()
+        while True:
+            indent = _is_space(b[first])
+            if not indent.any():
+                break
+            first[indent] += 1
+        c0 = b[first]
+        if lead is None:
+            rec = _is_digit(c0)
+        else:
+            rec = (c0 == ord(lead)) & _is_space(b[np.minimum(first + 1, b.size - 1)])
+
+        def fail(pos, message):
+            line = lineno + int(np.searchsorted(nl, pos))
+            raise FormatError(f"line {line}: {message} in {what}")
+
+        # byte classes; other lines and the lead bytes count as whitespace
+        tok = _is_digit(b)
+        if inf:
+            tok |= (b == ord("i")) | (b == ord("n")) | (b == ord("f"))
+        is_sep = b == ord(sep)
+        space = _is_space(b)
+        other = ~rec & (c0 != ord("\n"))
+        for i in np.flatnonzero(other):
+            on_line(lineno + int(i), b[first[i]:nl[i]].tobytes().decode(errors="replace").rstrip())
+            tok[starts[i]:nl[i]] = is_sep[starts[i]:nl[i]] = False
+            space[starts[i]:nl[i]] = True
+        if lead is not None:
+            space[first[rec]] = True
+        valid = tok | space | is_sep | is_nl
+        if not valid.all():
+            pos = int(np.argmin(valid))
+            fail(pos, f"unexpected character {chr(b[pos])!r}")
+        # events in byte order: 1 token start, 2 separator, 3 newline
+        start = tok.copy()
+        start[1:] &= ~tok[:-1]
+        code = start.view(np.int8) + 2 * is_sep.view(np.int8) + 3 * is_nl.view(np.int8)
+        events = np.flatnonzero(code)
+        kind = code[events]
+        # fields end at separators and newlines; between two ends lie only tokens
+        ends = np.flatnonzero(kind > 1)
+        per_field = np.diff(ends, prepend=-1) - 1
+        line_end = kind[ends] == 3
+        per_line = np.diff(np.flatnonzero(line_end), prepend=-1)
+        wrong = rec & (per_line != fields)
+        if wrong.any():
+            fail(nl[np.argmax(wrong)], f"expected {fields - 1} '{sep.decode()}'")
+        field_rec = np.repeat(rec, per_line)
+        # values: Horner over digit positions, from each token's first byte
+        s = events[kind == 1]
+        value = np.zeros(s.size, dtype=np.int32)
+        length = np.zeros(s.size, dtype=np.int32)
+        alive = np.ones(s.size, dtype=bool)
+        for j in range(_MAX_DIGITS + 1):
+            digit = np.take(b, s + j, mode="clip") - ord("0")
+            alive &= digit <= 9
+            if not alive.any():
+                break
+            value = np.where(alive, value * 10 + digit, value)
+            length += alive
+        if alive.any():
+            fail(s[np.argmax(alive)], "number out of range")
+        if inf:
+            # a token is its digits, or exactly "inf" (read as -1)
+            word = length == 0
+            for j, ch in enumerate(b"inf"):
+                word &= np.take(b, s + j, mode="clip") == ch
+            overrun = np.take(tok, s + np.where(word, 3, length), mode="clip")
+            bad = overrun | ((length == 0) & ~word)
+            if bad.any():
+                fail(s[np.argmax(bad)], "malformed number")
+            value[word] = -1
+        lines_out.append(lineno + np.flatnonzero(rec))
+        counts_out.append(per_field[field_rec].reshape(-1, fields))
+        values_out.append(value)
+        lineno += nl.size
+    return (np.concatenate(lines_out), np.concatenate(counts_out),
+            np.concatenate(values_out))
+
+
+def _tagged_records(lines, counts, values, what):
+    """Split `tag a b : tail ...` records; returns (a, b, tail lengths, tail values)."""
+    if (counts[:, 0] != 2).any():
+        raise FormatError(f"line {lines[np.argmax(counts[:, 0] != 2)]}: malformed {what}")
+    width = counts.sum(axis=1)
+    first = np.cumsum(width) - width
+    tail = np.ones(values.size, dtype=bool)
+    tail[first] = tail[first + 1] = False
+    return values[first], values[first + 1], counts[:, 1], values[tail]
+
+
+def _check_tail(lines, tail_len, tail, limit, message):
+    """Reject the first tail value >= limit, naming its line."""
+    if tail.size and tail.max() >= limit:
+        i = int(np.argmax(tail >= limit))
+        row = int(np.searchsorted(np.cumsum(tail_len), i, side="right"))
+        raise FormatError(f"line {lines[row]}: {message} {tail[i]} out of range")
+
+
+def _sorted_tails(key, lines, tail_len, tail, what):
+    """Tail values regrouped by ascending record key; duplicate keys are rejected.
+
+    Returns (order of the records, tail values in that order)."""
+    if (key[1:] > key[:-1]).all():
+        return np.arange(key.size), tail
+    order = np.argsort(key, kind="stable")
+    dup = np.flatnonzero(key[order][1:] == key[order][:-1])
+    if dup.size:
+        raise FormatError(f"line {lines[order[dup[0] + 1]]}: duplicate {what}")
+    starts = np.cumsum(tail_len) - tail_len
+    return order, tail[_segments(starts[order], tail_len[order])]
+
+
+def _read_artifact(path, magic, tag, keys, what):
+    """Shared reader of STS1/CTL1: magic line, header lines, grid metadata, records.
+
+    `keys` are the allowed header keywords, each required once. Returns the
+    states and inputs counts, a dict of (line number, list of ints) for each
+    keyword, the grid, and (record line numbers, per-field token counts,
+    token values).
+    """
+    header, grid_entries = {}, {}
+
+    def on_line(lineno, line):
+        if line.startswith("# grid:"):
+            _collect_grid_entry(line, grid_entries)
+            return
+        if line.startswith("#"):
+            return
+        key, *values = line.split()
+        if key not in keys:
+            raise FormatError(f"line {lineno}: unrecognized line '{line}'")
+        if key in header:
+            raise FormatError(f"line {lineno}: repeated '{key}' line")
+        joined = "".join(values)
+        if values and not (joined.isascii() and joined.isdigit()
+                           and max(map(len, values)) <= _MAX_DIGITS):
+            raise FormatError(f"line {lineno}: '{key}' takes decimal numbers")
+        header[key] = (lineno, [int(v) for v in values])
+
+    with open(path, "rb") as fh:
+        first = fh.readline().decode(errors="replace").strip()
+        if first != magic:
+            article = "an" if magic == "STS1" else "a"
+            raise FormatError(f"not {article} {magic} file (header '{first}')")
+        records = _scan(fh, 2, tag, b":", 2, what, on_line)
+    if any(k not in header for k in keys):
+        raise FormatError(f"missing {'/'.join(keys)} header")
+    for k in ("states", "inputs"):
+        if len(header[k][1]) != 1:
+            raise FormatError(f"line {header[k][0]}: '{k}' takes one number")
+    ready = max(header["states"][0], header["inputs"][0])
+    if records[0].size and records[0][0] < ready:
+        raise FormatError(f"line {records[0][0]}: {what} before states/inputs header")
+    n, m = header["states"][1][0], header["inputs"][1][0]
+    grid = _parse_grid_block(grid_entries)
+    if grid is not None and Quantizer(grid).num_cells != n:
+        raise FormatError("grid metadata cell count does not match the state count")
+    return n, m, header, grid, records
+
+
+def _header_bytes(magic, grid, timestamp, lines):
+    text = magic + "\n"
+    if timestamp:
+        text += _timestamp_line()
+    if grid is not None:
+        text += "".join(_grid_lines(grid))
+    return (text + "".join(lines)).encode()
+
+
 # -- STS1 system files ---------------------------------------------------
 
 def write_system(path, sys: FiniteSystem, grid: GridSpec | None = None,
                  timestamp: bool = True):
-    with open(path, "w") as fh:
-        fh.write("STS1\n")
-        if timestamp:
-            fh.write(_timestamp_line())
-        if grid is not None:
-            fh.writelines(_grid_lines(grid))
-        fh.write(f"states {sys.num_states}\n")
-        fh.write(f"inputs {sys.num_inputs}\n")
-        fh.write("initial " + " ".join(map(str, sys.initial.indices())) + "\n")
-        chunks = []
-        for x, u, succ in sys.transitions():
-            chunks.append(f"t {x} {u} : " + " ".join(map(str, succ)) + "\n")
-            if len(chunks) >= 20000:
-                fh.writelines(chunks)
-                chunks = []
-        fh.writelines(chunks)
+    offsets, targets = sys._offsets, sys._targets
+    pairs = np.flatnonzero(np.diff(offsets) > 0)
+    with open(path, "wb") as fh:
+        fh.write(_header_bytes("STS1", grid, timestamp, [
+            f"states {sys.num_states}\n", f"inputs {sys.num_inputs}\n",
+            "initial " + " ".join(map(str, sys.initial.indices().tolist())) + "\n"]))
+
+        def tokens_of(a, b):
+            x, u = np.divmod(pairs[a:b], sys.num_inputs)
+            return _tagged_tokens((x, u), offsets, targets, pairs[a:b])
+
+        _write_blocks(fh, np.diff(offsets)[pairs] + 4, tokens_of, b" ", (b"t", b":"))
 
 
 def parse_system(path):
     """Read an STS1 file; returns (FiniteSystem, GridSpec or None)."""
-    grid_entries = {}
-    num_states = num_inputs = None
-    initial = None
-    pair_ids = []
-    succ_arrays = []
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "STS1":
-            raise FormatError(f"not an STS1 file (header '{magic}')")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("# grid:"):
-                _collect_grid_entry(line, grid_entries)
-                continue
-            if line.startswith("#"):
-                continue
-            if line.startswith("states "):
-                num_states = int(line.split()[1])
-                continue
-            if line.startswith("inputs "):
-                num_inputs = int(line.split()[1])
-                continue
-            if line.startswith("initial"):
-                initial = [int(t) for t in line.split()[1:]]
-                continue
-            if line.startswith("t "):
-                if num_states is None or num_inputs is None:
-                    raise FormatError(f"line {lineno}: transition before states/inputs header")
-                head, _, tail = line[2:].partition(":")
-                parts = head.split()
-                if len(parts) != 2:
-                    raise FormatError(f"line {lineno}: malformed transition line")
-                x, u = int(parts[0]), int(parts[1])
-                succ = np.array([int(t) for t in tail.split()], dtype=np.int32)
-                if succ.size == 0:
-                    raise FormatError(f"line {lineno}: empty successor list")
-                pair_ids.append(x * num_inputs + u)
-                succ_arrays.append(succ)
-                continue
-            raise FormatError(f"line {lineno}: unrecognized line '{line}'")
-    if num_states is None or num_inputs is None or initial is None:
-        raise FormatError("missing states/inputs/initial header")
-    pair_arr = np.array(pair_ids, dtype=np.int64)
-    if pair_arr.size != np.unique(pair_arr).size:
-        raise FormatError("duplicate (state,input) transition line")
-    counts = np.zeros(num_states * num_inputs, dtype=np.int64)
-    lens = np.array([a.size for a in succ_arrays], dtype=np.int64)
-    if pair_arr.size:
-        if pair_arr.min() < 0 or pair_arr.max() >= counts.size:
-            raise FormatError("transition indices out of range")
-        counts[pair_arr] = lens
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(pair_arr, kind="stable")
-    targets = (np.concatenate([succ_arrays[i] for i in order])
-               if succ_arrays else np.zeros(0, dtype=np.int32))
-    system = FiniteSystem.from_csr(num_states, num_inputs, offsets, targets,
-                                   initial=StateSet(num_states, initial))
-    grid = _parse_grid_block(grid_entries)
-    if grid is not None and Quantizer(grid).num_cells != num_states:
-        raise FormatError("grid metadata cell count does not match the state count")
+    what = "transition line"
+    n, m, header, grid, (lines, counts, values) = _read_artifact(
+        path, "STS1", b"t", ("states", "inputs", "initial"), what)
+    x, u, tail_len, succ = _tagged_records(lines, counts, values, what)
+    if (tail_len == 0).any():
+        raise FormatError(f"line {lines[np.argmax(tail_len == 0)]}: empty successor list")
+    bad = (x >= n) | (u >= m)
+    if bad.any():
+        raise FormatError(f"line {lines[np.argmax(bad)]}: state or input out of range")
+    _check_tail(lines, tail_len, succ, n, "successor")
+    init_line, initial = header["initial"]
+    if initial and max(initial) >= n:
+        raise FormatError(f"line {init_line}: initial state {max(initial)} out of range")
+    pair = x.astype(np.int64) * m + u
+    _, targets = _sorted_tails(pair, lines, tail_len, succ, "(state,input) " + what)
+    offsets = np.zeros(n * m + 1, dtype=np.int64)
+    offsets[pair + 1] = tail_len
+    np.cumsum(offsets, out=offsets)
+    system = FiniteSystem.from_csr(n, m, offsets, targets, initial=StateSet(n, initial))
     return system, grid
 
 
@@ -178,83 +435,41 @@ def parse_system(path):
 
 def write_controller(path, ctrl: SymbolicController, grid: GridSpec | None = None,
                      timestamp: bool = True):
-    with open(path, "w") as fh:
-        fh.write("CTL1\n")
-        if timestamp:
-            fh.write(_timestamp_line())
-        if grid is not None:
-            fh.writelines(_grid_lines(grid))
-        fh.write(f"states {ctrl.num_states}\n")
-        fh.write(f"inputs {ctrl.num_inputs}\n")
-        chunks = []
-        for x in np.flatnonzero(ctrl.levels <= ctrl.num_states):
-            value = int(ctrl.levels[x]) - 1
-            inputs = " ".join(map(str, ctrl.enabled(int(x))))
-            chunks.append(f"c {x} {value} : {inputs}".rstrip() + "\n")
-            if len(chunks) >= 20000:
-                fh.writelines(chunks)
-                chunks = []
-        fh.writelines(chunks)
+    winning = np.flatnonzero(ctrl.levels <= ctrl.num_states)
+    with open(path, "wb") as fh:
+        fh.write(_header_bytes("CTL1", grid, timestamp, [
+            f"states {ctrl.num_states}\n", f"inputs {ctrl.num_inputs}\n"]))
+
+        def tokens_of(a, b):
+            x = winning[a:b]
+            return _tagged_tokens((x, ctrl.levels[x] - 1), ctrl.offsets,
+                                  ctrl.enabled_inputs_flat, x)
+
+        _write_blocks(fh, np.diff(ctrl.offsets)[winning] + 4, tokens_of, b" ", (b"c", b":"))
 
 
 def parse_controller(path):
     """Read a CTL1 file; returns (SymbolicController, GridSpec or None)."""
-    grid_entries = {}
-    num_states = num_inputs = None
-    rows = []
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "CTL1":
-            raise FormatError(f"not a CTL1 file (header '{magic}')")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("# grid:"):
-                _collect_grid_entry(line, grid_entries)
-                continue
-            if line.startswith("#"):
-                continue
-            if line.startswith("states "):
-                num_states = int(line.split()[1])
-                continue
-            if line.startswith("inputs "):
-                num_inputs = int(line.split()[1])
-                continue
-            if line.startswith("c "):
-                head, _, tail = line[2:].partition(":")
-                parts = head.split()
-                if len(parts) != 2:
-                    raise FormatError(f"line {lineno}: malformed controller line")
-                x, value = int(parts[0]), int(parts[1])
-                inputs = np.array([int(t) for t in tail.split()], dtype=np.int32)
-                if value > 0 and inputs.size == 0:
-                    raise FormatError(f"line {lineno}: winning state without inputs")
-                rows.append((x, value, inputs))
-                continue
-            raise FormatError(f"line {lineno}: unrecognized line '{line}'")
-    if num_states is None or num_inputs is None:
-        raise FormatError("missing states/inputs header")
-    levels = np.full(num_states, num_states + 1, dtype=np.int64)
-    per_state = np.zeros(num_states, dtype=np.int64)
-    for x, value, inputs in rows:
-        if not (0 <= x < num_states):
-            raise FormatError(f"controller state {x} out of range")
-        levels[x] = value + 1
-        per_state[x] = inputs.size
-    offsets = np.zeros(num_states + 1, dtype=np.int64)
-    np.cumsum(per_state, out=offsets[1:])
-    enabled = np.zeros(offsets[-1], dtype=np.int32)
-    worst = np.zeros(offsets[-1], dtype=np.int64)
-    for x, value, inputs in rows:
-        enabled[offsets[x]:offsets[x + 1]] = inputs
-        worst[offsets[x]:offsets[x + 1]] = value - 1
-    ctrl = SymbolicController(num_states=num_states, num_inputs=num_inputs,
-                              levels=levels, offsets=offsets,
+    what = "controller line"
+    n, m, _, grid, (lines, counts, values) = _read_artifact(
+        path, "CTL1", b"c", ("states", "inputs"), what)
+    x, value, tail_len, inputs = _tagged_records(lines, counts, values, what)
+    bad = (x >= n) | (value >= n)
+    if bad.any():
+        raise FormatError(f"line {lines[np.argmax(bad)]}: state or value out of range")
+    empty = (value > 0) & (tail_len == 0)
+    if empty.any():
+        raise FormatError(f"line {lines[np.argmax(empty)]}: winning state without inputs")
+    _check_tail(lines, tail_len, inputs, m, "input")
+    order, enabled = _sorted_tails(x, lines, tail_len, inputs, "controller state")
+    levels = np.full(n, n + 1, dtype=np.int64)
+    levels[x] = value + 1
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[x + 1] = tail_len
+    np.cumsum(offsets, out=offsets)
+    worst = np.repeat(value[order].astype(np.int64) - 1, tail_len[order])
+    ctrl = SymbolicController(num_states=n, num_inputs=m, levels=levels, offsets=offsets,
                               enabled_inputs_flat=enabled, worst_values_flat=worst)
-    grid = _parse_grid_block(grid_entries)
-    if grid is not None and Quantizer(grid).num_cells != num_states:
-        raise FormatError("grid metadata cell count does not match the state count")
     return ctrl, grid
 
 
@@ -268,33 +483,34 @@ def write_bounds(path, lower: EntryTimeTable, upper: EntryTimeTable | SymbolicCo
                  timestamp: bool = True):
     lo = lower.entry_times()
     up = upper.entry_times() if isinstance(upper, EntryTimeTable) else upper.values()
-    with open(path, "w") as fh:
-        if timestamp:
-            fh.write(_timestamp_line())
-        fh.write("state,lower,upper\n")
-        fh.writelines(f"{x},{_fmt_entry_time(lo[x])},{_fmt_entry_time(up[x])}\n"
-                      for x in range(lo.size))
+    with open(path, "wb") as fh:
+        fh.write(((_timestamp_line() if timestamp else "") + "state,lower,upper\n").encode())
+
+        def tokens_of(a, b):
+            cols = [np.arange(a, b)] + [np.where(np.isinf(t[a:b]), -1, t[a:b]) for t in (lo, up)]
+            return np.column_stack(cols).astype(np.int32).ravel()
+
+        _write_blocks(fh, np.full(lo.size, 3), tokens_of, b",", (b"inf",))
 
 
 def parse_bounds(path):
     """Read a bounds CSV; returns (lower, upper) float arrays with inf sentinels."""
-    lower, upper, states = [], [], []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("state,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"malformed bounds row '{line}'")
-            states.append(int(parts[0]))
-            lower.append(float(parts[1]))
-            upper.append(float(parts[2]))
-    n = max(states) + 1 if states else 0
+    def on_line(lineno, line):
+        if not (line.startswith("#") or line.startswith("state,")):
+            raise FormatError(f"line {lineno}: malformed bounds row '{line}'")
+
+    with open(path, "rb") as fh:
+        lines, counts, values = _scan(fh, 1, None, b",", 3, "bounds row", on_line, inf=True)
+    if (counts != 1).any():
+        raise FormatError(f"line {lines[np.argmax((counts != 1).any(axis=1))]}: "
+                          "malformed bounds row")
+    rows = values.reshape(-1, 3)
+    states = rows[:, 0]
+    n = int(states.max()) + 1 if states.size else 0
     lo = np.full(n, np.inf)
     up = np.full(n, np.inf)
-    lo[states] = lower
-    up[states] = upper
+    lo[states] = np.where(rows[:, 1] < 0, np.inf, rows[:, 1])
+    up[states] = np.where(rows[:, 2] < 0, np.inf, rows[:, 2])
     return lo, up
 
 

@@ -281,6 +281,31 @@ def test_certification_failure_exit_code(tmp_path):
                      "--bounds", doctored]) == cli.EXIT_CERTIFICATION
 
 
+@pytest.mark.parametrize("line", ["t 0 0 : 5", "t 0 0 : a", "t 0 0 : -1"])
+def test_synthesize_malformed_system_exits_2(tmp_path, capsys, line):
+    cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    write(os.path.join(out, "chain.sts"), f"STS1\nstates 3\ninputs 1\ninitial 0\n{line}\n")
+    assert cli.main(["synthesize", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+    assert "error: line 5:" in capsys.readouterr().err
+    write(os.path.join(out, "chain.sts"), "STS1\nstates 3\ninputs 1\ninitial 0 3\n")
+    assert cli.main(["synthesize", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+    assert "error: line 4: initial state 3 out of range" in capsys.readouterr().err
+
+
+def test_simulate_bounds_from_other_grid_exits_2(tmp_path, capsys):
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
+    out = str(tmp_path / "out")
+    assert cli.main(["abstract", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    other = write(tmp_path / "other.csv",
+                  "state,lower,upper\n" + "".join(f"{x},1,2\n" for x in range(100)))
+    assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
+                     "--bounds", other]) == cli.EXIT_CONFIG
+    assert "covers 100 states, the controller 441" in capsys.readouterr().err
+
+
 def test_unsafe_states_restrict_explicit_system(tmp_path):
     # detour example: safety pushes the entry time from 2 to 3
     sys5 = FiniteSystem(5, 2, {(0, 0): [1], (0, 1): [2], (1, 0): [3],
