@@ -214,8 +214,14 @@ class FiniteSystem:
         np.cumsum(counts, out=offsets[1:])
         entry_keep = np.repeat(keep, self.pair_counts)
         targets = self._targets[entry_keep]
-        return FiniteSystem.from_csr(self.num_states, self.num_inputs,
-                                     offsets, targets, self.initial, validate=False)
+        child = FiniteSystem.from_csr(self.num_states, self.num_inputs,
+                                      offsets, targets, self.initial, validate=False)
+        if self._reverse_cache is not None:
+            # filtering keeps every state's pairs in ascending order, so this
+            # is exactly the child's own reverse()
+            rev_pairs = self._reverse_cache[1]
+            child._reverse_cache = (child._reverse_offsets(), rev_pairs[keep[rev_pairs]])
+        return child
 
     # -- reverse adjacency (used by the solvers) ------------------------
 
@@ -223,20 +229,27 @@ class FiniteSystem:
         """Reverse adjacency: for each state s, the pair ids (x*M+u) with s in Post_u(x).
 
         Returns (rev_offsets, rev_pairs); entries for s live at
-        rev_pairs[rev_offsets[s]:rev_offsets[s+1]]. Cached; concurrent first
-        calls may compute it twice but always produce the same arrays.
+        rev_pairs[rev_offsets[s]:rev_offsets[s+1]] in ascending pair order.
+        Pair ids are int32 (int64 only if num_states*num_inputs overflows
+        int32). Cached; concurrent first calls may compute it twice but
+        always produce the same arrays.
         """
         if self._reverse_cache is None:
-            pair_of_entry = np.repeat(
-                np.arange(self.num_states * self.num_inputs, dtype=np.int64),
-                self.pair_counts)
-            order = np.argsort(self._targets, kind="stable")
-            rev_pairs = pair_of_entry[order]
-            rev_counts = np.bincount(self._targets, minlength=self.num_states)
-            rev_offsets = np.zeros(self.num_states + 1, dtype=np.int64)
-            np.cumsum(rev_counts, out=rev_offsets[1:])
-            self._reverse_cache = (rev_offsets, rev_pairs)
+            n_pairs = self.num_states * self.num_inputs
+            pair_type = np.int32 if n_pairs <= np.iinfo(np.int32).max else np.int64
+            # one in-place sort of the keys target*n_pairs + pair orders the
+            # entries by target and, within a target, by ascending pair
+            key = self._targets * np.int64(n_pairs)
+            key += np.repeat(np.arange(n_pairs, dtype=pair_type), self.pair_counts)
+            key.sort()
+            key %= max(n_pairs, 1)
+            self._reverse_cache = (self._reverse_offsets(), key.astype(pair_type))
         return self._reverse_cache
+
+    def _reverse_offsets(self) -> np.ndarray:
+        rev_offsets = np.zeros(self.num_states + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._targets, minlength=self.num_states), out=rev_offsets[1:])
+        return rev_offsets
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteSystem)

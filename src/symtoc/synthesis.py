@@ -11,6 +11,17 @@ successor suffices), which equals solving the game on the determinized
 system whose inputs are (input, successor) pairs. Finite levels never exceed
 the state count; unreachable states carry the sentinel level num_states+1.
 
+All three solves are calls of one counter-based backward kernel, `_backward`
+(attractor construction with per-pair and per-state counters, as in the
+fixed points of SCOTS): a wave of newly decided states counts down the pairs
+that lead into it, a pair fires when its counter crosses zero and a state is
+decided when its own counter does. Every transition is touched once, so each
+solve costs O(T + N*M) in the worst case. The pessimistic solve waits for
+all successors of a pair, the optimistic one for any, and the safety solve
+is the adversary's attractor to the unsafe states, whose complement is the
+maximal safe set. `reach_step` is the operator applied directly; it is kept
+as the test oracle.
+
 Each solver call is single-threaded over the shared immutable system;
 independent solver calls may run concurrently.
 """
@@ -34,7 +45,8 @@ class EntryTimeTable:
     """Per-state level l(x) of the fixed-point iteration; entry time is l(x)-1.
 
     Levels are 1 on target states, k for states first won after k operator
-    applications, and num_states+1 (the infinity sentinel) elsewhere.
+    applications, and num_states+1 (the infinity sentinel) elsewhere;
+    iterations is the highest finite level (0 when nothing is won).
     """
     levels: np.ndarray
     mode: str  # "pessimistic" or "optimistic"
@@ -61,9 +73,14 @@ class EntryTimeTable:
 
 @dataclass
 class SafetyController:
-    """Least restrictive safety result: allowed inputs on the maximal safe set."""
+    """Least restrictive safety result: allowed inputs on the maximal safe set.
+
+    iterations is the depth of the adversary's attractor: unsafe and blocking
+    states are level 1, and a state lost in wave k is level k.
+    """
     allowed: np.ndarray  # bool, (num_states, num_inputs)
     domain: StateSet
+    iterations: int = 0
 
     def allowed_inputs(self, x: int) -> np.ndarray:
         return np.flatnonzero(self.allowed[x])
@@ -126,46 +143,101 @@ def _check_target(sys: FiniteSystem, W: StateSet):
         raise IntegrityError("target set sized for a different system")
 
 
-def solve_pessimistic(sys: FiniteSystem, W: StateSet) -> EntryTimeTable:
-    """Levels of the minimal fixed point with adversarial nondeterminism.
+def _backward(sys: FiniteSystem, seeds: np.ndarray, pair_need, state_need):
+    """Counter-based backward propagation from `seeds`, one wave per level.
 
-    Layered backward iteration: a pair (x,u) fires once its last successor
-    has been won, at which point x is won one level later. Work is linear in
-    the number of transitions.
+    Pair k = x*M+u starts with counter pair_need[k] and state x with
+    state_need[x]. When a state joins a wave, every pair with a transition
+    into it counts down once; a pair fires when its counter crosses zero, a
+    fired pair counts its state down once, and a state joins the next wave
+    when its counter crosses zero. Seeds get level 1, a state joining wave k
+    gets level k, and states never reached keep the sentinel num_states+1.
+    Every transition is gathered once, when its successor joins a wave, and
+    counters and repeats are handled by indexing, never by sorting, so the
+    work is O(T + N*M).
+
+    Either need may be the scalar 1 instead of an array, which skips that
+    counter: a state that already has its level is dropped by the level
+    test, so with state_need 1 a state joins on its first fired pair, and
+    with both 1 the kernel is plain backward breadth-first search. A scalar
+    pair_need needs a scalar state_need, or repeat hits would count twice.
+
+    Returns (levels, pair_cnt): pair_cnt holds the pair counters as the
+    propagation left them, None when pair_need is scalar.
     """
-    _check_target(sys, W)
     N, M = sys.num_states, sys.num_inputs
     inf = N + 1
     levels = np.full(N, inf, dtype=np.int64)
-    frontier = W.indices()
-    levels[frontier] = 1
-    if N == 0:
-        return EntryTimeTable(levels, "pessimistic", N, 0)
+    levels[seeds] = 1
+    pair_cnt = np.array(pair_need, dtype=np.int64) if np.ndim(pair_need) else None
+    state_cnt = np.array(state_need, dtype=np.int64) if np.ndim(state_need) else None
     rev_offsets, rev_pairs = sys.reverse()
-    cnt = sys.pair_counts.copy()
+    rev_starts, rev_stops = rev_offsets[:-1], rev_offsets[1:]
+    seen = np.empty(max(N * M, N) if state_cnt is not None else N, dtype=np.intp)
+    frontier = seeds
     level = 1
-    iterations = 1 if frontier.size else 0
     while frontier.size:
-        starts = rev_offsets[frontier]
-        lens = rev_offsets[frontier + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            break
-        base = np.repeat(np.cumsum(lens) - lens, lens)
-        idx = np.repeat(starts, lens) + (np.arange(total, dtype=np.int64) - base)
-        pairs = rev_pairs[idx]
-        dec = np.bincount(pairs, minlength=N * M)
-        affected = np.unique(pairs)
-        cnt[affected] -= dec[affected]
-        done_pairs = affected[cnt[affected] == 0]
-        states = np.unique(done_pairs // M)
-        new_states = states[levels[states] == inf]
+        starts, stops = rev_starts[frontier], rev_stops[frontier]
+        if frontier.size <= _NARROW:
+            pairs = np.concatenate([rev_pairs[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
+        else:
+            lens = stops - starts
+            ends = np.cumsum(lens)
+            pairs = rev_pairs[np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])]
+        if pair_cnt is not None:
+            pairs = _count_down(pair_cnt, pairs)
+        if state_cnt is not None:
+            states = _count_down(state_cnt, _once(pairs, seen) // M)
+        else:
+            states = pairs // M
+        states = states[levels[states] == inf]
+        frontier = _once(states, seen)
         level += 1
-        if new_states.size:
-            levels[new_states] = level
-            iterations = level
-        frontier = new_states
-    return EntryTimeTable(levels, "pessimistic", N, iterations)
+        levels[frontier] = level
+    return levels, pair_cnt
+
+
+# Frontiers up to this many states are gathered slice by slice: on deep,
+# narrow games (one to a few states per wave) that is about twice as fast as
+# the vectorized index arithmetic, and it costs O(1) Python work per state.
+_NARROW = 8
+
+
+def _count_down(cnt: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Decrement cnt once per occurrence in ids; return the ids whose counter
+    crossed zero (an id hit twice in the call is returned twice)."""
+    before = cnt[ids]
+    np.subtract.at(cnt, ids, 1)
+    return ids[(before > 0) & (cnt[ids] <= 0)]
+
+
+def _once(ids: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """ids with repeats dropped, in O(len(ids)); np.unique would sort or hash.
+
+    `seen` is scratch indexed by the ids. Of the positions written for one
+    value exactly one is stored, so exactly one occurrence survives.
+    """
+    at = np.arange(ids.size)
+    seen[ids] = at
+    return ids[seen[ids] == at]
+
+
+def _depth(levels: np.ndarray, num_states: int) -> int:
+    """Highest finite level, 0 when no state has one."""
+    return int(levels[levels <= num_states].max(initial=0))
+
+
+def solve_pessimistic(sys: FiniteSystem, W: StateSet) -> EntryTimeTable:
+    """Levels of the minimal fixed point with adversarial nondeterminism.
+
+    A pair (x,u) waits for all of its successors: it fires once the last
+    one is won, and x is won one level later (the backward kernel with
+    pair_need = successor counts and state_need = 1).
+    """
+    _check_target(sys, W)
+    levels, _ = _backward(sys, W.indices(), sys.pair_counts, 1)
+    return EntryTimeTable(levels, "pessimistic", sys.num_states,
+                          _depth(levels, sys.num_states))
 
 
 def solve_optimistic(sys: FiniteSystem, W: StateSet) -> EntryTimeTable:
@@ -173,60 +245,35 @@ def solve_optimistic(sys: FiniteSystem, W: StateSet) -> EntryTimeTable:
 
     Equivalent to solve_pessimistic on the determinized system whose input
     alphabet is (input, successor): singleton successor sets turn the subset
-    test into membership, so this is plain backward breadth-first search.
+    test into membership, so this is backward breadth-first search (the
+    kernel with both needs 1: a pair fires on its first won successor).
     """
     _check_target(sys, W)
-    N, M = sys.num_states, sys.num_inputs
-    inf = N + 1
-    levels = np.full(N, inf, dtype=np.int64)
-    frontier = W.indices()
-    levels[frontier] = 1
-    if N == 0:
-        return EntryTimeTable(levels, "optimistic", N, 0)
-    rev_offsets, rev_pairs = sys.reverse()
-    level = 1
-    iterations = 1 if frontier.size else 0
-    while frontier.size:
-        starts = rev_offsets[frontier]
-        lens = rev_offsets[frontier + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            break
-        base = np.repeat(np.cumsum(lens) - lens, lens)
-        idx = np.repeat(starts, lens) + (np.arange(total, dtype=np.int64) - base)
-        preds = np.unique(rev_pairs[idx] // M)
-        new_states = preds[levels[preds] == inf]
-        level += 1
-        if new_states.size:
-            levels[new_states] = level
-            iterations = level
-        frontier = new_states
-    return EntryTimeTable(levels, "optimistic", N, iterations)
+    levels, _ = _backward(sys, W.indices(), 1, 1)
+    return EntryTimeTable(levels, "optimistic", sys.num_states,
+                          _depth(levels, sys.num_states))
 
 
 def solve_safety(sys: FiniteSystem, safe: StateSet) -> SafetyController:
     """Maximal fixed point of Z -> {x in safe : exists u, {} != Post_u(x) subset Z}.
 
-    Iterated from `safe` itself; the result is the least restrictive safety
-    controller, allowing every input whose successors stay in the fixed point.
+    Computed as the complement of the adversary's attractor: seeded with the
+    unsafe states and the states without enabled inputs, a pair dies on its
+    first lost successor and a state is lost once all its enabled pairs are
+    dead. The result is the least restrictive safety controller, allowing
+    every input whose successors stay in the fixed point; its iterations
+    are the attractor depth.
     """
     _check_target(sys, safe)
     N, M = sys.num_states, sys.num_inputs
-    Z = safe.mask.copy()
-    counts = sys.pair_counts
-    for _ in range(N + 1):
-        outside = ~Z[sys._targets]
-        bad = segment_sums(outside, sys._offsets)
-        pair_ok = (counts > 0) & (bad == 0)
-        x_ok = pair_ok.reshape(N, M).any(axis=1)
-        new_Z = Z & x_ok
-        if np.array_equal(new_Z, Z):
-            break
-        Z = new_Z
-    outside = ~Z[sys._targets]
-    bad = segment_sums(outside, sys._offsets)
-    allowed = ((counts > 0) & (bad == 0)).reshape(N, M) & Z[:, None]
-    return SafetyController(allowed=allowed, domain=StateSet.from_mask(Z))
+    enabled = sys.pair_counts > 0
+    per_state = enabled.reshape(N, M).sum(axis=1)
+    seeds = np.flatnonzero(~safe.mask | (per_state == 0))
+    levels, pair_cnt = _backward(sys, seeds, enabled, per_state)
+    Z = levels > N
+    allowed = (pair_cnt > 0).reshape(N, M) & Z[:, None]
+    return SafetyController(allowed=allowed, domain=StateSet.from_mask(Z),
+                            iterations=_depth(levels, N))
 
 
 def extract_controller(sys: FiniteSystem, W: StateSet,

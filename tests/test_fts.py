@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symtoc import FiniteSystem, StateSet
 
@@ -137,3 +138,52 @@ def test_transitions_iterates_in_pair_order():
     b = branching()
     listed = [(x, u) for x, u, _ in b.transitions()]
     assert listed == [(0, 0), (0, 1), (1, 0)]
+
+
+def reference_reverse(s):
+    """Reverse adjacency as first specified: int64 pair id of every entry, stably sorted by target."""
+    pair_of_entry = np.repeat(np.arange(s.num_states * s.num_inputs, dtype=np.int64), s.pair_counts)
+    rev_pairs = pair_of_entry[np.argsort(s._targets, kind="stable")]
+    rev_offsets = np.zeros(s.num_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s._targets, minlength=s.num_states), out=rev_offsets[1:])
+    return rev_offsets, rev_pairs
+
+
+def assert_reverse_equal(got, want):
+    assert got[0].dtype == np.int64 and got[1].dtype == np.int32
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "none", "all"]))
+def test_restrict_hands_down_the_fresh_reverse(seed, kind):
+    rng = np.random.default_rng(seed)
+    s = random_system(rng, density=float(rng.random()))
+    shape = (s.num_states, s.num_inputs)
+    allowed = {"random": rng.random(shape) < rng.random(),
+               "none": np.zeros(shape, dtype=bool),
+               "all": np.ones(shape, dtype=bool)}[kind]
+    assert_reverse_equal(s.reverse(), reference_reverse(s))
+    r = s.restrict(allowed)
+    assert r._reverse_cache is not None  # derived from the parent's, not recomputed
+    fresh = FiniteSystem.from_csr(r.num_states, r.num_inputs, r._offsets, r._targets)
+    assert_reverse_equal(r.reverse(), fresh.reverse())
+    assert_reverse_equal(r.reverse(), reference_reverse(fresh))
+
+
+def test_restrict_without_parent_reverse_computes_its_own():
+    b = branching()
+    r = b.restrict({0: [0]})
+    assert r._reverse_cache is None
+    assert_reverse_equal(r.reverse(), reference_reverse(r))
+
+
+@pytest.mark.parametrize("n", [65536, 65537])
+def test_reverse_on_both_sides_of_the_16_bit_sort_key(n):
+    # ids up to 65535 are sorted as uint16 keys, larger systems as int32 keys
+    rng = np.random.default_rng(n)
+    trans = {(int(x), int(u)): rng.choice(n, size=3, replace=False).tolist() + [n - 1]
+             for x, u in zip(rng.integers(0, n, 300), rng.integers(0, 2, 300))}
+    s = FiniteSystem(n, 2, trans)
+    assert_reverse_equal(s.reverse(), reference_reverse(s))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -154,6 +155,7 @@ def test_safety_hand_example():
     ctrl = solve_safety(s, StateSet(3, [0, 1]))
     assert ctrl.domain.indices().tolist() == [0]
     assert ctrl.allowed_inputs(0).tolist() == [0]
+    assert ctrl.iterations == 2  # 2 is unsafe (level 1), 1 is lost next (level 2)
 
 
 def test_safety_empty():
@@ -163,16 +165,61 @@ def test_safety_empty():
     assert not ctrl.allowed.any()
 
 
+def with_loops_and_dead_state(rng, s):
+    """Copy of s with self-loops added to some pairs and every pair of one state disabled."""
+    dead = int(rng.integers(s.num_states))
+    trans = {}
+    for x, u, succ in s.transitions():
+        if x != dead:
+            trans[(x, u)] = succ.tolist() + ([x] if rng.random() < 0.4 else [])
+    return FiniteSystem(s.num_states, s.num_inputs, trans)
+
+
 def test_safety_matches_brute_force():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        s = random_system(rng)
-        safe = random_target(rng, s.num_states)
+    def check(s, safe):
         ctrl = solve_safety(s, safe)
         z, allowed = brute_force_safety(s, safe.indices())
         assert set(ctrl.domain.indices().tolist()) == z
         for x in z:
             assert ctrl.allowed_inputs(x).tolist() == allowed[x]
+        assert not ctrl.allowed[~ctrl.domain.mask].any()
+
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        s = random_system(rng)
+        check(s, random_target(rng, s.num_states))
+    # empty and full safe sets, self-loops, states with every pair disabled
+    rng = np.random.default_rng(32)
+    for i in range(40):
+        s = random_system(rng, density=0.2 + 0.6 * (i % 5) / 4)
+        s = with_loops_and_dead_state(rng, s)
+        n = s.num_states
+        for safe in (StateSet(n, []), StateSet.full(n), random_target(rng, n)):
+            check(s, safe)
+
+
+def sink_chain(n):
+    """x -> x+1 under the one input; the last state is a sink with a self-loop."""
+    return FiniteSystem.from_csr(n, 1, np.arange(n + 1), np.minimum(np.arange(1, n + 1), n - 1))
+
+
+def test_long_chain_solves_scale_linearly():
+    # one state per wave for n waves: a solver that re-sweeps all T
+    # transitions per wave grows like 16x from n to 4n, a linear one like 4x;
+    # the two sizes alternate so that a burst of machine load hits both
+    n = 2000
+    for solve in (solve_safety, solve_pessimistic):
+        best = {}
+        for _ in range(3):
+            for size in (n, 4 * n):
+                s = sink_chain(size)
+                s.reverse()
+                sink = StateSet(size, [size - 1])
+                t0 = time.process_time()
+                result = solve(s, ~sink if solve is solve_safety else sink)
+                best[size] = min(best.get(size, math.inf), time.process_time() - t0)
+                assert result.iterations == size
+        assert best[4 * n] < 8 * best[n], (solve.__name__, best)
 
 
 def test_extract_controller_branching():
