@@ -238,8 +238,11 @@ class FiniteSystem:
             n_pairs = self.num_states * self.num_inputs
             pair_type = np.int32 if n_pairs <= np.iinfo(np.int32).max else np.int64
             # one in-place sort of the keys target*n_pairs + pair orders the
-            # entries by target and, within a target, by ascending pair
-            key = self._targets * np.int64(n_pairs)
+            # entries by target and, within a target, by ascending pair; the
+            # keys reach N*N*M, so widen to int64 before multiplying (NumPy
+            # 1.x would keep int32 * np.int64 scalar in int32 and wrap)
+            key = self._targets.astype(np.int64)
+            key *= n_pairs
             key += np.repeat(np.arange(n_pairs, dtype=pair_type), self.pair_counts)
             key.sort()
             key %= max(n_pairs, 1)

@@ -292,18 +292,19 @@ def extract_controller(sys: FiniteSystem, W: StateSet,
     if not np.array_equal(table.levels == 1, W.mask):
         raise IntegrityError("table target states do not match W")
     N, M = sys.num_states, sys.num_inputs
-    inf = N + 1
-    counts = sys.pair_counts
-    nonempty = counts > 0
-    worst = np.full(N * M, inf, dtype=np.int64)
+    nonempty = sys.pair_counts > 0
+    # levels are at most N+1, so the per-transition gather, the largest
+    # temporary here, fits int32 whenever the state ids do
+    level_type = np.int32 if N < np.iinfo(np.int32).max else np.int64
+    worst = np.full(N * M, N + 1, dtype=level_type)
     if sys._targets.size:
         starts = sys._offsets[:-1][nonempty]
-        worst[nonempty] = np.maximum.reduceat(table.levels[sys._targets], starts)
-    state_of_pair = np.repeat(np.arange(N, dtype=np.int64), M)
-    lvl_of_pair = table.levels[state_of_pair]
-    enabled_pair = nonempty & (lvl_of_pair > 1) & (lvl_of_pair <= N) & (worst <= lvl_of_pair - 1)
-    per_state = enabled_pair.reshape(N, M).sum(axis=1)
+        worst[nonempty] = np.maximum.reduceat(table.levels.astype(level_type)[sys._targets], starts)
+    worst = worst.reshape(N, M)
     interior = (table.levels > 1) & (table.levels <= N)
+    # a pair is enabled when its worst successor is below the state's level
+    enabled_pair = nonempty.reshape(N, M) & interior[:, None] & (worst < table.levels[:, None])
+    per_state = enabled_pair.sum(axis=1)
     if np.any(interior & (per_state == 0)):
         raise IntegrityError("winning state with no admissible input; table/system mismatch")
     offsets = np.zeros(N + 1, dtype=np.int64)
@@ -315,7 +316,7 @@ def extract_controller(sys: FiniteSystem, W: StateSet,
         levels=table.levels.copy(),
         offsets=offsets,
         enabled_inputs_flat=(enabled_ids % M).astype(np.int32),
-        worst_values_flat=(worst[enabled_ids] - 1).astype(np.int64),
+        worst_values_flat=worst.ravel()[enabled_ids].astype(np.int64) - 1,
     )
 
 

@@ -179,9 +179,11 @@ def test_restrict_without_parent_reverse_computes_its_own():
     assert_reverse_equal(r.reverse(), reference_reverse(r))
 
 
-@pytest.mark.parametrize("n", [65536, 65537])
-def test_reverse_on_both_sides_of_the_16_bit_sort_key(n):
-    # ids up to 65535 are sorted as uint16 keys, larger systems as int32 keys
+@pytest.mark.parametrize("n", [32768, 32769])
+def test_reverse_sort_keys_on_both_sides_of_int32(n):
+    # reverse() sorts the keys target*N*M + pair; with M=2 and state n-1 a
+    # target, the largest key is 2^31-1 for n=32768 and past int32 for
+    # n=32769, where an int32 key would wrap and scramble the pair ids
     rng = np.random.default_rng(n)
     trans = {(int(x), int(u)): rng.choice(n, size=3, replace=False).tolist() + [n - 1]
              for x, u in zip(rng.integers(0, n, 300), rng.integers(0, 2, 300))}
