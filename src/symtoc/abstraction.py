@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Model, SampledFlow, integrate, reach_radius
-from .fts import FiniteSystem, StateSet
+from .fts import FiniteSystem, StateSet, segment_indices
 
 _REL_TOL = 1e-9  # index-space tolerance for half-up quantization ties
 # Reachable-box corners are pulled inward by this absolute amount before
@@ -594,12 +594,7 @@ def build_abstraction(model: Model, grid: GridSpec, flow: SampledFlow | None = N
     np.cumsum(counts_mat.ravel(), out=offsets[1:])
     targets = np.zeros(offsets[-1], dtype=np.int32)
     for u, (sel, tot, tgt) in enumerate(results):
-        if sel.size == 0:
-            continue
-        dst_start = offsets[sel * M + u]
-        base = np.repeat(np.cumsum(tot) - tot, tot)
-        dst = np.repeat(dst_start, tot) + (np.arange(tgt.size, dtype=np.int64) - base)
-        targets[dst] = tgt
+        targets[segment_indices(offsets[sel * M + u], tot)] = tgt
     system = FiniteSystem.from_csr(N, M, offsets, targets,
                                    initial=StateSet.full(N), validate=False)
     return system, quantizer

@@ -20,8 +20,8 @@ from .config import ConfigError, ProblemConfig, parse_config
 from .dynamics import SampledFlow
 from .fts import StateSet
 from .refine import RefinedController, simulate
-from .synthesis import (EntryTimeTable, extract_controller, solve_optimistic,
-                        solve_pessimistic, synthesize_safe_reach)
+from .synthesis import (extract_controller, solve_optimistic, solve_pessimistic,
+                        synthesize_safe_reach)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,19 +125,17 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
         raise ConfigError("configured model does not match the controller's grid")
     flow = SampledFlow(grid.tau)
     quantizer = Quantizer(grid)
-    rc = RefinedController(controller, quantizer, policy=cfg.policy)
+    rc = RefinedController(controller, quantizer)
     if bounds_path is None:
         candidate = _out_path(out_dir, cfg.output_path("bounds"))
         bounds_path = candidate if os.path.exists(candidate) else None
-    lower_table = None
+    lower = None
     if bounds_path is not None:
-        lo, _ = formats.parse_bounds(bounds_path)
-        if lo.size != controller.num_states:
+        lower, _ = formats.parse_bounds(bounds_path)
+        if lower.size != controller.num_states:
             raise formats.FormatError(
-                f"bounds file {bounds_path} covers {lo.size} states, "
+                f"bounds file {bounds_path} covers {lower.size} states, "
                 f"the controller {controller.num_states}")
-        levels = np.where(np.isinf(lo), controller.num_states + 1, lo + 1).astype(np.int64)
-        lower_table = EntryTimeTable(levels, "optimistic", controller.num_states, 0)
     unsafe = _unsafe_cells(cfg, controller, grid) if (cfg.obstacles or cfg.unsafe_states) else None
     report_path = _out_path(out_dir, cfg.output_path("report"))
     all_ok = True
@@ -146,8 +144,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
             rep.write(formats._timestamp_line())
         rep.write("trace,reason,initial_cell,lower,achieved,upper,obstacle_visits,certified\n")
         for i, x0 in enumerate(cfg.initial_states, start=1):
-            trace = simulate(model, flow, rc, x0, cfg.target, cfg.max_steps,
-                             lower=lower_table)
+            trace = simulate(model, flow, rc, x0, cfg.target, cfg.max_steps, lower=lower)
             trace_path = _out_path(out_dir, f"{cfg.output_path('trace_prefix')}_{i}.csv")
             formats.write_trace(trace_path, trace, grid.dim, grid.input_dim,
                                 timestamp=timestamp)

@@ -71,7 +71,6 @@ class ProblemConfig:
     unsafe_states: list | None = None
     initial_states: list = field(default_factory=list)
     max_steps: int = 1000
-    policy: str = "greedy"
     outputs: dict = field(default_factory=dict)
 
     def build_model(self) -> Model:
@@ -211,9 +210,6 @@ def parse_config_text(text: str) -> ProblemConfig:
     cfg.max_steps = int(_want(pairs, "simulate.max_steps", "int", default=1000))
     if cfg.max_steps < 0:
         raise ConfigError("key 'simulate.max_steps' must be nonnegative")
-    cfg.policy = _want(pairs, "simulate.policy", "string", default="greedy")
-    if cfg.policy not in ("greedy", "first-enabled"):
-        raise ConfigError(f"key 'simulate.policy': unknown policy '{cfg.policy}'")
 
     stem = cfg.model_id or "problem"
     defaults = {"system": f"{stem}.sts", "controller": f"{stem}.ctl",

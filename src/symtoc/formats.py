@@ -27,7 +27,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .abstraction import GridSpec, Quantizer
-from .fts import FiniteSystem, StateSet
+from .fts import FiniteSystem, StateSet, segment_indices
+from .refine import TARGET, applied_inputs
 from .synthesis import EntryTimeTable, SymbolicController
 
 
@@ -151,13 +152,6 @@ def _render(tokens, per_line, sep: bytes, words=()) -> np.ndarray:
     return buf
 
 
-def _segments(starts, counts) -> np.ndarray:
-    """Indices of the concatenated ranges [starts[i], starts[i] + counts[i])."""
-    total = int(counts.sum())
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return shift + np.arange(total, dtype=np.int64)
-
-
 def _write_blocks(fh, width, tokens_of, sep: bytes, words=()):
     """Write lines of width[i] tokens in blocks; tokens_of(a, b) gives lines a..b-1."""
     ends = np.cumsum(width)
@@ -179,7 +173,7 @@ def _tagged_tokens(heads, offsets, flat, rows) -> np.ndarray:
     for i, column in enumerate((-1, heads[0], heads[1], -2)):
         tokens[first + i] = column
         tail[first + i] = False
-    tokens[tail] = flat[_segments(offsets[rows], counts)]
+    tokens[tail] = flat[segment_indices(offsets[rows], counts)]
     return tokens
 
 
@@ -250,7 +244,7 @@ def _scan(fh, lineno, lead, sep: bytes, fields, what, on_line, inf=False):
             space[first[rec]] = True
         valid = tok | space | is_sep | is_nl
         if not valid.all():
-            pos = int(np.argmin(valid))
+            pos = int(np.argmax(~valid))
             fail(pos, f"unexpected character {chr(b[pos])!r}")
         # events in byte order: 1 token start, 2 separator, 3 newline
         start = tok.copy()
@@ -318,18 +312,25 @@ def _check_tail(lines, tail_len, tail, limit, message):
         raise FormatError(f"line {lines[row]}: {message} {tail[i]} out of range")
 
 
-def _sorted_tails(key, lines, tail_len, tail, what):
-    """Tail values regrouped by ascending record key; duplicate keys are rejected.
-
-    Returns (order of the records, tail values in that order)."""
+def _key_order(key, lines, what):
+    """Order that sorts the records by key, None when they already ascend;
+    a duplicate key is rejected, naming its second line."""
     if (key[1:] > key[:-1]).all():
-        return np.arange(key.size), tail
+        return None
     order = np.argsort(key, kind="stable")
     dup = np.flatnonzero(key[order][1:] == key[order][:-1])
     if dup.size:
         raise FormatError(f"line {lines[order[dup[0] + 1]]}: duplicate {what}")
+    return order
+
+
+def _sorted_tails(key, lines, tail_len, tail, what):
+    """Tail values regrouped by ascending record key; duplicate keys are rejected."""
+    order = _key_order(key, lines, what)
+    if order is None:
+        return tail
     starts = np.cumsum(tail_len) - tail_len
-    return order, tail[_segments(starts[order], tail_len[order])]
+    return tail[segment_indices(starts[order], tail_len[order])]
 
 
 def _read_artifact(path, magic, tag, keys, what):
@@ -423,7 +424,7 @@ def parse_system(path):
     if initial and max(initial) >= n:
         raise FormatError(f"line {init_line}: initial state {max(initial)} out of range")
     pair = x.astype(np.int64) * m + u
-    _, targets = _sorted_tails(pair, lines, tail_len, succ, "(state,input) " + what)
+    targets = _sorted_tails(pair, lines, tail_len, succ, "(state,input) " + what)
     offsets = np.zeros(n * m + 1, dtype=np.int64)
     offsets[pair + 1] = tail_len
     np.cumsum(offsets, out=offsets)
@@ -461,15 +462,14 @@ def parse_controller(path):
     if empty.any():
         raise FormatError(f"line {lines[np.argmax(empty)]}: winning state without inputs")
     _check_tail(lines, tail_len, inputs, m, "input")
-    order, enabled = _sorted_tails(x, lines, tail_len, inputs, "controller state")
+    enabled = _sorted_tails(x, lines, tail_len, inputs, "controller state")
     levels = np.full(n, n + 1, dtype=np.int64)
     levels[x] = value + 1
     offsets = np.zeros(n + 1, dtype=np.int64)
     offsets[x + 1] = tail_len
     np.cumsum(offsets, out=offsets)
-    worst = np.repeat(value[order].astype(np.int64) - 1, tail_len[order])
     ctrl = SymbolicController(num_states=n, num_inputs=m, levels=levels, offsets=offsets,
-                              enabled_inputs_flat=enabled, worst_values_flat=worst)
+                              enabled_inputs_flat=enabled)
     return ctrl, grid
 
 
@@ -479,10 +479,9 @@ def _fmt_entry_time(v) -> str:
     return "inf" if math.isinf(v) else str(int(v))
 
 
-def write_bounds(path, lower: EntryTimeTable, upper: EntryTimeTable | SymbolicController,
+def write_bounds(path, lower: EntryTimeTable, upper: SymbolicController,
                  timestamp: bool = True):
-    lo = lower.entry_times()
-    up = upper.entry_times() if isinstance(upper, EntryTimeTable) else upper.values()
+    lo, up = lower.entry_times(), upper.values()
     with open(path, "wb") as fh:
         fh.write(((_timestamp_line() if timestamp else "") + "state,lower,upper\n").encode())
 
@@ -494,7 +493,10 @@ def write_bounds(path, lower: EntryTimeTable, upper: EntryTimeTable | SymbolicCo
 
 
 def parse_bounds(path):
-    """Read a bounds CSV; returns (lower, upper) float arrays with inf sentinels."""
+    """Read a bounds CSV; returns (lower, upper) float arrays with inf sentinels.
+
+    Rows may come in any order, but must name each state 0..n-1 once.
+    """
     def on_line(lineno, line):
         if not (line.startswith("#") or line.startswith("state,")):
             raise FormatError(f"line {lineno}: malformed bounds row '{line}'")
@@ -506,9 +508,14 @@ def parse_bounds(path):
                           "malformed bounds row")
     rows = values.reshape(-1, 3)
     states = rows[:, 0]
-    n = int(states.max()) + 1 if states.size else 0
-    lo = np.full(n, np.inf)
-    up = np.full(n, np.inf)
+    order = _key_order(states, lines, "bounds state")
+    ranked = states if order is None else states[order]
+    gap = ranked != np.arange(states.size)
+    if gap.any():
+        k = int(np.argmax(gap))
+        line = lines[k if order is None else order[k]]
+        raise FormatError(f"line {line}: no row for state {k} before state {ranked[k]}")
+    lo, up = np.empty((2, states.size))
     lo[states] = np.where(rows[:, 1] < 0, np.inf, rows[:, 1])
     up[states] = np.where(rows[:, 2] < 0, np.inf, rows[:, 2])
     return lo, up
@@ -572,36 +579,31 @@ def parse_trace(path):
 
 def write_plot(path, ctrl: SymbolicController, quantizer: Quantizer | None = None,
                timestamp: bool = True):
-    """One row per winning cell: center (or state id), default-policy input, value."""
+    """One row per winning cell: center (or state id), the input the refined
+    controller applies (`refine.applied_inputs`, empty on target cells), value."""
     winning = np.flatnonzero(ctrl.levels <= ctrl.num_states)
+    applied = applied_inputs(ctrl)
     with open(path, "w") as fh:
         if timestamp:
             fh.write(_timestamp_line())
         if quantizer is None:
             fh.write("state,input,value\n")
             for x in winning:
-                value = int(ctrl.levels[x]) - 1
-                enabled = ctrl.enabled(int(x))
-                u = "" if enabled.size == 0 else str(int(enabled[int(np.argmin(ctrl.worst_values(int(x))))]))
-                fh.write(f"{x},{u},{value}\n")
+                u = "" if applied[x] == TARGET else str(applied[x])
+                fh.write(f"{x},{u},{ctrl.levels[x] - 1}\n")
             return
         grid = quantizer.grid
-        dim = grid.dim
         input_dim = grid.input_dim
         inputs = grid.input_values()
-        fh.write(",".join(f"x{i+1}" for i in range(dim)) + ","
+        fh.write(",".join(f"x{i+1}" for i in range(grid.dim)) + ","
                  + ",".join(f"u{i+1}" for i in range(input_dim)) + ",value\n")
         for x in winning:
-            value = int(ctrl.levels[x]) - 1
-            center = quantizer.center(int(x))
-            enabled = ctrl.enabled(int(x))
-            if enabled.size:
-                uidx = int(enabled[int(np.argmin(ctrl.worst_values(int(x))))])
-                us = ",".join(_fmt_num(v) for v in inputs[uidx])
+            if applied[x] == TARGET:
+                us = "," * (input_dim - 1)
             else:
-                us = ",".join("" for _ in range(input_dim))
-            xs = ",".join(_fmt_num(v) for v in center)
-            fh.write(f"{xs},{us},{value}\n")
+                us = ",".join(_fmt_num(v) for v in inputs[applied[x]])
+            xs = ",".join(_fmt_num(v) for v in quantizer.center(int(x)))
+            fh.write(f"{xs},{us},{ctrl.levels[x] - 1}\n")
 
 
 def parse_plot(path):

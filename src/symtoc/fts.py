@@ -272,3 +272,10 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     cs = np.zeros(values.size + 1, dtype=np.int64)
     np.cumsum(values, out=cs[1:])
     return cs[offsets[1:]] - cs[offsets[:-1]]
+
+
+def segment_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices of the concatenated ranges [starts[i], starts[i] + counts[i])."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(total, dtype=np.int64)

@@ -1,11 +1,11 @@
 """Refinement of symbolic controllers to the sampled state space and
 certified closed-loop simulation.
 
-The refined controller applies, at a concrete state, the inputs enabled at
-the cell containing that state. The default policy picks the input with the
-smallest worst-case successor value, breaking ties towards the lowest input
-index, which makes runs deterministic and the cell value strictly decreasing
-until the target is entered.
+The refined controller applies, at a concrete state, the first (lowest)
+input enabled at the cell containing that state. Every enabled input leads
+one level closer to the target, so runs are deterministic and the cell value
+strictly decreases until the target is entered. `applied_inputs` makes that
+choice once per cell, for simulation and plot export alike.
 """
 
 from __future__ import annotations
@@ -16,27 +16,36 @@ import numpy as np
 
 from .abstraction import OutOfDomainError, Quantizer, TargetSpec
 from .dynamics import Model, SampledFlow, integrate
-from .synthesis import EntryTimeTable, SymbolicController
+from .synthesis import SymbolicController
 
-POLICIES = ("greedy", "first-enabled")
+TARGET = -1   # applied_inputs sentinel: target cell, no move needed
+OUTSIDE = -2  # applied_inputs sentinel: cell outside the winning set
 
 
 class OutOfWinningSetError(ValueError):
     """The current cell carries no control decision."""
 
 
-class RefinedController:
-    """Symbolic controller lifted to concrete states through the quantizer."""
+def applied_inputs(controller: SymbolicController) -> np.ndarray:
+    """Per cell, the first enabled input; TARGET or OUTSIDE where there is none."""
+    levels, offsets = controller.levels, controller.offsets
+    table = np.where(levels == 1, TARGET, OUTSIDE)
+    moving = (np.diff(offsets) > 0) & (levels > 1) & (levels <= controller.num_states)
+    table[moving] = controller.enabled_inputs_flat[offsets[:-1][moving]]
+    return table
 
-    def __init__(self, controller: SymbolicController, quantizer: Quantizer,
-                 policy: str = "greedy"):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy '{policy}' (choose from {POLICIES})")
+
+class RefinedController:
+    """Symbolic controller lifted to concrete states through the quantizer,
+    with its per-cell table: `inputs` from `applied_inputs` and cell `values`."""
+
+    def __init__(self, controller: SymbolicController, quantizer: Quantizer):
         if controller.num_states != quantizer.num_cells:
             raise ValueError("controller and quantizer disagree on the cell count")
         self.controller = controller
         self.quantizer = quantizer
-        self.policy = policy
+        self.inputs = applied_inputs(controller)
+        self.values = controller.values()
         self._input_values = quantizer.grid.input_values()
 
     def cell_of(self, x) -> int:
@@ -44,17 +53,10 @@ class RefinedController:
 
     def select_input_index(self, cell: int) -> int | None:
         """Input index applied at a cell; None when the cell is a target cell."""
-        ctrl = self.controller
-        lvl = int(ctrl.levels[cell])
-        if lvl > ctrl.num_states:
+        u = int(self.inputs[cell])
+        if u == OUTSIDE:
             raise OutOfWinningSetError(f"cell {cell} is outside the winning set")
-        if lvl == 1:
-            return None  # target reached, no move needed
-        enabled = ctrl.enabled(cell)
-        if self.policy == "first-enabled":
-            return int(enabled[0])
-        worst = ctrl.worst_values(cell)
-        return int(enabled[int(np.argmin(worst))])  # argmin keeps the lowest index on ties
+        return None if u == TARGET else u
 
     def control_input(self, x) -> np.ndarray | None:
         """Grid input to apply at concrete state x; None signals target reached."""
@@ -92,25 +94,26 @@ class Trace:
 
 def simulate(model: Model, flow: SampledFlow, rc: RefinedController,
              x0, W: TargetSpec, max_steps: int,
-             lower: EntryTimeTable | None = None) -> Trace:
+             lower: np.ndarray | None = None) -> Trace:
     """Run the refined controller from x0 until the concrete state enters W.
 
     Each step applies the selected grid input and integrates one period.
     The trace records, per executed step, the state, applied input, cell and
     cell value. Leaving the winning set aborts the run (it would indicate an
-    unsound abstraction); the loop also stops at max_steps.
+    unsound abstraction); the loop also stops at max_steps. `lower` holds
+    per-cell lower-bound entry times (`EntryTimeTable.entry_times()`).
     """
     grid = rc.quantizer.grid
     x = np.asarray(x0, dtype=float).copy()
     steps = []
-    values = rc.controller.values()
+    values = rc.values
     try:
         cell0 = rc.cell_of(x)
     except OutOfDomainError:
         cell0 = None
     lower_bound = 0.0
     if lower is not None and cell0 is not None:
-        lower_bound = float(lower.entry_times()[cell0])
+        lower_bound = float(lower[cell0])
     upper_bound = float(values[cell0]) if cell0 is not None else np.inf
     reason = "step-limit"
     achieved = None

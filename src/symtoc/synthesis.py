@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fts import FiniteSystem, StateSet, segment_sums
+from .fts import FiniteSystem, StateSet, segment_indices, segment_sums
 
 
 class IntegrityError(ValueError):
@@ -52,10 +52,6 @@ class EntryTimeTable:
     mode: str  # "pessimistic" or "optimistic"
     num_states: int
     iterations: int
-
-    @property
-    def inf_level(self) -> int:
-        return self.num_states + 1
 
     def entry_time(self, x: int):
         lvl = int(self.levels[x])
@@ -90,22 +86,17 @@ class SafetyController:
 class SymbolicController:
     """Per-state enabled input sets with their certified entry-time values.
 
-    Enabled sets are non-empty exactly on winning states outside the target;
-    every enabled input forces all successors at least one level closer to
-    the target. Stored CSR-style: inputs of state x live at
-    enabled_inputs_flat[offsets[x]:offsets[x+1]], with the matching
-    worst-case successor values alongside.
+    Enabled sets are non-empty exactly on winning states outside the target
+    and hold the inputs attaining V(x) = 1 + min_u max V(Post_u(x)), so the
+    worst-case successor value of each is V(x) - 1: the levels are the only
+    stored fact and `worst_values` derives the rest. Stored CSR-style: inputs
+    of state x live at enabled_inputs_flat[offsets[x]:offsets[x+1]].
     """
     num_states: int
     num_inputs: int
     levels: np.ndarray
     offsets: np.ndarray
     enabled_inputs_flat: np.ndarray
-    worst_values_flat: np.ndarray
-
-    @property
-    def inf_level(self) -> int:
-        return self.num_states + 1
 
     def value(self, x: int):
         lvl = int(self.levels[x])
@@ -120,13 +111,15 @@ class SymbolicController:
         return self.enabled_inputs_flat[self.offsets[x]:self.offsets[x + 1]]
 
     def worst_values(self, x: int) -> np.ndarray:
-        return self.worst_values_flat[self.offsets[x]:self.offsets[x + 1]]
+        return np.full(self.offsets[x + 1] - self.offsets[x], self.levels[x] - 2)
+
+    @property
+    def worst_values_flat(self) -> np.ndarray:  # aligned with enabled_inputs_flat
+        return np.repeat(self.levels - 2, np.diff(self.offsets))
 
     def domain(self) -> StateSet:
         return StateSet.from_mask(self.levels <= self.num_states)
 
-    def target_cells(self) -> StateSet:
-        return StateSet.from_mask(self.levels == 1)
 
 
 def reach_step(sys: FiniteSystem, W: StateSet, Z: StateSet) -> StateSet:
@@ -181,9 +174,7 @@ def _backward(sys: FiniteSystem, seeds: np.ndarray, pair_need, state_need):
         if frontier.size <= _NARROW:
             pairs = np.concatenate([rev_pairs[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
         else:
-            lens = stops - starts
-            ends = np.cumsum(lens)
-            pairs = rev_pairs[np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])]
+            pairs = rev_pairs[segment_indices(starts, stops - starts)]
         if pair_cnt is not None:
             pairs = _count_down(pair_cnt, pairs)
         if state_cnt is not None:
@@ -316,7 +307,6 @@ def extract_controller(sys: FiniteSystem, W: StateSet,
         levels=table.levels.copy(),
         offsets=offsets,
         enabled_inputs_flat=(enabled_ids % M).astype(np.int32),
-        worst_values_flat=worst.ravel()[enabled_ids].astype(np.int64) - 1,
     )
 
 

@@ -50,7 +50,7 @@ def unicycle_bundle():
     unsafe = target_over(cfg.grid, quantizer, cfg.obstacles)
     result = synthesize_safe_reach(system, ~unsafe, w_under)
     lower = solve_optimistic(result.restricted, w_over)
-    rc = RefinedController(result.controller, quantizer, policy=cfg.policy)
+    rc = RefinedController(result.controller, quantizer)
     return SimpleNamespace(cfg=cfg, model=model, flow=flow, system=system,
                            quantizer=quantizer, w_under=w_under, w_over=w_over,
                            unsafe=unsafe, result=result, lower=lower, rc=rc,

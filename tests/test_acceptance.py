@@ -90,7 +90,7 @@ def test_double_integrator_benchmark(di_bundle):
     ref_lower = [9, 9, 9, 2, 2, 2]         # reference lower-bound row
     for x0, sym, up, lo in zip(starts, ref_symbolic, ref_upper, ref_lower):
         trace = simulate(b.model, b.flow, rc, np.array(x0), b.cfg.target,
-                         b.cfg.max_steps, lower=b.lower)
+                         b.cfg.max_steps, lower=b.lower.entry_times())
         cell = int(b.quantizer.quantize(np.array(x0)))
         upper_here = b.controller.value(cell)
         lower_here = b.lower.entry_time(cell)
@@ -164,7 +164,7 @@ def test_unicycle_safe_reach_benchmark(unicycle_bundle):
     b = unicycle_bundle
     x0 = b.cfg.initial_states[0]
     trace = simulate(b.model, b.flow, b.rc, x0, b.cfg.target, b.cfg.max_steps,
-                     lower=b.lower)
+                     lower=b.lower.entry_times())
     assert trace.reason == "reached-target"
     visits = sum(1 for s in trace.steps if s.cell in b.unsafe)
     assert visits == 0

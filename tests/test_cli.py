@@ -66,8 +66,8 @@ def test_config_rejects_bad_values():
         parse_config_text("simulate.max_steps = 3\nsimulate.max_steps = 4\n")
     with pytest.raises(ConfigError, match="unknown model"):
         parse_config_text("model.id = rocket\n")
-    with pytest.raises(ConfigError, match="policy"):
-        parse_config_text("simulate.policy = luck\n")
+    with pytest.raises(ConfigError, match="unknown key 'simulate.policy'"):
+        parse_config_text("simulate.policy = greedy\n")
     with pytest.raises(ConfigError, match="dimension"):
         parse_config_text(DI_CONFIG + "\nobstacle.1.lower = [0]\nobstacle.1.upper = [1]\n")
 
@@ -135,7 +135,7 @@ def test_bounds_round_trip(tmp_path):
     s = chain_system()
     W = StateSet(3, [2])
     lower = solve_optimistic(s, W)
-    upper = solve_pessimistic(s, W)
+    upper = extract_controller(s, W, solve_pessimistic(s, W))
     path = tmp_path / "bounds.csv"
     formats.write_bounds(path, lower, upper, timestamp=False)
     lo, up = formats.parse_bounds(path)
@@ -304,6 +304,22 @@ def test_simulate_bounds_from_other_grid_exits_2(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
                      "--bounds", other]) == cli.EXIT_CONFIG
     assert "covers 100 states, the controller 441" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([0, 1, 1, 2], "line 4: duplicate bounds state"),
+    ([0, 2, 3], "line 3: no row for state 1 before state 2"),
+])
+def test_simulate_bounds_with_duplicate_or_missing_rows_exits_2(tmp_path, capsys, rows, message):
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
+    out = str(tmp_path / "out")
+    assert cli.main(["abstract", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    rows = rows + list(range(max(rows) + 1, 21 * 21))
+    bad = write(tmp_path / "bad.csv", "state,lower,upper\n" + "".join(f"{x},1,2\n" for x in rows))
+    assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
+                     "--bounds", bad]) == cli.EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_unsafe_states_restrict_explicit_system(tmp_path):

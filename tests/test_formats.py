@@ -43,12 +43,12 @@ def _gridded():
 
 
 def _case(name):
-    """(system, grid, controller, lower table, upper table or controller)."""
+    """(system, grid, controller, lower table)."""
     if name == "empty":
         ctrl = SymbolicController(0, 0, np.zeros(0, np.int64), np.zeros(1, np.int64),
-                                  np.zeros(0, np.int32), np.zeros(0, np.int64))
+                                  np.zeros(0, np.int32))
         return (FiniteSystem(0, 0), None, ctrl,
-                EntryTimeTable(np.zeros(0, np.int64), "optimistic", 0, 0), ctrl)
+                EntryTimeTable(np.zeros(0, np.int64), "optimistic", 0, 0))
     if name == "no_transitions":
         system, grid, target = FiniteSystem(3, 2), None, []
     else:
@@ -56,10 +56,8 @@ def _case(name):
                         "gridded": _gridded}[name]()
         target = [0]
     W = StateSet(system.num_states, target)
-    table = solve_pessimistic(system, W)
-    ctrl = extract_controller(system, W, table)
-    upper = table if name == "no_transitions" else ctrl
-    return system, grid, ctrl, solve_optimistic(system, W), upper
+    ctrl = extract_controller(system, W, solve_pessimistic(system, W))
+    return system, grid, ctrl, solve_optimistic(system, W)
 
 
 # sha256 of (STS1, CTL1, bounds CSV) as written by the per-line writers that
@@ -100,11 +98,11 @@ def _assert_controllers_equal(parsed, ctrl):
 
 
 def _write_and_check(tmp_path, name):
-    system, grid, ctrl, lower, upper = _case(name)
+    system, grid, ctrl, lower = _case(name)
     sts, ctl, csv = tmp_path / "a.sts", tmp_path / "a.ctl", tmp_path / "a.csv"
     formats.write_system(sts, system, grid=grid, timestamp=False)
     formats.write_controller(ctl, ctrl, grid=grid, timestamp=False)
-    formats.write_bounds(csv, lower, upper, timestamp=False)
+    formats.write_bounds(csv, lower, ctrl, timestamp=False)
     assert (_sha(sts), _sha(ctl), _sha(csv)) == PINNED[name]
     parsed, grid2 = formats.parse_system(sts)
     assert parsed == system
@@ -112,8 +110,7 @@ def _write_and_check(tmp_path, name):
     parsed_ctrl, _ = formats.parse_controller(ctl)
     _assert_controllers_equal(parsed_ctrl, ctrl)
     lo, up = formats.parse_bounds(csv)
-    up_want = upper.entry_times() if isinstance(upper, EntryTimeTable) else upper.values()
-    assert np.array_equal(lo, lower.entry_times()) and np.array_equal(up, up_want)
+    assert np.array_equal(lo, lower.entry_times()) and np.array_equal(up, ctrl.values())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -161,8 +158,7 @@ def controllers(draw):
     per_state = np.array(per_state, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(per_state))).astype(np.int64)
     flat = np.array([u for inputs in enabled for u in inputs], dtype=np.int32)
-    worst = np.repeat(levels - 2, per_state)
-    return SymbolicController(n, m, levels, offsets, flat, worst)
+    return SymbolicController(n, m, levels, offsets, flat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,6 +328,11 @@ def test_ctl1_rejects(tmp_path, text, match):
     ("1,nif,2", r"line 2: malformed number"),
     ("1,12inf,2", r"line 2: malformed number"),
     ("inf,1,2", r"line 2: malformed bounds row 'inf,1,2'"),
+    ("0,1,2\n1,0,0\n1,5,5\n2,inf,inf", r"line 4: duplicate bounds state"),
+    ("2,1,1\n0,1,2\n2,inf,inf\n1,0,0", r"line 4: duplicate bounds state"),
+    ("0,1,2\n2,inf,inf", r"line 3: no row for state 1 before state 2"),
+    ("3,1,1\n0,1,2\n2,inf,inf", r"line 4: no row for state 1 before state 2"),
+    ("1,1,1", r"line 2: no row for state 0 before state 1"),
 ])
 def test_bounds_rejects(tmp_path, row, match):
     path = tmp_path / "bad.csv"

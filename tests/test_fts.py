@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symtoc import FiniteSystem, StateSet
+from symtoc.fts import segment_indices
 
 from helpers import random_system
 
@@ -189,3 +190,12 @@ def test_reverse_sort_keys_on_both_sides_of_int32(n):
              for x, u in zip(rng.integers(0, n, 300), rng.integers(0, 2, 300))}
     s = FiniteSystem(n, 2, trans)
     assert_reverse_equal(s.reverse(), reference_reverse(s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranges=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 4)), max_size=8))
+def test_segment_indices_concatenates_ranges(ranges):
+    starts = np.array([a for a, _ in ranges], dtype=np.int64)
+    counts = np.array([c for _, c in ranges], dtype=np.int64)
+    want = [i for a, c in ranges for i in range(a, a + c)]
+    assert segment_indices(starts, counts).tolist() == want

@@ -3,8 +3,8 @@ import pytest
 
 from symtoc import (FiniteSystem, GridSpec, Quantizer, RefinedController,
                     SampledFlow, StateSet, TargetSpec, build_abstraction,
-                    double_integrator, extract_controller, integrate, simulate,
-                    solve_optimistic, solve_pessimistic, target_over,
+                    double_integrator, extract_controller, formats, integrate,
+                    simulate, solve_optimistic, solve_pessimistic, target_over,
                     target_under)
 from symtoc.refine import OutOfWinningSetError
 
@@ -51,12 +51,6 @@ def test_outside_winning_set_raises():
         rc.control_input(np.array([0.0]))
 
 
-def test_policy_validation():
-    ctrl = branching_controller()
-    with pytest.raises(ValueError):
-        RefinedController(ctrl, Quantizer(line_grid()), policy="random")
-
-
 @pytest.fixture(scope="module")
 def di_problem():
     model = double_integrator()
@@ -70,7 +64,7 @@ def di_problem():
     w_over = target_over(grid, quantizer, W)
     table = solve_pessimistic(system, w_under)
     controller = extract_controller(system, w_under, table)
-    lower = solve_optimistic(system, w_over)
+    lower = solve_optimistic(system, w_over).entry_times()
     return model, grid, flow, quantizer, controller, lower, W
 
 
@@ -111,12 +105,34 @@ def test_simulation_step_limit(di_problem):
 
 def test_first_enabled_policy_keeps_certificate(di_problem):
     model, grid, flow, quantizer, controller, lower, W = di_problem
-    for policy in ("greedy", "first-enabled"):
-        rc = RefinedController(controller, quantizer, policy=policy)
-        for x0 in ([1.5, 0.0], [-2.0, 1.0], [2.4, -1.2]):
-            trace = simulate(model, flow, rc, np.array(x0), W, 100, lower=lower)
-            assert trace.reason == "reached-target"
-            assert trace.certified
+    rc = RefinedController(controller, quantizer)
+    for x0 in ([1.5, 0.0], [-2.0, 1.0], [2.4, -1.2]):
+        trace = simulate(model, flow, rc, np.array(x0), W, 100, lower=lower)
+        assert trace.reason == "reached-target"
+        assert trace.certified
+        assert all(s.input_index == controller.enabled(s.cell)[0] for s in trace.steps)
+
+
+def test_plot_input_column_is_the_applied_input(di_problem, tmp_path):
+    model, grid, flow, quantizer, controller, lower, W = di_problem
+    rc = RefinedController(controller, quantizer)
+    winning = controller.domain().indices()
+    chosen = [rc.select_input_index(int(x)) for x in winning]
+    assert any(u is None for u in chosen) and any(u is not None for u in chosen)
+    # one row per winning cell, in cell order
+    formats.write_plot(tmp_path / "grid.csv", controller, quantizer, timestamp=False)
+    _, rows = formats.parse_plot(tmp_path / "grid.csv")
+    inputs = grid.input_values()
+    assert len(rows) == winning.size
+    for x, u, row in zip(winning, chosen, rows):
+        assert np.array_equal(row[:2], quantizer.center(int(x)))
+        if u is None:
+            assert np.isnan(row[2])
+        else:
+            assert row[2] == inputs[u][0]
+    formats.write_plot(tmp_path / "plain.csv", controller, timestamp=False)
+    _, rows = formats.parse_plot(tmp_path / "plain.csv")
+    assert [(x, u) for x, u, _ in rows] == list(zip(winning.tolist(), chosen))
 
 
 def test_greedy_runs_terminate_within_initial_value(di_problem):

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symtoc import (FiniteSystem, IntegrityError, StateSet, extract_controller,
                     reach_step, solve_optimistic, solve_pessimistic,
@@ -269,6 +270,42 @@ def test_controller_every_enabled_input_makes_progress():
                 for u in ctrl.enabled(x):
                     worst = max(table.levels[int(t)] for t in s.post(x, int(u)))
                     assert worst == lvl - 1
+
+
+@st.composite
+def games(draw):
+    """A system with disabled pairs and self-loops, a target, and a safe set or None."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 3))
+    trans = {}
+    for x in range(n):
+        for u in range(m):
+            succ = draw(st.lists(st.integers(0, n - 1), max_size=3))  # [] disables (x,u)
+            if succ and draw(st.booleans()):
+                succ.append(x)
+            trans[(x, u)] = succ
+    target = draw(st.sets(st.integers(0, n - 1)))
+    safe = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    return FiniteSystem(n, m, trans), StateSet(n, target), safe
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=games())
+def test_enabled_inputs_lead_exactly_one_level_down(game):
+    # the controller stores only levels: every enabled input's worst successor
+    # is exactly one level below its state, which worst_values derives
+    s, W, safe = game
+    if safe is None:
+        system, ctrl = s, extract_controller(s, W, solve_pessimistic(s, W))
+    else:
+        result = synthesize_safe_reach(s, StateSet(s.num_states, safe), W)
+        system, ctrl = result.restricted, result.controller
+    for x in range(s.num_states):
+        worst = [max(ctrl.levels[t] for t in system.post(x, int(u))) for u in ctrl.enabled(x)]
+        assert worst == [ctrl.levels[x] - 1] * len(worst)
+        assert ctrl.worst_values(x).tolist() == [w - 1 for w in worst]
+    assert ctrl.worst_values_flat.tolist() == [
+        v for x in range(s.num_states) for v in ctrl.worst_values(x).tolist()]
 
 
 def test_controller_adversarially_sound():
