@@ -15,7 +15,8 @@ import time
 import numpy as np
 
 from . import formats
-from .abstraction import Quantizer, build_abstraction, target_over, target_under
+from .abstraction import (OutOfDomainError, Quantizer, build_abstraction, target_over,
+                          target_under)
 from .config import ConfigError, ProblemConfig, parse_config
 from .dynamics import SampledFlow
 from .fts import StateSet
@@ -34,13 +35,24 @@ def _out_path(out_dir, name):
     return os.path.join(out_dir, name)
 
 
+def _state_ids(key, states, num_states):
+    """Explicit state ids from the config key `key`, each checked against the system."""
+    ids = np.asarray(states, dtype=np.int64)
+    bad = (ids < 0) | (ids >= num_states)
+    if bad.any():
+        raise ConfigError(f"key '{key}': state {ids[bad][0]} outside the "
+                          f"{num_states} states of the system")
+    return ids
+
+
 def _target_cell_sets(cfg: ProblemConfig, system, grid):
     """Inner and outer cell covers of the configured target."""
     if grid is not None and cfg.target is not None:
         q = Quantizer(grid)
         return target_under(grid, q, cfg.target), target_over(grid, q, cfg.target)
     if cfg.target_states is not None:
-        w = StateSet(system.num_states, cfg.target_states)
+        w = StateSet(system.num_states,
+                     _state_ids("target.states", cfg.target_states, system.num_states))
         return w, w
     raise ConfigError("config needs a target (spatial for gridded systems, "
                       "target.states for explicit systems)")
@@ -56,7 +68,7 @@ def _unsafe_cells(cfg: ProblemConfig, system, grid):
         mask |= target_over(grid, Quantizer(grid), cfg.obstacles).mask
         have = True
     if cfg.unsafe_states is not None:
-        mask[np.asarray(cfg.unsafe_states, dtype=np.int64)] = True
+        mask[_state_ids("unsafe.states", cfg.unsafe_states, system.num_states)] = True
         have = True
     return StateSet.from_mask(mask) if have else None
 
@@ -131,11 +143,19 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
         bounds_path = candidate if os.path.exists(candidate) else None
     lower = None
     if bounds_path is not None:
-        lower, _ = formats.parse_bounds(bounds_path)
+        lower, upper = formats.parse_bounds(bounds_path)
         if lower.size != controller.num_states:
             raise formats.FormatError(
                 f"bounds file {bounds_path} covers {lower.size} states, "
                 f"the controller {controller.num_states}")
+        values = controller.values()
+        differ = np.flatnonzero(upper != values)
+        if differ.size:
+            x = int(differ[0])
+            raise formats.FormatError(
+                f"bounds file {bounds_path}: upper bound of state {x} is "
+                f"{formats._fmt_entry_time(upper[x])}, the controller's value "
+                f"{formats._fmt_entry_time(values[x])}")
     unsafe = _unsafe_cells(cfg, controller, grid) if (cfg.obstacles or cfg.unsafe_states) else None
     report_path = _out_path(out_dir, cfg.output_path("report"))
     all_ok = True
@@ -183,8 +203,11 @@ def cmd_bounds(cfg: ProblemConfig, system_path) -> int:
     print("state,lower,upper")
     if grid is not None and cfg.initial_states:
         quantizer = Quantizer(grid)
-        for x0 in cfg.initial_states:
-            cell = int(quantizer.quantize(x0))
+        for k, x0 in enumerate(cfg.initial_states, start=1):
+            try:
+                cell = int(quantizer.quantize(x0))
+            except OutOfDomainError as e:
+                raise ConfigError(f"key 'simulate.initial.{k}': {e}") from None
             print(f"{cell},{formats._fmt_entry_time(lo[cell])},{formats._fmt_entry_time(up[cell])}")
     else:
         for x in range(system.num_states):

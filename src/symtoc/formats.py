@@ -304,12 +304,17 @@ def _tagged_records(lines, counts, values, what):
     return values[first], values[first + 1], counts[:, 1], values[tail]
 
 
+def _tail_line(lines, tail_len, i):
+    """Line number of the record holding tail value i."""
+    return lines[int(np.searchsorted(np.cumsum(tail_len), i, side="right"))]
+
+
 def _check_tail(lines, tail_len, tail, limit, message):
     """Reject the first tail value >= limit, naming its line."""
     if tail.size and tail.max() >= limit:
         i = int(np.argmax(tail >= limit))
-        row = int(np.searchsorted(np.cumsum(tail_len), i, side="right"))
-        raise FormatError(f"line {lines[row]}: {message} {tail[i]} out of range")
+        line = _tail_line(lines, tail_len, i)
+        raise FormatError(f"line {line}: {message} {tail[i]} out of range")
 
 
 def _key_order(key, lines, what):
@@ -461,7 +466,17 @@ def parse_controller(path):
     empty = (value > 0) & (tail_len == 0)
     if empty.any():
         raise FormatError(f"line {lines[np.argmax(empty)]}: winning state without inputs")
+    on_target = (value == 0) & (tail_len > 0)
+    if on_target.any():
+        raise FormatError(f"line {lines[np.argmax(on_target)]}: target state with inputs")
     _check_tail(lines, tail_len, inputs, m, "input")
+    # refine.applied_inputs takes a row's first input to be its lowest
+    ascending = np.ones(inputs.size, dtype=bool)
+    ascending[1:] = inputs[1:] > inputs[:-1]
+    ascending[(np.cumsum(tail_len) - tail_len)[tail_len > 0]] = True
+    if not ascending.all():
+        line = _tail_line(lines, tail_len, int(np.argmin(ascending)))
+        raise FormatError(f"line {line}: inputs not strictly ascending")
     enabled = _sorted_tails(x, lines, tail_len, inputs, "controller state")
     levels = np.full(n, n + 1, dtype=np.int64)
     levels[x] = value + 1

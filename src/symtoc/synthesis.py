@@ -324,13 +324,16 @@ def synthesize_safe_reach(sys: FiniteSystem, safe: StateSet, W: StateSet) -> Saf
     """Least restrictive safety controller composed with the time-optimal game.
 
     Restricts the system to safety-allowed inputs, then solves pessimistic
-    reachability towards W intersected with the safe winning set. An empty
-    winning set is reported through the result, not raised.
+    reachability towards W intersected with the safe winning set. The
+    reverse adjacency of `sys` is released once the restricted system holds
+    its filtered copy. An empty winning set is reported through the result,
+    not raised.
     """
     _check_target(sys, safe)
     _check_target(sys, W)
     safety = solve_safety(sys, safe)
     restricted = sys.restrict(safety.allowed)
+    sys._reverse_cache = None  # the restricted system holds its filtered copy
     target = W & safety.domain
     table = solve_pessimistic(restricted, target)
     controller = extract_controller(restricted, target, table)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,13 +272,14 @@ def test_certification_failure_exit_code(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["abstract", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
-    # doctored bounds: lower above any achievable entry time
+    # doctored bounds: lower above any achievable entry time, upper column
+    # kept equal to the controller's values
+    _, up = formats.parse_bounds(os.path.join(out, "double_integrator_bounds.csv"))
     doctored = os.path.join(out, "doctored.csv")
-    n = 21 * 21
     with open(doctored, "w") as fh:
         fh.write("state,lower,upper\n")
-        for x in range(n):
-            fh.write(f"{x},50,60\n")
+        for x, u in enumerate(up):
+            fh.write(f"{x},50,{formats._fmt_entry_time(u)}\n")
     assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
                      "--bounds", doctored]) == cli.EXIT_CERTIFICATION
 
@@ -320,6 +323,74 @@ def test_simulate_bounds_with_duplicate_or_missing_rows_exits_2(tmp_path, capsys
     assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
                      "--bounds", bad]) == cli.EXIT_CONFIG
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("c 0 0 : 1", "line 4: target state with inputs"),
+    ("c 2 1 : 1 1", "line 4: inputs not strictly ascending"),
+])
+def test_simulate_and_export_plot_reject_impossible_controller_rows(tmp_path, capsys, row, message):
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
+    bad = write(tmp_path / "bad.ctl", f"CTL1\nstates 3\ninputs 2\n{row}\n")
+    for command in ("simulate", "export-plot"):
+        assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out"),
+                         "--controller", bad]) == cli.EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_simulate_bounds_with_other_upper_column_exits_2(tmp_path, capsys):
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
+    out = str(tmp_path / "out")
+    assert cli.main(["abstract", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    lo, up = formats.parse_bounds(os.path.join(out, "double_integrator_bounds.csv"))
+    x = int(np.flatnonzero(np.isfinite(up))[3])
+    rows = [f"{s},{formats._fmt_entry_time(a)},{formats._fmt_entry_time(b + (s == x))}\n"
+            for s, (a, b) in enumerate(zip(lo, up))]
+    bad = write(tmp_path / "bad.csv", "state,lower,upper\n" + "".join(rows))
+    assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
+                     "--bounds", bad]) == cli.EXIT_CONFIG
+    assert (f"upper bound of state {x} is {int(up[x]) + 1}, the controller's value {int(up[x])}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, value, command", [
+    ("target.states", "[5]", "synthesize"),
+    ("target.states", "[5]", "bounds"),
+    ("unsafe.states", "[7]", "synthesize"),
+    ("unsafe.states", "[-1]", "synthesize"),
+])
+def test_explicit_state_ids_outside_the_system_exit_2(tmp_path, capsys, key, value, command):
+    text = CHAIN_CONFIG + f"unsafe.states = {value}\n" if key == "unsafe.states" \
+        else CHAIN_CONFIG.replace("[2]", value)
+    cfg_path = write(tmp_path / "chain.cfg", text)
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), timestamp=False)
+    assert cli.main([command, "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+    state = value.strip("[]")
+    assert (f"error: key '{key}': state {state} outside the 3 states of the system"
+            in capsys.readouterr().err)
+
+
+def test_bounds_with_initial_state_outside_the_grid_exits_2(tmp_path, capsys):
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG + "simulate.initial.3 = [10, 0]\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["abstract", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    assert cli.main(["bounds", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+    assert "error: key 'simulate.initial.3': state [10.0, 0.0] outside gridded domain" \
+        in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import symtoc.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_unsafe_states_restrict_explicit_system(tmp_path):

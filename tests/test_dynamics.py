@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from symtoc import (DivergenceError, Model, SampledFlow, double_integrator,
-                    growth_bound_dominates, growth_radius, integrate,
-                    make_model, unicycle)
+                    growth_bound_dominates, growth_radius, input_deviation_radius,
+                    integrate, make_model, reach_radius, unicycle)
+from symtoc.dynamics import _expm
+
+
+def rel_inf_error(got, want):
+    return np.abs(got - want).sum(axis=1).max() / np.abs(want).sum(axis=1).max()
+
+
+# the relative infinity-norm error bound stated in _expm's docstring
+EXPM_REL_ERROR = 1e-13
 
 
 def test_double_integrator_closed_form():
@@ -67,6 +76,53 @@ def test_growth_radius_monotone():
     r1 = growth_radius(m, flow, 0.05)
     r2 = growth_radius(m, flow, 0.1)
     assert np.all(r2 >= r1)
+
+
+@pytest.mark.parametrize("t", np.linspace(-10, 10, 41))
+def test_expm_diagonal_closed_form(t):
+    d = np.array([t, -t / 3, t / 7, 0.0])
+    assert rel_inf_error(_expm(np.diag(d), "m"), np.diag(np.exp(d))) < EXPM_REL_ERROR
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.25, 1.0, 3.0, 7.3, 10.0])
+def test_expm_nilpotent_jordan_block_is_exact(t):
+    n = np.diag([t, t, t], 1)
+    want = np.eye(4) + n + n @ n / 2 + n @ n @ n / 6
+    assert np.array_equal(_expm(n, "m"), want)
+
+
+@pytest.mark.parametrize("t", np.linspace(-10, 10, 41))
+def test_expm_rotation_generator_closed_form(t):
+    want = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    assert rel_inf_error(_expm(np.array([[0.0, -t], [t, 0.0]]), "m"), want) < EXPM_REL_ERROR
+
+
+def test_expm_non_finite_raises_divergence_naming_the_model():
+    with pytest.raises(DivergenceError, match="non-finite growth matrix for model 'm'"):
+        _expm(np.array([[np.nan]]), "m")
+    with pytest.raises(DivergenceError, match="overflow for model 'm'"):
+        _expm(np.array([[1000.0]]), "m")
+    huge = Model(name="huge", dim=1, input_dim=1, field=lambda x, u: x,
+                 contraction_matrix=[[1000.0]], input_sensitivity=[[1.0]])
+    for radius in (lambda: input_deviation_radius(huge, SampledFlow(1.0), 0.1),
+                   lambda: reach_radius(huge, SampledFlow(1.0), 0.1, u=[0.0])):
+        with pytest.raises(DivergenceError, match="huge"):
+            radius()
+
+
+def test_reach_radius_uses_the_per_input_contraction():
+    # L(v)*tau is nilpotent, so exp(L(v)*tau) = I + L(v)*tau exactly
+    m = unicycle()
+    flow = SampledFlow(0.5)
+    r = np.array([0.1, 0.1, 0.05])
+    for v in (0.0, 0.2, 0.5):
+        u = np.array([v, 0.3])
+        want = r + flow.tau * v * np.array([r[2], r[2], 0.0])
+        assert np.array_equal(growth_radius(m, flow, r, u), want)
+        assert np.array_equal(reach_radius(m, flow, r, 0.05, u),
+                              want + input_deviation_radius(m, flow, 0.05, u))
+    assert np.array_equal(growth_radius(m, flow, r),
+                          growth_radius(m, flow, r, np.array([0.5, 0.0])))
 
 
 def test_unicycle_growth_bound_dominates_monte_carlo():

@@ -257,11 +257,13 @@ def test_sts1_accepts_whitespace_comments_and_any_pair_order(tmp_path):
 
 def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
     ctl = tmp_path / "a.ctl"
+    # inputs ascend within each row; across rows (0 1 | 1) they need not
     ctl.write_bytes(b"CTL1\r\nstates 3\r\ninputs 2\r\n"
-                    b"c 2 1 : 1 0\r\n\r\n# target\r\n  c 0 0 :\r\n")
+                    b"c 2 1 : 0 1\r\nc 1 2 : 1\r\n\r\n# target\r\n  c 0 0 :\r\n")
     ctrl, _ = formats.parse_controller(ctl)
-    assert ctrl.levels.tolist() == [1, 4, 2]
-    assert ctrl.enabled(2).tolist() == [1, 0] and ctrl.enabled(0).size == 0
+    assert ctrl.levels.tolist() == [1, 3, 2]
+    assert ctrl.enabled(2).tolist() == [0, 1] and ctrl.enabled(1).tolist() == [1]
+    assert ctrl.enabled(0).size == 0
     csv = tmp_path / "b.csv"
     csv.write_bytes(b"# written: then\r\nstate,lower,upper\r\n2,inf,inf\r\n 0, 0 ,0\r\n1,1,\tinf\r\n")
     lo, up = formats.parse_bounds(csv)
@@ -306,6 +308,10 @@ def test_sts1_rejects(tmp_path, text, match):
     ("CTL1\nstates 2\ninputs 1\nc 2 0 :\n", r"line 4: state or value out of range"),
     ("CTL1\nstates 2\ninputs 1\nc 1 1 : 1\n", r"line 4: input 1 out of range"),
     ("CTL1\nstates 2\ninputs 1\nc 0 0 :\nc 0 0 :\n", r"line 5: duplicate controller state"),
+    ("CTL1\nstates 3\ninputs 2\nc 0 0 : 1\n", r"line 4: target state with inputs"),
+    ("CTL1\nstates 3\ninputs 2\nc 2 1 : 1 1\n", r"line 4: inputs not strictly ascending"),
+    ("CTL1\nstates 3\ninputs 2\nc 1 1 : 0\nc 0 0 :\nc 2 1 : 1 0\n",
+     r"line 6: inputs not strictly ascending"),
     ("CTL1\nstates 2\ninputs 1\ninitial 0\n", r"line 4: unrecognized line"),
     ("STS1\nstates 2\n", r"not a CTL1 file"),
 ])

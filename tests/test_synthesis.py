@@ -332,6 +332,23 @@ def test_safe_reach_trivial_safety_equals_plain():
     assert np.array_equal(res.controller.enabled_inputs_flat, plain.enabled_inputs_flat)
 
 
+def test_safe_reach_releases_the_full_systems_reverse():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        s = random_system(rng)
+        safe, W = random_target(rng, s.num_states), random_target(rng, s.num_states)
+        res = synthesize_safe_reach(s, safe, W)
+        assert s._reverse_cache is None
+        assert res.restricted._reverse_cache is not None  # filtered from the parent's
+        # the same composition by hand, with the parent's reverse kept
+        restricted = s.restrict(solve_safety(s, safe).allowed)
+        assert s._reverse_cache is not None
+        target = W & res.safety.domain
+        ctrl = extract_controller(restricted, target, solve_pessimistic(restricted, target))
+        assert np.array_equal(res.controller.levels, ctrl.levels)
+        assert np.array_equal(res.controller.enabled_inputs_flat, ctrl.enabled_inputs_flat)
+
+
 def test_safety_excludes_blocking_states():
     # the safety operator demands a non-empty safe move, so sink states fall out
     s = branching()
