@@ -11,6 +11,15 @@ clipped, so the finite system never hides a successor.
 
 Angular coordinates wrap: quantization, successor enumeration and target
 tests are all performed on the circle for axes marked periodic.
+
+A target (or obstacle) is a union of closed boxes. Its outer cover holds the
+cells whose closed box meets the target, and its inner cover the cells whose
+closed box lies in the union of the members; both are exact for unions. Both
+rest on one per-axis closed-interval test (`_axis_in`): the outer cover tests
+each cell center against the members widened by eta/2, and the inner cover
+cuts each cell at every member bound and tests the midpoint of every piece.
+The covers allow 1e-9*eta per axis on both sides of every bound; membership
+of a concrete point (`TargetSpec.contains`) is the same test with 1e-12.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 from .dynamics import Model, SampledFlow, integrate, reach_radius
 from .fts import FiniteSystem, StateSet, segment_indices
 
-_REL_TOL = 1e-9  # index-space tolerance for half-up quantization ties
+_REL_TOL = 1e-9  # tolerance, in units of eta, for quantization ties and target covers
 # Reachable-box corners are pulled inward by this absolute amount before
 # quantization, so a corner landing exactly on a cell boundary resolves to
 # the cell the attainable values actually fall in (the quantizer regions are
@@ -285,204 +294,88 @@ class TargetSpec:
         return cls(members)
 
     def contains(self, x, grid: GridSpec | None = None) -> bool:
-        """Closed membership of a concrete point, wrapping periodic axes of `grid`."""
+        """Closed membership of a concrete point, 1e-12 on both sides of every
+        bound, wrapping the periodic axes of `grid`."""
         x = np.asarray(x, dtype=float)
-        tol = 1e-12
-        for m in self.members:
-            ok = True
-            for k in range(self.dim):
-                if m.free[k]:
-                    continue
-                lo, hi = m.lower[k], m.upper[k]
-                if grid is not None and grid.periodic[k]:
-                    period = grid.domain_upper[k] - grid.domain_lower[k]
-                    if hi - lo >= period - tol:
-                        continue
-                    d = np.mod(x[k] - lo, period)
-                    if d > (hi - lo) + tol:
-                        ok = False
-                        break
-                elif not (lo - tol <= x[k] <= hi + tol):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+        return any(all(_axis_in(grid, m, k, x[k], 0.0, 1e-12) for k in range(self.dim))
+                   for m in self.members)
 
 
-def _arc_center_range(lo, hi, grid_lo, eta, K, period, tol_idx=_REL_TOL):
-    """Indices i (cyclic, as (start, count)) with center angle grid_lo+i*eta in closed [lo, hi].
-
-    Vectorized over equally-shaped lo/hi arrays. Widths >= period select all
-    K indices; negative widths select none.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    w = hi - lo
-    tolA = tol_idx * eta
-    dlo = np.mod(lo - grid_lo, period)
-    dhi = dlo + w
-    s_raw = np.ceil((dlo - tolA) / eta).astype(np.int64)
-    in_seam = s_raw >= K
-    start = np.where(in_seam, 0, s_raw)
-    e1 = np.minimum(np.floor((dhi + tolA) / eta).astype(np.int64), K - 1)
-    n1 = np.where(in_seam, 0, np.maximum(0, e1 - s_raw + 1))
-    wraps = dhi >= period - tolA
-    e2 = np.floor((dhi - period + tolA) / eta).astype(np.int64)
-    n2 = np.where(wraps, np.minimum(e2 + 1, K), 0)
-    count = np.minimum(n1 + n2, K)
-    count = np.where(w < -tolA, 0, count)
-    count = np.where(w >= period - tolA, K, count)
-    start = np.where(count == K, 0, start)
-    return start, count
+def _axis_in(grid, member, k, v, grow, tol):
+    """Whether coordinate(s) v lie in the member's closed interval on axis k
+    widened by grow + tol on both sides: true on free axes, tested on the
+    circle on periodic axes of `grid` (None: no axis wraps)."""
+    if member.free[k]:
+        return True
+    lo = member.lower[k] - grow - tol
+    hi = member.upper[k] + grow + tol
+    if grid is None or not grid.periodic[k]:
+        return (lo <= v) & (v <= hi)
+    period = grid.domain_upper[k] - grid.domain_lower[k]
+    return (hi - lo >= period) | (np.mod(v - lo, period) <= hi - lo)
 
 
-def _axis_ranges(grid, quantizer, member, mode):
-    """Per-axis cell index lists for one target member.
-
-    mode "over": cells whose closed box intersects the member;
-    mode "under": cells whose closed box is contained in the member.
-    Returns a list of index arrays, or None if the member selects nothing.
-    """
-    sign = 1.0 if mode == "under" else -1.0
-    lists = []
-    for k in range(grid.dim):
-        K = int(quantizer.cells[k])
-        glo = grid.domain_lower[k]
-        eta = grid.eta[k]
-        h = 0.5 * eta
-        if member.free[k]:
-            lists.append(np.arange(K))
-            continue
-        lo, hi = member.lower[k], member.upper[k]
-        if grid.periodic[k]:
-            period = grid.domain_upper[k] - glo
-            if hi - lo >= period - _REL_TOL * eta:
-                lists.append(np.arange(K))
-                continue
-            start, count = _arc_center_range(np.array([lo + sign * h]), np.array([hi - sign * h]),
-                                             glo, eta, K, period)
-            c = int(count[0])
-            if c == 0:
-                return None
-            lists.append((int(start[0]) + np.arange(c)) % K)
-        else:
-            vlo = (lo - glo) / eta + sign * 0.5
-            vhi = (hi - glo) / eta - sign * 0.5
-            imin = max(0, int(np.ceil(vlo - _REL_TOL)))
-            imax = min(K - 1, int(np.floor(vhi + _REL_TOL)))
-            if imin > imax:
-                return None
-            lists.append(np.arange(imin, imax + 1))
-    return lists
+def _hits(grid, spec, pts, grow, tol):
+    """Which points of the product of the per-axis coordinate arrays `pts` lie
+    in some member widened by grow[k] + tol[k]; shaped like the product."""
+    shape = tuple(p.size for p in pts)
+    hit = np.zeros(shape, dtype=bool)
+    for m in spec.members:
+        inside = np.ones(shape, dtype=bool)
+        for k, p in enumerate(pts):
+            inside &= np.reshape(_axis_in(grid, m, k, p, grow[k], tol[k]),
+                                 (-1,) + (1,) * (len(pts) - 1 - k))
+        hit |= inside
+    return hit
 
 
-def _member_mask(grid, quantizer, member, mode) -> np.ndarray:
-    mask = np.zeros(tuple(quantizer.cells), dtype=bool)
-    lists = _axis_ranges(grid, quantizer, member, mode)
-    if lists is not None:
-        mask[np.ix_(*lists)] = True
-    return mask.ravel()
+def _axis_centers(grid, quantizer):
+    return [grid.domain_lower[k] + grid.eta[k] * np.arange(K)
+            for k, K in enumerate(quantizer.cells)]
 
 
-def _linear_pieces(lo, hi, glo, period, is_periodic):
-    """Decompose a (possibly circular) interval into linear pieces in [glo, glo+period]."""
-    if not is_periodic:
-        return [(lo, hi)]
-    w = hi - lo
-    if w >= period:
-        return [(glo, glo + period)]
-    d = np.mod(lo - glo, period)
-    if d + w <= period:
-        return [(glo + d, glo + d + w)]
-    return [(glo + d, glo + period), (glo, glo + d + w - period)]
-
-
-def _box_covered(box, member_boxes, tol):
-    """Exact test: closed box covered by the union of closed member boxes."""
-    for ml, mh in member_boxes:
-        if all(ml[k] <= box[k][0] + tol and box[k][1] - tol <= mh[k] for k in range(len(box))):
-            return True
-    for ml, mh in member_boxes:
-        if all(min(box[k][1], mh[k]) - max(box[k][0], ml[k]) > tol for k in range(len(box))):
-            rest = []
-            cur = list(box)
-            for k in range(len(box)):
-                lo, hi = cur[k]
-                if ml[k] - lo > tol:
-                    piece = list(cur)
-                    piece[k] = (lo, ml[k])
-                    rest.append(tuple(piece))
-                    lo = ml[k]
-                if hi - mh[k] > tol:
-                    piece = list(cur)
-                    piece[k] = (mh[k], hi)
-                    rest.append(tuple(piece))
-                    hi = mh[k]
-                cur[k] = (lo, hi)
-            return all(_box_covered(p, member_boxes, tol) for p in rest)
-    return False
+def _pieces(grid, spec, k, centers, tol):
+    """Cut each cell's closed interval on axis k at every member bound widened
+    by tol (on a periodic axis, at its image in the cell's first period);
+    returns the piece midpoints, cell by cell, and each cell's first piece.
+    Within one period of the cell's start no bound lies inside a piece, so the
+    midpoints decide the cell (when eta exceeds the period, the last piece runs
+    past it and only adds one more point of the box)."""
+    a = centers - 0.5 * grid.eta[k]
+    b = centers + 0.5 * grid.eta[k]
+    cuts = np.array([v for m in spec.members if not m.free[k]
+                     for v in (m.lower[k] - tol, m.upper[k] + tol)])
+    pos = np.broadcast_to(cuts, (a.size, cuts.size))
+    if grid.periodic[k]:
+        period = grid.domain_upper[k] - grid.domain_lower[k]
+        pos = a[:, None] + np.mod(cuts - a[:, None], period)
+    inside = (a[:, None] < pos) & (pos < b[:, None])
+    edges = np.concatenate([a[:, None], np.sort(np.where(inside, pos, b[:, None]), axis=1),
+                            b[:, None]], axis=1)
+    count = 1 + inside.sum(axis=1)
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    return mids[np.arange(cuts.size + 1) < count[:, None]], np.cumsum(count) - count
 
 
 def target_over(grid: GridSpec, quantizer: Quantizer, spec: TargetSpec) -> StateSet:
-    """Cells whose closed box intersects the target (the outer cell cover)."""
+    """Cells whose closed box meets the target (the outer cell cover)."""
     if spec.dim != grid.dim:
         raise ValueError("target dimension does not match the grid")
-    mask = np.zeros(quantizer.num_cells, dtype=bool)
-    for m in spec.members:
-        mask |= _member_mask(grid, quantizer, m, "over")
-    return StateSet.from_mask(mask)
+    hit = _hits(grid, spec, _axis_centers(grid, quantizer), grid.eps, _REL_TOL * grid.eta)
+    return StateSet.from_mask(hit.ravel())
 
 
 def target_under(grid: GridSpec, quantizer: Quantizer, spec: TargetSpec) -> StateSet:
-    """Cells whose closed box lies entirely inside the target (the inner cell cover)."""
+    """Cells whose closed box lies in the union of the members (the inner cell cover)."""
     if spec.dim != grid.dim:
         raise ValueError("target dimension does not match the grid")
-    mask = np.zeros(quantizer.num_cells, dtype=bool)
-    for m in spec.members:
-        mask |= _member_mask(grid, quantizer, m, "under")
-    if len(spec.members) > 1:
-        # cells straddling members can still be jointly covered by the union
-        over = np.zeros(quantizer.num_cells, dtype=bool)
-        for m in spec.members:
-            over |= _member_mask(grid, quantizer, m, "over")
-        candidates = np.flatnonzero(over & ~mask)
-        if candidates.size:
-            member_boxes = _union_member_boxes(grid, spec)
-            tol = _REL_TOL * float(np.max(grid.eta))
-            h = 0.5 * grid.eta
-            for idx in candidates:
-                c = quantizer.center(int(idx))
-                pieces = [()]
-                for k in range(grid.dim):
-                    per = grid.periodic[k]
-                    period = grid.domain_upper[k] - grid.domain_lower[k]
-                    ax = _linear_pieces(c[k] - h[k], c[k] + h[k], grid.domain_lower[k], period, per)
-                    pieces = [p + (iv,) for p in pieces for iv in ax]
-                if all(_box_covered(p, member_boxes, tol) for p in pieces):
-                    mask[idx] = True
-    return StateSet.from_mask(mask)
-
-
-def _union_member_boxes(grid, spec):
-    """Members as linear closed boxes (circular intervals split at the seam)."""
-    boxes = []
-    for m in spec.members:
-        axis_pieces = []
-        for k in range(grid.dim):
-            if m.free[k]:
-                axis_pieces.append([(-np.inf, np.inf)])
-                continue
-            per = grid.periodic[k]
-            period = grid.domain_upper[k] - grid.domain_lower[k]
-            axis_pieces.append(_linear_pieces(m.lower[k], m.upper[k],
-                                              grid.domain_lower[k], period, per))
-        combos = [()]
-        for ax in axis_pieces:
-            combos = [c + (iv,) for c in combos for iv in ax]
-        for c in combos:
-            boxes.append((np.array([iv[0] for iv in c]), np.array([iv[1] for iv in c])))
-    return boxes
+    tol = _REL_TOL * grid.eta
+    cut = [_pieces(grid, spec, k, c, tol[k])
+           for k, c in enumerate(_axis_centers(grid, quantizer))]
+    hit = _hits(grid, spec, [mids for mids, _ in cut], np.zeros(grid.dim), tol)
+    for k, (_, first) in enumerate(cut):
+        hit = np.logical_and.reduceat(hit, first, axis=k)
+    return StateSet.from_mask(hit.ravel())
 
 
 # -- abstraction builder -----------------------------------------------

@@ -1,7 +1,7 @@
 """Command line pipelines: abstract, synthesize, simulate, export-plot, bounds.
 
-Exit codes: 0 success, 2 configuration or input-file error, 3 empty winning
-set, 4 certification failure. Identical configs produce byte-identical
+Exit codes: 0 success, 2 configuration, input-file or divergence error, 3 empty
+winning set, 4 certification failure. Identical configs produce byte-identical
 outputs when --no-timestamp is passed.
 """
 
@@ -18,7 +18,7 @@ from . import formats
 from .abstraction import (OutOfDomainError, Quantizer, build_abstraction, target_over,
                           target_under)
 from .config import ConfigError, ProblemConfig, parse_config
-from .dynamics import SampledFlow
+from .dynamics import DivergenceError, SampledFlow
 from .fts import StateSet
 from .refine import RefinedController, simulate
 from .synthesis import (extract_controller, solve_optimistic, solve_pessimistic,
@@ -163,7 +163,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
         if timestamp:
             rep.write(formats._timestamp_line())
         rep.write("trace,reason,initial_cell,lower,achieved,upper,obstacle_visits,certified\n")
-        for i, x0 in enumerate(cfg.initial_states, start=1):
+        for i, x0 in cfg.initial_states.items():
             trace = simulate(model, flow, rc, x0, cfg.target, cfg.max_steps, lower=lower)
             trace_path = _out_path(out_dir, f"{cfg.output_path('trace_prefix')}_{i}.csv")
             formats.write_trace(trace_path, trace, grid.dim, grid.input_dim,
@@ -203,7 +203,7 @@ def cmd_bounds(cfg: ProblemConfig, system_path) -> int:
     print("state,lower,upper")
     if grid is not None and cfg.initial_states:
         quantizer = Quantizer(grid)
-        for k, x0 in enumerate(cfg.initial_states, start=1):
+        for k, x0 in cfg.initial_states.items():
             try:
                 cell = int(quantizer.quantize(x0))
             except OutOfDomainError as e:
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
             system_path = args.system or os.path.join(args.out, cfg.output_path("system"))
             return cmd_bounds(cfg, system_path)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, formats.FormatError, FileNotFoundError) as e:
+    except (ConfigError, formats.FormatError, FileNotFoundError, DivergenceError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_CONFIG
 

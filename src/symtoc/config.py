@@ -7,6 +7,7 @@ is validated with a message naming the key. Full-line comments start with #.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,7 @@ class ProblemConfig:
     target_states: list | None = None
     obstacles: TargetSpec | None = None
     unsafe_states: list | None = None
-    initial_states: list = field(default_factory=list)
+    initial_states: dict = field(default_factory=dict)  # k of simulate.initial.<k> -> state
     max_steps: int = 1000
     outputs: dict = field(default_factory=dict)
 
@@ -125,15 +126,16 @@ def _member_from_pairs(pairs, prefix, dim_hint=None) -> TargetBox:
 
 
 def _numbered_prefixes(pairs, section):
+    """(k, prefix) for every `<section>.<k>` key prefix, by k; a number with a
+    leading zero is no member number, so its keys stay unknown."""
     nums = set()
     head = section + "."
     for key in pairs:
         if key.startswith(head):
-            rest = key[len(head):]
-            first = rest.split(".", 1)[0]
-            if first.isdigit():
+            first = key[len(head):].split(".", 1)[0]
+            if first.isdecimal() and first == str(int(first)):
                 nums.add(int(first))
-    return [f"{section}.{k}" for k in sorted(nums)]
+    return [(k, f"{section}.{k}") for k in sorted(nums)]
 
 
 def parse_config_text(text: str) -> ProblemConfig:
@@ -148,6 +150,14 @@ def parse_config_text(text: str) -> ProblemConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"line {lineno}: key '{key}' expects a number")
         cfg.model_params[key[len("model.param."):]] = value
+    if cfg.model_id is not None:
+        signature = inspect.signature(MODEL_REGISTRY[cfg.model_id])
+        try:
+            signature.bind(**cfg.model_params)
+        except TypeError as e:
+            unknown = [n for n in cfg.model_params if n not in signature.parameters]
+            where = f"key 'model.param.{unknown[0]}': " if unknown else ""
+            raise ConfigError(f"{where}model '{cfg.model_id}': {e}") from None
 
     grid_keys = [k for k in pairs if k.startswith("grid.")]
     if grid_keys:
@@ -186,7 +196,7 @@ def parse_config_text(text: str) -> ProblemConfig:
         elif shape == "union":
             pairs.pop("target.shape", None)
             members = []
-            for prefix in _numbered_prefixes(pairs, "target"):
+            for _, prefix in _numbered_prefixes(pairs, "target"):
                 members.append(_member_from_pairs(pairs, prefix))
             if not members:
                 raise ConfigError("target.shape = union needs numbered members")
@@ -195,18 +205,18 @@ def parse_config_text(text: str) -> ProblemConfig:
             cfg.target = TargetSpec([_member_from_pairs(pairs, "target")])
 
     obstacle_members = []
-    for prefix in _numbered_prefixes(pairs, "obstacle"):
+    for _, prefix in _numbered_prefixes(pairs, "obstacle"):
         obstacle_members.append(_member_from_pairs(pairs, prefix))
     if obstacle_members:
         cfg.obstacles = TargetSpec(obstacle_members)
     if "unsafe.states" in pairs:
         cfg.unsafe_states = [int(s) for s in _want(pairs, "unsafe.states", "list")]
 
-    for prefix in _numbered_prefixes(pairs, "simulate.initial"):
+    for k, prefix in _numbered_prefixes(pairs, "simulate.initial"):
         value, _ = pairs.pop(prefix)
         if not isinstance(value, list):
             raise ConfigError(f"key '{prefix}' expects a list")
-        cfg.initial_states.append(np.asarray(value, dtype=float))
+        cfg.initial_states[k] = np.asarray(value, dtype=float)
     cfg.max_steps = int(_want(pairs, "simulate.max_steps", "int", default=1000))
     if cfg.max_steps < 0:
         raise ConfigError("key 'simulate.max_steps' must be nonnegative")
@@ -226,9 +236,9 @@ def parse_config_text(text: str) -> ProblemConfig:
         for spec, label in ((cfg.target, "target"), (cfg.obstacles, "obstacle")):
             if spec is not None and spec.dim != cfg.grid.dim:
                 raise ConfigError(f"{label} dimension does not match the grid")
-        for i, x0 in enumerate(cfg.initial_states, start=1):
+        for k, x0 in cfg.initial_states.items():
             if x0.size != cfg.grid.dim:
-                raise ConfigError(f"key 'simulate.initial.{i}' has wrong dimension")
+                raise ConfigError(f"key 'simulate.initial.{k}' has wrong dimension")
     return cfg
 
 

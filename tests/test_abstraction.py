@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symtoc import (GridSpec, Model, OutOfDomainError, Quantizer, SampledFlow,
-                    TargetSpec, build_abstraction, double_integrator, integrate,
+                    TargetBox, TargetSpec, build_abstraction, double_integrator, integrate,
                     reach_radius, target_over, target_under, unicycle)
 
 
@@ -185,6 +188,59 @@ def test_target_free_dimension():
         c = coords.copy()
         c[2] = k
         assert int(q.coords_to_index(c)) in over
+
+
+@st.composite
+def lattice_covers_case(draw):
+    """A small grid and a union target whose bounds, cell edges and periods
+    all sit on the eta/4 lattice (dyadic steps, so lattice points are exact)."""
+    dim = draw(st.integers(1, 3))
+    most = {1: 6, 2: 4, 3: 3}[dim]
+    eta = np.array([draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(dim)])
+    periodic = tuple(draw(st.booleans()) for _ in range(dim))
+    lower = np.array([draw(st.integers(-8, 8)) for _ in range(dim)]) * eta / 4
+    quarters = [draw(st.integers(1, 4 * most)) if periodic[k]  # tiling or with a seam
+                else 4 * draw(st.integers(0, most - 1)) + draw(st.integers(0, 3))
+                for k in range(dim)]
+    grid = GridSpec(tau=1, eta=eta, mu=1, domain_lower=lower,
+                    domain_upper=lower + np.array(quarters) * eta / 4,
+                    input_lower=[0], input_upper=[0], periodic=periodic)
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = np.array([draw(st.integers(-4, 4 * most + 4)) for _ in range(dim)])
+        width = np.array([draw(st.integers(0, 4 * most)) for _ in range(dim)])  # 0: point, segment
+        free = tuple(draw(st.booleans()) and draw(st.booleans()) for _ in range(dim))
+        members.append(TargetBox(lower + start * eta / 4, lower + (start + width) * eta / 4, free))
+    return grid, TargetSpec(members)
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_covers_case())
+def test_covers_match_lattice_oracle(case):
+    """With every bound on the eta/4 lattice, a closed cell box meets the
+    target iff one of its eta/8 lattice points is in it, and lies in the union
+    iff all of them are; `contains` judges each point."""
+    grid, spec = case
+    q = Quantizer(grid)
+    offsets = np.array(list(itertools.product(*[np.arange(-4, 5) * e / 8 for e in grid.eta])))
+    over = np.zeros(q.num_cells, dtype=bool)
+    under = np.zeros(q.num_cells, dtype=bool)
+    for idx in range(q.num_cells):
+        hits = [spec.contains(p, grid) for p in q.center(idx) + offsets]
+        over[idx], under[idx] = any(hits), all(hits)
+    assert np.array_equal(target_over(grid, q, spec).mask, over)
+    assert np.array_equal(target_under(grid, q, spec).mask, under)
+
+
+def test_contains_tolerance_on_both_sides_of_a_bound():
+    grid = GridSpec(tau=1, eta=0.5, mu=1, domain_lower=[0, 0], domain_upper=[4, 4],
+                    input_lower=[0], input_upper=[0], periodic=(True, False))
+    W = TargetSpec.box([1, 1], [2, 2])
+    for x in ([1 - 1e-13, 1.5], [2 + 1e-13, 1.5], [1.5, 1 - 1e-13], [1.5, 2 + 1e-13]):
+        assert W.contains(x, grid)
+    for x in ([1 - 1e-11, 1.5], [2 + 1e-11, 1.5], [1.5, 1 - 1e-11]):
+        assert not W.contains(x, grid)
+    assert W.contains([5 - 1e-13, 1.5], grid)  # one period on, from below
 
 
 def unicycle_grid(eta=0.2):

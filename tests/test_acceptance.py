@@ -162,7 +162,7 @@ def test_unicycle_safe_reach_benchmark(unicycle_bundle):
     obstacle-cell visits, achieved time inside its own bound bracket and
     inside the 30-60 s sanity band."""
     b = unicycle_bundle
-    x0 = b.cfg.initial_states[0]
+    x0 = b.cfg.initial_states[1]
     trace = simulate(b.model, b.flow, b.rc, x0, b.cfg.target, b.cfg.max_steps,
                      lower=b.lower.entry_times())
     assert trace.reason == "reached-target"

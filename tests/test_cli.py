@@ -8,6 +8,7 @@ import pytest
 from symtoc import FiniteSystem, GridSpec, StateSet, solve_optimistic, solve_pessimistic, extract_controller
 from symtoc import cli, formats
 from symtoc.config import ConfigError, parse_config_text
+from symtoc.dynamics import MODEL_REGISTRY, Model
 
 from helpers import random_system
 
@@ -380,6 +381,59 @@ def test_bounds_with_initial_state_outside_the_grid_exits_2(tmp_path, capsys):
     assert cli.main(["bounds", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
     assert "error: key 'simulate.initial.3': state [10.0, 0.0] outside gridded domain" \
         in capsys.readouterr().err
+
+
+def test_gapped_initial_keys_keep_their_numbers(tmp_path, capsys):
+    gapped = DI_CONFIG.replace("simulate.initial.2", "simulate.initial.5")
+    with pytest.raises(ConfigError, match=r"key 'simulate\.initial\.5' has wrong dimension"):
+        parse_config_text(gapped.replace("[-2.0, 1.0]", "[1]"))
+    assert list(parse_config_text(gapped).initial_states) == [1, 5]
+    with pytest.raises(ConfigError, match=r"unknown key 'simulate\.initial\.05'"):
+        parse_config_text(DI_CONFIG + "simulate.initial.05 = [1, 1]\n")
+    cfg_path = write(tmp_path / "di.cfg", gapped)
+    out = str(tmp_path / "out")
+    for command in ("abstract", "synthesize", "simulate"):
+        assert cli.main([command, "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    traces = sorted(f for f in os.listdir(out) if "_trace_" in f)
+    assert traces == ["double_integrator_trace_1.csv", "double_integrator_trace_5.csv"]
+    with open(os.path.join(out, "double_integrator_report.csv")) as fh:
+        assert [row.split(",")[0] for row in fh.read().splitlines()[1:]] == ["1", "5"]
+    far = write(tmp_path / "far.cfg", gapped.replace("[-2.0, 1.0]", "[10, 0]"))
+    capsys.readouterr()
+    assert cli.main(["bounds", "--config", far, "--out", out]) == cli.EXIT_CONFIG
+    assert "error: key 'simulate.initial.5': state [10.0, 0.0] outside gridded domain" \
+        in capsys.readouterr().err
+
+
+def test_unknown_model_parameter_exits_2(tmp_path, capsys):
+    text = DI_CONFIG + "model.param.speed = 0.5\n"
+    with pytest.raises(ConfigError, match=r"key 'model\.param\.speed'"):
+        parse_config_text(text)
+    cfg_path = write(tmp_path / "di.cfg", text)
+    assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'model.param.speed': model 'double_integrator'")
+    assert "Traceback" not in err
+
+
+def test_divergent_growth_bound_exits_2(tmp_path, capsys, monkeypatch):
+    def blow():
+        return Model("blow", 1, 1, lambda x, u: x + u, contraction_matrix=[[1000.0]])
+    monkeypatch.setitem(MODEL_REGISTRY, "blow", blow)
+    cfg_path = write(tmp_path / "blow.cfg", """
+model.id = blow
+grid.tau = 1
+grid.eta = 1
+grid.mu = 1
+grid.domain_lower = [0]
+grid.domain_upper = [4]
+grid.input_lower = [0]
+grid.input_upper = [0]
+target.lower = [0]
+target.upper = [1]
+""")
+    assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "error: matrix exponential overflow for model 'blow'" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():
