@@ -103,6 +103,9 @@ class GridSpec:
         if eta.shape != (self.dim,):
             raise ValueError("eta must be one number or one step per state axis")
         object.__setattr__(self, "eta", eta)
+        if not np.isfinite(np.hstack([self.tau, self.mu, eta, self.domain_lower, self.domain_upper,
+                                      self.input_lower, self.input_upper])).all():
+            raise ValueError("tau, eta, mu and the bounds must be finite")
         if self.tau <= 0 or np.any(eta <= 0) or self.mu <= 0:
             raise ValueError("tau, eta and mu must be positive")
         if np.any(self.domain_upper < self.domain_lower):
@@ -204,31 +207,37 @@ class Quantizer:
         h = 0.5 * self.grid.eta
         return c - h, c + h
 
-    def quantize(self, x) -> np.ndarray | int:
-        """Flat index of the cell whose center is nearest to x (ties round half-up).
-
-        Raises OutOfDomainError when x lies outside the region covered by
-        cells on a non-periodic axis.
-        """
+    def cell_index(self, x) -> np.ndarray | int:
+        """Flat index of the cell whose center is nearest to x (ties round
+        half-up), or -1 where x is non-finite or outside the region covered
+        by cells on a non-periodic axis. A 1-D x is one state and gives an
+        int; otherwise each row is a state."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
         pts = np.atleast_2d(x)
         g = self.grid
-        coords = np.empty(pts.shape, dtype=np.int64)
+        ok = np.isfinite(pts).all(axis=1)
+        pts = np.where(ok[:, None], pts, g.domain_lower)
+        flat = np.zeros(len(pts), dtype=np.int64)
         for k in range(g.dim):
             K = int(self.cells[k])
-            lo = g.domain_lower[k]
+            lo, eta = g.domain_lower[k], g.eta[k]
             if g.periodic[k]:
-                coords[:, k] = _axis_cell_periodic(pts[:, k], lo, g.eta[k], K,
-                                                   g.domain_upper[k] - lo)
+                i = _axis_cell_periodic(pts[:, k], lo, eta, K, g.domain_upper[k] - lo)
             else:
-                i = _axis_cell_nonperiodic(pts[:, k], lo, g.eta[k], K)
-                if np.any((i < 0) | (i >= K)):
-                    bad = pts[np.flatnonzero((i < 0) | (i >= K))[0]]
-                    raise OutOfDomainError(f"state {bad.tolist()} outside gridded domain (axis {k})")
-                coords[:, k] = i
-        flat = self.coords_to_index(coords)
-        return int(flat[0]) if scalar else flat
+                i = _axis_cell_nonperiodic(pts[:, k], lo, eta, K)
+                ok &= (i >= 0) & (i < K)
+            flat += i * self.strides[k]
+        flat = np.where(ok, flat, -1)
+        return int(flat[0]) if x.ndim == 1 else flat
+
+    def quantize(self, x) -> np.ndarray | int:
+        """`cell_index`, raising OutOfDomainError where it gives -1."""
+        flat = self.cell_index(x)
+        bad = np.flatnonzero(np.atleast_1d(flat) < 0)
+        if bad.size:
+            state = np.atleast_2d(np.asarray(x, dtype=float))[bad[0]]
+            raise OutOfDomainError(f"state {state.tolist()} outside gridded domain")
+        return flat
 
 
 # -- target specifications ---------------------------------------------
@@ -488,6 +497,5 @@ def build_abstraction(model: Model, grid: GridSpec, flow: SampledFlow | None = N
     targets = np.zeros(offsets[-1], dtype=np.int32)
     for u, (sel, tot, tgt) in enumerate(results):
         targets[segment_indices(offsets[sel * M + u], tot)] = tgt
-    system = FiniteSystem.from_csr(N, M, offsets, targets,
-                                   initial=StateSet.full(N), validate=False)
+    system = FiniteSystem.from_csr(N, M, offsets, targets, initial=StateSet.full(N))
     return system, quantizer

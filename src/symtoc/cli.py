@@ -47,9 +47,11 @@ def _state_ids(key, states, num_states):
 
 def _target_cell_sets(cfg: ProblemConfig, system, grid):
     """Inner and outer cell covers of the configured target."""
-    if grid is not None and cfg.target is not None:
-        q = Quantizer(grid)
-        return target_under(grid, q, cfg.target), target_over(grid, q, cfg.target)
+    if grid is not None:
+        cfg.check_dimensions(grid)
+        if cfg.target is not None:
+            q = Quantizer(grid)
+            return target_under(grid, q, cfg.target), target_over(grid, q, cfg.target)
     if cfg.target_states is not None:
         w = StateSet(system.num_states,
                      _state_ids("target.states", cfg.target_states, system.num_states))
@@ -132,6 +134,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
         raise ConfigError("simulate needs a spatial target")
     if not cfg.initial_states:
         raise ConfigError("simulate needs at least one simulate.initial.<k> state")
+    cfg.check_dimensions(grid)
     model = cfg.build_model()
     if model.dim != grid.dim or model.input_dim != grid.input_dim:
         raise ConfigError("configured model does not match the controller's grid")
@@ -156,7 +159,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
                 f"bounds file {bounds_path}: upper bound of state {x} is "
                 f"{formats._fmt_entry_time(upper[x])}, the controller's value "
                 f"{formats._fmt_entry_time(values[x])}")
-    unsafe = _unsafe_cells(cfg, controller, grid) if (cfg.obstacles or cfg.unsafe_states) else None
+    unsafe = _unsafe_cells(cfg, controller, grid)
     report_path = _out_path(out_dir, cfg.output_path("report"))
     all_ok = True
     with open(report_path, "w") as rep:

@@ -20,22 +20,28 @@ class ConfigError(ValueError):
     """Configuration file is malformed or inconsistent."""
 
 
-def _parse_value(text: str):
+def _parse_value(text: str, lineno: int):
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
-            raise ConfigError(f"unterminated list '{text}'")
+            raise ConfigError(f"line {lineno}: unterminated list '{text}'")
         inner = text[1:-1].replace(",", " ").split()
         try:
-            return [float(t) for t in inner]
+            numbers = [float(t) for t in inner]
         except ValueError:
-            raise ConfigError(f"non-numeric list entry in '{text}'") from None
-    if text in ("true", "false"):
+            raise ConfigError(f"line {lineno}: non-numeric list entry in '{text}'") from None
+    elif text in ("true", "false"):
         return text == "true"
-    try:
-        return float(text) if ("." in text or "e" in text or "E" in text) else int(text)
-    except ValueError:
-        return text  # bare string
+    else:
+        try:
+            numbers = [float(text)]  # also 'nan', 'inf' and decimals past the float range
+        except ValueError:
+            return text  # bare string
+    if not np.isfinite(numbers).all():
+        raise ConfigError(f"line {lineno}: non-finite number in '{text}'")
+    if text.startswith("["):
+        return numbers
+    return numbers[0] if ("." in text or "e" in text or "E" in text) else int(text)
 
 
 def _read_pairs(text: str):
@@ -52,7 +58,7 @@ def _read_pairs(text: str):
             raise ConfigError(f"line {lineno}: empty key")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        pairs[key] = (_parse_value(value), lineno)
+        pairs[key] = (_parse_value(value, lineno), lineno)
     return pairs
 
 
@@ -81,6 +87,17 @@ class ProblemConfig:
 
     def output_path(self, kind: str) -> str:
         return self.outputs[kind]
+
+    def check_dimensions(self, grid: GridSpec):
+        """Target, obstacles and start states must have the grid's state dimension."""
+        for spec, keys in ((self.target, "target.*"), (self.obstacles, "obstacle.<k>.*")):
+            if spec is not None and spec.dim != grid.dim:
+                raise ConfigError(f"keys '{keys}' have wrong dimension {spec.dim} "
+                                  f"(the grid has {grid.dim})")
+        for k, x0 in self.initial_states.items():
+            if x0.size != grid.dim:
+                raise ConfigError(f"key 'simulate.initial.{k}' has wrong dimension "
+                                  f"{x0.size} (the grid has {grid.dim})")
 
 
 def _want(pairs, key, typ, required=False, default=None):
@@ -233,12 +250,7 @@ def parse_config_text(text: str) -> ProblemConfig:
         raise ConfigError(f"line {lineno}: unknown key '{key}'")
 
     if cfg.grid is not None:
-        for spec, label in ((cfg.target, "target"), (cfg.obstacles, "obstacle")):
-            if spec is not None and spec.dim != cfg.grid.dim:
-                raise ConfigError(f"{label} dimension does not match the grid")
-        for k, x0 in cfg.initial_states.items():
-            if x0.size != cfg.grid.dim:
-                raise ConfigError(f"key 'simulate.initial.{k}' has wrong dimension")
+        cfg.check_dimensions(cfg.grid)
     return cfg
 
 

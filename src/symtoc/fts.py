@@ -117,20 +117,19 @@ class FiniteSystem:
 
     @classmethod
     def from_csr(cls, num_states, num_inputs, offsets, targets,
-                 initial=None, validate=True) -> "FiniteSystem":
-        """Build directly from the compressed layout (used by the abstraction builder)."""
+                 initial=None) -> "FiniteSystem":
+        """Build directly from the compressed layout, after checking it."""
         sys = cls.__new__(cls)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         targets = np.ascontiguousarray(targets, dtype=np.int32)
-        if validate:
-            if offsets.shape != (num_states * num_inputs + 1,):
-                raise ValueError("offsets has wrong length")
-            if offsets[0] != 0 or offsets[-1] != targets.size:
-                raise ValueError("offsets do not span targets")
-            if np.any(np.diff(offsets) < 0):
-                raise ValueError("offsets must be nondecreasing")
-            if targets.size and (targets.min() < 0 or targets.max() >= num_states):
-                raise IndexError("successor out of range")
+        if offsets.shape != (num_states * num_inputs + 1,):
+            raise ValueError("offsets has wrong length")
+        if offsets[0] != 0 or offsets[-1] != targets.size:
+            raise ValueError("offsets do not span targets")
+        if np.any(np.diff(offsets) < 0):
+            raise ValueError("offsets must be nondecreasing")
+        if targets.size and (targets.min() < 0 or targets.max() >= num_states):
+            raise IndexError("successor out of range")
         sys._init_from_csr(int(num_states), int(num_inputs), offsets, targets, initial)
         return sys
 
@@ -215,7 +214,7 @@ class FiniteSystem:
         entry_keep = np.repeat(keep, self.pair_counts)
         targets = self._targets[entry_keep]
         child = FiniteSystem.from_csr(self.num_states, self.num_inputs,
-                                      offsets, targets, self.initial, validate=False)
+                                      offsets, targets, self.initial)
         if self._reverse_cache is not None:
             # filtering keeps every state's pairs in ascending order, so this
             # is exactly the child's own reverse()

@@ -1,29 +1,27 @@
 """Refinement of symbolic controllers to the sampled state space and
 certified closed-loop simulation.
 
-The refined controller applies, at a concrete state, the first (lowest)
-input enabled at the cell containing that state. Every enabled input leads
-one level closer to the target, so runs are deterministic and the cell value
-strictly decreases until the target is entered. `applied_inputs` makes that
-choice once per cell, for simulation and plot export alike.
+The refined controller is one table over the cells (`applied_inputs`): the
+first (lowest) input enabled at a cell, or TARGET or OUTSIDE where there is
+none, applied at every concrete state of the cell. Every enabled input
+leads one level closer to the target, so runs are deterministic and the
+cell value strictly decreases until the target is entered. A run stops at
+the first state without an input: a negative entry, or a state off the grid
+or non-finite (`Quantizer.cell_index` gives -1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import OutOfDomainError, Quantizer, TargetSpec
+from .abstraction import Quantizer, TargetSpec
 from .dynamics import Model, SampledFlow, integrate
 from .synthesis import SymbolicController
 
 TARGET = -1   # applied_inputs sentinel: target cell, no move needed
 OUTSIDE = -2  # applied_inputs sentinel: cell outside the winning set
-
-
-class OutOfWinningSetError(ValueError):
-    """The current cell carries no control decision."""
 
 
 def applied_inputs(controller: SymbolicController) -> np.ndarray:
@@ -36,32 +34,17 @@ def applied_inputs(controller: SymbolicController) -> np.ndarray:
 
 
 class RefinedController:
-    """Symbolic controller lifted to concrete states through the quantizer,
-    with its per-cell table: `inputs` from `applied_inputs` and cell `values`."""
+    """Symbolic controller lifted to concrete states through the quantizer:
+    per cell the applied input index `inputs` (from `applied_inputs`) and the
+    value `values`; `input_values` holds the grid inputs by index."""
 
     def __init__(self, controller: SymbolicController, quantizer: Quantizer):
         if controller.num_states != quantizer.num_cells:
             raise ValueError("controller and quantizer disagree on the cell count")
-        self.controller = controller
         self.quantizer = quantizer
         self.inputs = applied_inputs(controller)
         self.values = controller.values()
-        self._input_values = quantizer.grid.input_values()
-
-    def cell_of(self, x) -> int:
-        return int(self.quantizer.quantize(np.asarray(x, dtype=float)))
-
-    def select_input_index(self, cell: int) -> int | None:
-        """Input index applied at a cell; None when the cell is a target cell."""
-        u = int(self.inputs[cell])
-        if u == OUTSIDE:
-            raise OutOfWinningSetError(f"cell {cell} is outside the winning set")
-        return None if u == TARGET else u
-
-    def control_input(self, x) -> np.ndarray | None:
-        """Grid input to apply at concrete state x; None signals target reached."""
-        u = self.select_input_index(self.cell_of(x))
-        return None if u is None else self._input_values[u].copy()
+        self.input_values = quantizer.grid.input_values()
 
 
 @dataclass
@@ -89,7 +72,6 @@ class Trace:
     lower_bound: float
     upper_bound: float
     certified: bool
-    final_state: np.ndarray = field(default=None)
 
 
 def simulate(model: Model, flow: SampledFlow, rc: RefinedController,
@@ -97,52 +79,40 @@ def simulate(model: Model, flow: SampledFlow, rc: RefinedController,
              lower: np.ndarray | None = None) -> Trace:
     """Run the refined controller from x0 until the concrete state enters W.
 
-    Each step applies the selected grid input and integrates one period.
-    The trace records, per executed step, the state, applied input, cell and
-    cell value. Leaving the winning set aborts the run (it would indicate an
-    unsound abstraction); the loop also stops at max_steps. `lower` holds
-    per-cell lower-bound entry times (`EntryTimeTable.entry_times()`).
+    Each step applies the table's input at the state's cell and integrates
+    one period, recording state, input, cell and cell value. The run ends as
+    "left-winning-set" at a state with a negative entry (it would indicate
+    an unsound abstraction), or at max_steps. `lower` holds per-cell
+    lower-bound entry times (`EntryTimeTable.entry_times()`).
+
+    A TARGET entry is never read for a controller solved on the inner cover
+    of W: a state lies in its cell's closed box, which lies in W (up to the
+    cover's 1e-9*eta tolerance), so the W test has already ended the run.
     """
     grid = rc.quantizer.grid
     x = np.asarray(x0, dtype=float).copy()
+    cell = rc.quantizer.cell_index(x)
+    initial_cell = cell if cell >= 0 else None
+    lower_bound = float(lower[cell]) if lower is not None and cell >= 0 else 0.0
+    upper_bound = float(rc.values[cell]) if cell >= 0 else np.inf
     steps = []
-    values = rc.values
-    try:
-        cell0 = rc.cell_of(x)
-    except OutOfDomainError:
-        cell0 = None
-    lower_bound = 0.0
-    if lower is not None and cell0 is not None:
-        lower_bound = float(lower[cell0])
-    upper_bound = float(values[cell0]) if cell0 is not None else np.inf
-    reason = "step-limit"
-    achieved = None
-    k = 0
-    while k <= max_steps:
-        if W.contains(x, grid):
-            reason = "reached-target"
-            achieved = k
+    reason, achieved = "step-limit", None
+    while not W.contains(x, grid):
+        if len(steps) >= max_steps:
             break
-        if k == max_steps:
-            break
-        try:
-            cell = rc.cell_of(x)
-            uidx = rc.select_input_index(cell)
-        except (OutOfDomainError, OutOfWinningSetError):
+        u = int(rc.inputs[cell]) if cell >= 0 else OUTSIDE
+        if u < 0:
             reason = "left-winning-set"
             break
-        if uidx is None:
-            # target cell but concrete point outside W cannot happen when the
-            # upper game used the inner cell cover of W; stop defensively
-            reason = "left-winning-set"
-            break
-        u = rc._input_values[uidx]
-        steps.append(TraceStep(k=k, state=x.copy(), input_index=uidx,
-                               input=u.copy(), cell=cell, value=int(values[cell])))
-        x = integrate(model, flow, x, u)
-        k += 1
+        steps.append(TraceStep(k=len(steps), state=x.copy(), input_index=u,
+                               input=rc.input_values[u].copy(), cell=cell,
+                               value=int(rc.values[cell])))
+        x = integrate(model, flow, x, rc.input_values[u])
+        cell = rc.quantizer.cell_index(x)
+    else:
+        reason, achieved = "reached-target", len(steps)
     certified = (reason == "reached-target"
                  and lower_bound <= achieved <= upper_bound)
     return Trace(steps=steps, reason=reason, achieved=achieved,
-                 initial_cell=cell0, lower_bound=lower_bound,
-                 upper_bound=upper_bound, certified=certified, final_state=x)
+                 initial_cell=initial_cell, lower_bound=lower_bound,
+                 upper_bound=upper_bound, certified=certified)

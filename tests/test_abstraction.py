@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(tau=1, eta=0.1, mu=0.1, domain_lower=[0], domain_upper=[-1],
                  input_lower=[0], input_upper=[1])
+    for bad in ({"tau": np.nan}, {"eta": [np.nan]}, {"mu": np.inf},
+                {"domain_upper": [np.inf]}, {"input_upper": [np.inf]}):
+        args = dict(tau=1, eta=0.1, mu=0.1, domain_lower=[0], domain_upper=[1],
+                    input_lower=[0], input_upper=[1])
+        with pytest.raises(ValueError, match="must be finite"):
+            GridSpec(**{**args, **bad})
 
 
 def test_single_cell_domain():
@@ -72,6 +79,24 @@ def test_quantize_outside_domain_raises():
     q = Quantizer(di_grid())
     with pytest.raises(OutOfDomainError):
         q.quantize(np.array([3.5, 0.0]))
+
+
+def test_cell_index_marks_off_grid_and_non_finite_states():
+    q = Quantizer(unicycle_grid())
+    inside = [0.8, 0.8, 0.0]
+    rows = np.array([inside, [0.8, 0.8, np.nan], [np.inf, 0.8, 0.0], [0.8, -np.inf, 0.0],
+                     [1.8, 0.8, 0.0], [0.8, 0.8, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = q.cell_index(rows)
+        assert q.cell_index(rows[1]) == -1
+        with pytest.raises(OutOfDomainError, match=r"state \[0\.8, 0\.8, nan\] outside gridded domain"):
+            q.quantize(rows[1])
+    assert cells[0] == q.quantize(inside) and isinstance(q.cell_index(inside), int)
+    assert cells[1:5].tolist() == [-1, -1, -1, -1]
+    assert cells[5] >= 0  # a finite heading wraps, however large
+    with np.errstate(invalid="ignore"):  # the index cast overflows, off the grid either way
+        assert q.cell_index([1e300, 0.8, 0.0]) == q.cell_index([-1e300, 0.8, 0.0]) == -1
 
 
 def test_double_integrator_nine_successor_cells():

@@ -405,6 +405,86 @@ def test_gapped_initial_keys_keep_their_numbers(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("grid.eta = 0.3", "grid.eta = [nan, 0.5]"),
+    ("grid.domain_upper = [3, 3]", "grid.domain_upper = [inf, 3]"),
+    ("grid.input_upper = [1]", "grid.input_upper = [inf]"),
+    ("grid.tau = 1", "grid.tau = 1e999"),
+    ("simulate.max_steps = 50", "simulate.max_steps = -inf"),
+    ("simulate.initial.2 = [-2.0, 1.0]", "simulate.initial.2 = [-2.0, NaN]"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, old, new):
+    text = DI_CONFIG.replace(old, new)
+    lineno = text.splitlines().index(new) + 1
+    cfg_path = write(tmp_path / "di.cfg", text)
+    for command in ("abstract", "simulate", "bounds"):
+        assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert f"error: line {lineno}: non-finite number in" in capsys.readouterr().err
+
+
+def test_unicycle_nan_heading_start_exits_2(tmp_path, capsys):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "configs", "unicycle.cfg")) as fh:
+        text = fh.read().replace("simulate.initial.1 = [1.5, 1, 0]",
+                                 "simulate.initial.1 = [1.5, 1, nan]")
+    cfg_path = write(tmp_path / "uni.cfg", text)
+    for command in ("simulate", "bounds"):
+        assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "non-finite number in '[1.5, 1, nan]'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["eta=[nan]", "tau=nan mu=1.0", "domain_upper=[inf]"])
+def test_non_finite_grid_metadata_exits_2(tmp_path, capsys, entry):
+    grid = GridSpec(tau=1.0, eta=1.0, mu=1.0, domain_lower=[0.0], domain_upper=[2.0],
+                    input_lower=[0.0], input_upper=[0.0])
+    cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    s = chain_system()
+    W = StateSet(3, [2])
+    formats.write_system(os.path.join(out, "chain.sts"), s, grid=grid, timestamp=False)
+    formats.write_controller(os.path.join(out, "chain.ctl"), extract_controller(
+        s, W, solve_pessimistic(s, W)), grid=grid, timestamp=False)
+    key = entry.split("=")[0]
+    for name, command in (("chain.sts", "synthesize"), ("chain.ctl", "simulate")):
+        path = os.path.join(out, name)
+        with open(path) as fh:
+            lines = [f"# grid: {entry}" if line.startswith(f"# grid: {key}=") else line
+                     for line in fh.read().splitlines()]
+        write(path, "\n".join(lines) + "\n")
+        assert cli.main([command, "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+        assert "error: bad grid metadata: tau, eta, mu and the bounds must be finite" \
+            in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def di_artifacts(tmp_path_factory):
+    """The small double integrator abstracted and synthesized."""
+    out = str(tmp_path_factory.mktemp("di") / "out")
+    cfg_path = write(os.path.join(os.path.dirname(out), "di.cfg"), DI_CONFIG)
+    for command in ("abstract", "synthesize"):
+        assert cli.main([command, "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("old, new, commands, message", [
+    ("target.center = [0, 0]", "target.center = [0, 0, 0]", ("synthesize", "simulate", "bounds"),
+     "keys 'target.*' have wrong dimension 3 (the grid has 2)"),
+    ("simulate.max_steps", "obstacle.1.lower = [0]\nobstacle.1.upper = [1]\nsimulate.max_steps",
+     ("synthesize", "simulate"), "keys 'obstacle.<k>.*' have wrong dimension 1"),
+    ("simulate.initial.2 = [-2.0, 1.0]", "simulate.initial.2 = [-2.0]", ("simulate", "bounds"),
+     "key 'simulate.initial.2' has wrong dimension 1 (the grid has 2)"),
+])
+def test_dimensions_checked_against_the_artifact_grid(di_artifacts, tmp_path, capsys,
+                                                      old, new, commands, message):
+    gridless = "".join(line + "\n" for line in DI_CONFIG.splitlines()
+                       if not line.startswith("grid."))
+    cfg_path = write(tmp_path / "di.cfg", gridless.replace(old, new))
+    for command in commands:
+        assert cli.main([command, "--config", cfg_path, "--out", di_artifacts]) == cli.EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_unknown_model_parameter_exits_2(tmp_path, capsys):
     text = DI_CONFIG + "model.param.speed = 0.5\n"
     with pytest.raises(ConfigError, match=r"key 'model\.param\.speed'"):

@@ -5,8 +5,9 @@ from symtoc import (FiniteSystem, GridSpec, Quantizer, RefinedController,
                     SampledFlow, StateSet, TargetSpec, build_abstraction,
                     double_integrator, extract_controller, formats, integrate,
                     simulate, solve_optimistic, solve_pessimistic, target_over,
-                    target_under)
-from symtoc.refine import OutOfWinningSetError
+                    target_under, unicycle)
+from symtoc.dynamics import Model
+from symtoc.refine import OUTSIDE, TARGET
 
 
 def line_grid():
@@ -26,29 +27,80 @@ def test_tie_break_picks_lowest_input_index():
     ctrl = branching_controller()
     rc = RefinedController(ctrl, Quantizer(line_grid()))
     # both inputs at cell 0 have worst-case successor value 1
-    assert rc.select_input_index(0) == 0
-    assert np.allclose(rc.control_input(np.array([0.1])), [0.0])
+    assert rc.quantizer.cell_index(np.array([0.1])) == 0
+    assert rc.inputs[0] == 0
+    assert np.allclose(rc.input_values[rc.inputs[0]], [0.0])
 
 
 def test_single_enabled_input_at_center():
     ctrl = branching_controller()
     rc = RefinedController(ctrl, Quantizer(line_grid()))
-    assert np.allclose(rc.control_input(np.array([1.0])), [0.0])
+    cell = rc.quantizer.cell_index(np.array([1.0]))
+    assert cell == 1 and rc.inputs[cell] == 0
 
 
-def test_target_cell_returns_none():
+def test_target_cell_has_no_input():
     ctrl = branching_controller()
     rc = RefinedController(ctrl, Quantizer(line_grid()))
-    assert rc.control_input(np.array([2.0])) is None
+    assert rc.inputs[rc.quantizer.cell_index(np.array([2.0]))] == TARGET
 
 
-def test_outside_winning_set_raises():
+def test_outside_winning_set_has_no_input():
     s = FiniteSystem(3, 2, {(0, 0): [1], (1, 0): [1]})  # state 2 unreachable target
     W = StateSet(3, [2])
     ctrl = extract_controller(s, W, solve_pessimistic(s, W))
     rc = RefinedController(ctrl, Quantizer(line_grid()))
-    with pytest.raises(OutOfWinningSetError, match="cell 0"):
-        rc.control_input(np.array([0.0]))
+    assert rc.inputs.tolist() == [OUTSIDE, OUTSIDE, TARGET]
+
+
+def drift():
+    # x' = u on the line grid: input 1 moves one cell per period
+    return Model("drift", 1, 1, lambda x, u: np.zeros_like(x) + u, linear_matrix=[[0.0]])
+
+
+def hand_built(transitions, target):
+    s = FiniteSystem(3, 2, transitions)
+    W = StateSet(3, [target])
+    return RefinedController(extract_controller(s, W, solve_pessimistic(s, W)),
+                             Quantizer(line_grid()))
+
+
+def test_applied_input_driving_off_the_grid_leaves_the_winning_set():
+    # the table claims cell 2 reaches cell 0 under input 1; the flow leaves the grid
+    rc = hand_built({(1, 1): [2], (2, 1): [0]}, 0)
+    W = TargetSpec.box([-0.5], [0.5])
+    trace = simulate(drift(), SampledFlow(1.0), rc, np.array([1.0]), W, 10)
+    assert trace.reason == "left-winning-set"
+    assert [(s.cell, s.input_index) for s in trace.steps] == [(1, 1), (2, 1)]
+    assert np.allclose([s.state for s in trace.steps], [[1.0], [2.0]])
+    assert trace.achieved is None and not trace.certified
+    assert trace.initial_cell == 1 and trace.upper_bound == 2
+
+
+def test_target_cell_outside_w_leaves_the_winning_set():
+    # the controller was solved for cell 1, the run is asked to reach cell 0
+    rc = hand_built({(0, 1): [1]}, 1)
+    W = TargetSpec.box([-0.5], [0.5])
+    trace = simulate(drift(), SampledFlow(1.0), rc, np.array([1.0]), W, 10)
+    assert trace.reason == "left-winning-set"
+    assert trace.steps == [] and trace.initial_cell == 1
+    assert trace.upper_bound == 0 and not trace.certified
+
+
+def test_nan_heading_leaves_the_winning_set():
+    model = unicycle()
+    grid = GridSpec(tau=1.0, eta=[0.5, 0.5, np.pi / 2], mu=0.5,
+                    domain_lower=[0, 0, -np.pi], domain_upper=[2, 2, np.pi],
+                    input_lower=[0, -0.5], input_upper=[0.5, 0.5], periodic=(False, False, True))
+    system, quantizer = build_abstraction(model, grid, SampledFlow(grid.tau))
+    W = TargetSpec.box([1.5, 0, 0], [2, 2, 0], free=[2])
+    w_under = target_under(grid, quantizer, W)
+    rc = RefinedController(extract_controller(system, w_under, solve_pessimistic(system, w_under)),
+                           quantizer)
+    trace = simulate(model, SampledFlow(grid.tau), rc, np.array([1.0, 1.0, np.nan]), W, 10)
+    assert trace.reason == "left-winning-set"
+    assert trace.steps == [] and trace.initial_cell is None
+    assert trace.upper_bound == np.inf and not trace.certified
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +169,9 @@ def test_plot_input_column_is_the_applied_input(di_problem, tmp_path):
     model, grid, flow, quantizer, controller, lower, W = di_problem
     rc = RefinedController(controller, quantizer)
     winning = controller.domain().indices()
-    chosen = [rc.select_input_index(int(x)) for x in winning]
-    assert any(u is None for u in chosen) and any(u is not None for u in chosen)
+    chosen = rc.inputs[winning]
+    assert (chosen == TARGET).any() and (chosen >= 0).any()
+    assert OUTSIDE not in chosen
     # one row per winning cell, in cell order
     formats.write_plot(tmp_path / "grid.csv", controller, quantizer, timestamp=False)
     _, rows = formats.parse_plot(tmp_path / "grid.csv")
@@ -126,13 +179,34 @@ def test_plot_input_column_is_the_applied_input(di_problem, tmp_path):
     assert len(rows) == winning.size
     for x, u, row in zip(winning, chosen, rows):
         assert np.array_equal(row[:2], quantizer.center(int(x)))
-        if u is None:
+        if u == TARGET:
             assert np.isnan(row[2])
         else:
             assert row[2] == inputs[u][0]
     formats.write_plot(tmp_path / "plain.csv", controller, timestamp=False)
     _, rows = formats.parse_plot(tmp_path / "plain.csv")
-    assert [(x, u) for x, u, _ in rows] == list(zip(winning.tolist(), chosen))
+    assert [(x, u) for x, u, _ in rows] == \
+        [(x, None if u == TARGET else u) for x, u in zip(winning.tolist(), chosen.tolist())]
+
+
+def test_start_outside_the_domain_has_no_certificate(di_problem):
+    model, grid, flow, quantizer, controller, lower, W = di_problem
+    rc = RefinedController(controller, quantizer)
+    trace = simulate(model, flow, rc, np.array([5.0, 0.0]), W, 50, lower=lower)
+    assert trace.reason == "left-winning-set"
+    assert trace.initial_cell is None and trace.steps == []
+    assert trace.lower_bound == 0 and trace.upper_bound == np.inf
+    assert not trace.certified
+
+
+def test_start_outside_the_winning_set_has_no_certificate(di_problem):
+    model, grid, flow, quantizer, controller, lower, W = di_problem
+    rc = RefinedController(controller, quantizer)
+    cell = int(np.flatnonzero(rc.inputs == OUTSIDE)[0])
+    trace = simulate(model, flow, rc, quantizer.center(cell), W, 50, lower=lower)
+    assert trace.reason == "left-winning-set"
+    assert trace.initial_cell == cell and trace.steps == []
+    assert trace.upper_bound == np.inf and not trace.certified
 
 
 def test_greedy_runs_terminate_within_initial_value(di_problem):
