@@ -176,7 +176,8 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
             ok = trace.certified and (unsafe is None or visits == 0)
             all_ok &= ok
             achieved = "none" if trace.achieved is None else trace.achieved
-            rep.write(f"{i},{trace.reason},{trace.initial_cell},"
+            cell = "none" if trace.initial_cell is None else trace.initial_cell
+            rep.write(f"{i},{trace.reason},{cell},"
                       f"{formats._fmt_entry_time(trace.lower_bound)},{achieved},"
                       f"{formats._fmt_entry_time(trace.upper_bound)},{visits},"
                       f"{'pass' if ok else 'fail'}\n")

@@ -145,9 +145,15 @@ def _backward(sys: FiniteSystem, seeds: np.ndarray, pair_need, state_need):
     fired pair counts its state down once, and a state joins the next wave
     when its counter crosses zero. Seeds get level 1, a state joining wave k
     gets level k, and states never reached keep the sentinel num_states+1.
-    Every transition is gathered once, when its successor joins a wave, and
-    counters and repeats are handled by indexing, never by sorting, so the
-    work is O(T + N*M).
+
+    A wave of at most _NARROW states that gather at most _NARROW reverse
+    pairs in all runs as a plain loop, pair by pair: a counter fires when its
+    count before the decrement was 1, and a state joining the next wave gets
+    its level at once, so a later hit in the same wave finds it decided.
+    Wider waves run vectorized: counters are decremented by indexing and
+    repeats dropped by `_once`, never by sorting. Either way every
+    transition is gathered once, when its successor joins a wave, so the
+    work is O(T + N*M), and both paths leave the same levels and counters.
 
     Either need may be the scalar 1 instead of an array, which skips that
     counter: a state that already has its level is dropped by the level
@@ -167,31 +173,72 @@ def _backward(sys: FiniteSystem, seeds: np.ndarray, pair_need, state_need):
     rev_offsets, rev_pairs = sys.reverse()
     rev_starts, rev_stops = rev_offsets[:-1], rev_offsets[1:]
     seen = np.empty(max(N * M, N) if state_cnt is not None else N, dtype=np.intp)
+    # the narrow loop reads and writes through memoryviews, whose items are
+    # plain Python ints, not NumPy scalars
+    lv, offs, rp = memoryview(levels), memoryview(rev_offsets), memoryview(rev_pairs)
+    pc = memoryview(pair_cnt) if pair_cnt is not None else None
+    sc = memoryview(state_cnt) if state_cnt is not None else None
     frontier = seeds
     level = 1
-    while frontier.size:
-        starts, stops = rev_starts[frontier], rev_stops[frontier]
-        if frontier.size <= _NARROW:
-            pairs = np.concatenate([rev_pairs[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
-        else:
-            pairs = rev_pairs[segment_indices(starts, stops - starts)]
-        if pair_cnt is not None:
-            pairs = _count_down(pair_cnt, pairs)
-        if state_cnt is not None:
-            states = _count_down(state_cnt, _once(pairs, seen) // M)
-        else:
-            states = pairs // M
-        states = states[levels[states] == inf]
-        frontier = _once(states, seen)
+    while len(frontier):
         level += 1
-        levels[frontier] = level
+        if _is_narrow(frontier, offs):
+            joined = []
+            for y in frontier:
+                for k in rp[offs[y]:offs[y + 1]]:
+                    if pc is not None:
+                        c = pc[k]
+                        pc[k] = c - 1
+                        if c != 1:
+                            continue
+                    x = k // M
+                    if sc is not None:
+                        c = sc[x]
+                        sc[x] = c - 1
+                        if c != 1:
+                            continue
+                    if lv[x] == inf:
+                        lv[x] = level
+                        joined.append(x)
+            frontier = joined
+        else:
+            frontier = np.asarray(frontier)
+            starts, stops = rev_starts[frontier], rev_stops[frontier]
+            pairs = rev_pairs[segment_indices(starts, stops - starts)]
+            if pair_cnt is not None:
+                pairs = _count_down(pair_cnt, pairs)
+            if state_cnt is not None:
+                states = _count_down(state_cnt, _once(pairs, seen) // M)
+            else:
+                states = pairs // M
+            states = states[levels[states] == inf]
+            frontier = _once(states, seen)
+            levels[frontier] = level
     return levels, pair_cnt
 
 
-# Frontiers up to this many states are gathered slice by slice: on deep,
-# narrow games (one to a few states per wave) that is about twice as fast as
-# the vectorized index arithmetic, and it costs O(1) Python work per state.
-_NARROW = 8
+# Waves gathering at most this many reverse pairs run as the plain loop. A
+# vectorized wave pays a fixed 20-50 us for its dozen NumPy calls, the loop
+# 0.1-0.3 us a pair: on chains of one-state waves the loop stayed cheaper
+# up to about 200 pairs a wave in all three solves, and deep, narrow games
+# gather 8-64 pairs a wave.
+_NARROW = 128
+
+
+def _is_narrow(frontier, offs) -> bool:
+    """Whether at most _NARROW states gather at most _NARROW reverse pairs.
+
+    Counting stops once the pairs pass the limit, so on a wide wave the
+    test costs a few lookups, not one per state.
+    """
+    if len(frontier) > _NARROW:
+        return False
+    left = _NARROW
+    for y in frontier:
+        left -= offs[y + 1] - offs[y]
+        if left < 0:
+            return False
+    return True
 
 
 def _count_down(cnt: np.ndarray, ids: np.ndarray) -> np.ndarray:

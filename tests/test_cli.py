@@ -485,6 +485,16 @@ def test_dimensions_checked_against_the_artifact_grid(di_artifacts, tmp_path, ca
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_report_spells_a_missing_initial_cell_none(di_artifacts, tmp_path):
+    # [10, 0] lies off the grid, so the trace has no initial cell
+    text = DI_CONFIG.replace("simulate.initial.2 = [-2.0, 1.0]", "simulate.initial.2 = [10, 0]")
+    cfg_path = write(tmp_path / "di.cfg", text)
+    assert cli.main(["simulate", "--config", cfg_path, "--out", di_artifacts,
+                     "--no-timestamp"]) == cli.EXIT_CERTIFICATION
+    rows = open(os.path.join(di_artifacts, "double_integrator_report.csv")).read().splitlines()
+    assert rows[2] == "2,left-winning-set,none,0,none,inf,0,fail"
+
+
 def test_unknown_model_parameter_exits_2(tmp_path, capsys):
     text = DI_CONFIG + "model.param.speed = 0.5\n"
     with pytest.raises(ConfigError, match=r"key 'model\.param\.speed'"):

@@ -7,11 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from symtoc import (FiniteSystem, IntegrityError, StateSet, extract_controller,
                     reach_step, solve_optimistic, solve_pessimistic,
-                    solve_safety, synthesize_safe_reach)
+                    solve_safety, synthesis, synthesize_safe_reach)
 
 from helpers import (adversarial_worst_case, brute_force_optimistic,
                      brute_force_pessimistic, brute_force_safety,
                      random_system, random_target)
+
+
+@pytest.fixture(params=[0, 10**9], ids=["vectorized", "narrow"])
+def wave_path(request, monkeypatch):
+    """Send every wave of the backward kernel down one path: with the limit 0
+    no wave is narrow, with a huge one every wave is."""
+    monkeypatch.setattr(synthesis, "_NARROW", request.param)
 
 
 def chain():
@@ -59,7 +66,7 @@ def test_optimistic_empty_target():
     assert all(t.entry_time(x) == math.inf for x in range(3))
 
 
-def test_optimistic_matches_materialized_determinization():
+def test_optimistic_matches_materialized_determinization(wave_path):
     # inputs of the determinized system are (input, successor) pairs with
     # singleton posts; the pessimistic solve on it is the optimistic solve
     rng = np.random.default_rng(21)
@@ -77,7 +84,7 @@ def test_optimistic_matches_materialized_determinization():
         assert np.array_equal(a, b)
 
 
-def test_solvers_match_brute_force():
+def test_solvers_match_brute_force(wave_path):
     rng = np.random.default_rng(99)
     for i in range(60):
         s = random_system(rng, density=0.2 + 0.6 * (i % 5) / 4)
@@ -176,7 +183,7 @@ def with_loops_and_dead_state(rng, s):
     return FiniteSystem(s.num_states, s.num_inputs, trans)
 
 
-def test_safety_matches_brute_force():
+def test_safety_matches_brute_force(wave_path):
     def check(s, safe):
         ctrl = solve_safety(s, safe)
         z, allowed = brute_force_safety(s, safe.indices())
@@ -199,28 +206,65 @@ def test_safety_matches_brute_force():
             check(s, safe)
 
 
-def sink_chain(n):
-    """x -> x+1 under the one input; the last state is a sink with a self-loop."""
-    return FiniteSystem.from_csr(n, 1, np.arange(n + 1), np.minimum(np.arange(1, n + 1), n - 1))
+def sink_chain(n, inputs=1):
+    """x -> x+1 under each of the inputs; the last state is a sink with a
+    self-loop. Every wave of a solve is one state gathering `inputs` pairs."""
+    nxt = np.minimum(np.arange(1, n + 1), n - 1)
+    return FiniteSystem.from_csr(n, inputs, np.arange(n * inputs + 1), np.repeat(nxt, inputs))
 
 
 def test_long_chain_solves_scale_linearly():
     # one state per wave for n waves: a solver that re-sweeps all T
     # transitions per wave grows like 16x from n to 4n, a linear one like 4x;
-    # the two sizes alternate so that a burst of machine load hits both
-    n = 2000
-    for solve in (solve_safety, solve_pessimistic):
-        best = {}
-        for _ in range(3):
-            for size in (n, 4 * n):
-                s = sink_chain(size)
-                s.reverse()
-                sink = StateSet(size, [size - 1])
-                t0 = time.process_time()
-                result = solve(s, ~sink if solve is solve_safety else sink)
-                best[size] = min(best.get(size, math.inf), time.process_time() - t0)
-                assert result.iterations == size
-        assert best[4 * n] < 8 * best[n], (solve.__name__, best)
+    # the two sizes alternate so that a burst of machine load hits both. The
+    # single-input chain runs the narrow loop, the 200-input one gathers
+    # more pairs a wave than _NARROW and runs vectorized.
+    assert synthesis._NARROW < 200
+    for n, inputs in ((2000, 1), (250, 200)):
+        for solve in (solve_safety, solve_pessimistic, solve_optimistic):
+            best = {}
+            for _ in range(3):
+                for size in (n, 4 * n):
+                    s = sink_chain(size, inputs)
+                    s.reverse()
+                    sink = StateSet(size, [size - 1])
+                    t0 = time.process_time()
+                    result = solve(s, ~sink if solve is solve_safety else sink)
+                    best[size] = min(best.get(size, math.inf), time.process_time() - t0)
+                    assert result.iterations == size
+            assert best[4 * n] < 8 * best[n], (solve.__name__, inputs, best)
+
+
+def test_narrow_and_vectorized_waves_agree(monkeypatch):
+    # random games with self-loops and a dead state, seeded so that a pair
+    # with two successors is hit twice in the first wave; the kernel also
+    # runs with random needs, 0 included, on pairs that have successors.
+    # The limit 4 mixes both paths within one solve.
+    def run(s, W, safe, pair_need, state_need):
+        seeds = W.indices()
+        return (solve_pessimistic(s, W).levels, solve_optimistic(s, W).levels,
+                solve_safety(s, safe).allowed,
+                *synthesis._backward(s, seeds, pair_need, state_need),
+                *synthesis._backward(s, seeds, pair_need, 1))
+
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        s = with_loops_and_dead_state(rng, random_system(rng, max_states=30,
+                                                         density=0.2 + 0.6 * (i % 5) / 4))
+        n, m = s.num_states, s.num_inputs
+        W, safe = random_target(rng, n), random_target(rng, n)
+        forked = [succ for _, _, succ in s.transitions() if succ.size > 1]
+        if forked:
+            W = W | StateSet(n, forked[0].tolist())
+        pair_need = rng.integers(0, 3, n * m)
+        state_need = rng.integers(0, m + 1, n)
+        results = []
+        for limit in (0, 4, 10**9):
+            monkeypatch.setattr(synthesis, "_NARROW", limit)
+            results.append(run(s, W, safe, pair_need, state_need))
+        for vectorized, *others in zip(*results):
+            for other in others:
+                assert np.array_equal(vectorized, other)
 
 
 def test_extract_controller_branching():
