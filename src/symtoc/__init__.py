@@ -19,8 +19,8 @@ from .dynamics import (DivergenceError, Model, SampledFlow, double_integrator,
 from .fts import FiniteSystem, StateSet
 from .refine import RefinedController, Trace, TraceStep, simulate
 from .synthesis import (EntryTimeTable, IntegrityError, SafetyController,
-                        SafeReachResult, SymbolicController, extract_controller,
-                        reach_step, solve_optimistic, solve_pessimistic,
-                        solve_safety, synthesize_safe_reach)
+                        SymbolicController, extract_controller, reach_step,
+                        solve_optimistic, solve_pessimistic, solve_safety,
+                        synthesize)
 
 __version__ = "0.1.0"

@@ -41,6 +41,7 @@ _REL_TOL = 1e-9  # tolerance, in units of eta, for quantization ties and target 
 # grids of different steps shave identically. Assumes coordinates and
 # integration noise well above 1e-12 in magnitude.
 _TIE_SHAVE = 1e-9
+_MAX_IDS = 2.0 ** 31  # state and input ids are stored as int32
 
 
 class OutOfDomainError(ValueError):
@@ -118,6 +119,12 @@ class GridSpec:
         object.__setattr__(self, "periodic", per)
         if any(per[k] and self.domain_upper[k] <= self.domain_lower[k] for k in range(self.dim)):
             raise ValueError("periodic axes need a positive period (upper > lower)")
+        for what, counts in zip(("cells", "inputs"), self._axis_counts()):
+            with np.errstate(over="ignore"):
+                total = np.prod(counts)
+            if not total < _MAX_IDS:
+                raise ValueError(f"{total:.3g} {what}, but state and input ids are "
+                                 f"int32: a grid needs fewer than 2^31 {what}")
 
     @property
     def dim(self) -> int:
@@ -134,24 +141,26 @@ class GridSpec:
     def periods(self) -> np.ndarray:
         return self.domain_upper - self.domain_lower
 
-    def cells_per_axis(self) -> np.ndarray:
+    def _axis_counts(self):
+        """Cells and inputs per axis as floats, before any integer cast."""
         span = self.domain_upper - self.domain_lower
-        counts = np.empty(self.dim, dtype=np.int64)
-        for k in range(self.dim):
-            if self.periodic[k]:
-                # exact tiling of the circle when eta divides the period
-                counts[k] = max(1, int(np.ceil(span[k] / self.eta[k] - _REL_TOL)))
-            else:
-                counts[k] = int(np.floor(span[k] / self.eta[k] + _REL_TOL)) + 1
-        return counts
+        with np.errstate(over="ignore"):
+            cells = np.where(self.periodic,
+                             # exact tiling of the circle when eta divides the period
+                             np.maximum(1, np.ceil(span / self.eta - _REL_TOL)),
+                             np.floor(span / self.eta + _REL_TOL) + 1)
+            inputs = np.floor((self.input_upper - self.input_lower) / self.mu + _REL_TOL) + 1
+        return cells, inputs
+
+    def cells_per_axis(self) -> np.ndarray:
+        return self._axis_counts()[0].astype(np.int64)
 
     @property
     def num_cells(self) -> int:
         return int(np.prod(self.cells_per_axis()))
 
     def inputs_per_axis(self) -> np.ndarray:
-        span = self.input_upper - self.input_lower
-        return (np.floor(span / self.mu + _REL_TOL) + 1).astype(np.int64)
+        return self._axis_counts()[1].astype(np.int64)
 
     @property
     def num_inputs(self) -> int:
@@ -338,9 +347,9 @@ def _hits(grid, spec, pts, grow, tol):
     return hit
 
 
-def _axis_centers(grid, quantizer):
+def _axis_centers(grid):
     return [grid.domain_lower[k] + grid.eta[k] * np.arange(K)
-            for k, K in enumerate(quantizer.cells)]
+            for k, K in enumerate(grid.cells_per_axis())]
 
 
 def _pieces(grid, spec, k, centers, tol):
@@ -366,21 +375,21 @@ def _pieces(grid, spec, k, centers, tol):
     return mids[np.arange(cuts.size + 1) < count[:, None]], np.cumsum(count) - count
 
 
-def target_over(grid: GridSpec, quantizer: Quantizer, spec: TargetSpec) -> StateSet:
+def target_over(grid: GridSpec, spec: TargetSpec) -> StateSet:
     """Cells whose closed box meets the target (the outer cell cover)."""
     if spec.dim != grid.dim:
         raise ValueError("target dimension does not match the grid")
-    hit = _hits(grid, spec, _axis_centers(grid, quantizer), grid.eps, _REL_TOL * grid.eta)
+    hit = _hits(grid, spec, _axis_centers(grid), grid.eps, _REL_TOL * grid.eta)
     return StateSet.from_mask(hit.ravel())
 
 
-def target_under(grid: GridSpec, quantizer: Quantizer, spec: TargetSpec) -> StateSet:
+def target_under(grid: GridSpec, spec: TargetSpec) -> StateSet:
     """Cells whose closed box lies in the union of the members (the inner cell cover)."""
     if spec.dim != grid.dim:
         raise ValueError("target dimension does not match the grid")
     tol = _REL_TOL * grid.eta
     cut = [_pieces(grid, spec, k, c, tol[k])
-           for k, c in enumerate(_axis_centers(grid, quantizer))]
+           for k, c in enumerate(_axis_centers(grid))]
     hit = _hits(grid, spec, [mids for mids, _ in cut], np.zeros(grid.dim), tol)
     for k, (_, first) in enumerate(cut):
         hit = np.logical_and.reduceat(hit, first, axis=k)
@@ -389,26 +398,27 @@ def target_under(grid: GridSpec, quantizer: Quantizer, spec: TargetSpec) -> Stat
 
 # -- abstraction builder -----------------------------------------------
 
-def build_abstraction(model: Model, grid: GridSpec, flow: SampledFlow | None = None,
-                      threads: int = 1, input_margin: float | None = None):
+def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
+                      input_margin: bool = False):
     """Finite over-approximating abstraction of the sampled dynamics on the grid.
 
     For every cell center and grid input the nominal endpoint is integrated
-    and inflated by the growth radius at eta/2 (input-specific when the model
-    provides per-input contraction data); successors are all cells the
-    quantizer can map a point of the resulting box to. The input is disabled
-    at a cell when the box is not contained in the domain (non-periodic
-    axes). All cells are initial. Returns (FiniteSystem, Quantizer).
+    over one period grid.tau and inflated by the growth radius at eta/2
+    (input-specific when the model provides per-input contraction data);
+    successors are all cells the quantizer can map a point of the resulting
+    box to. The input is disabled at a cell when the box is not contained in
+    the domain (non-periodic axes). All cells are initial. Returns
+    (FiniteSystem, Quantizer).
 
-    input_margin, when given (the pipelines use mu/2), additionally covers
-    concrete inputs within that distance of each grid input, for plants whose
-    actuation is quantized; it requires the model to declare input_sensitivity.
+    With input_margin (the config's `grid.input_margin`) the boxes also cover
+    concrete inputs within mu/2 of each grid input, for plants whose
+    actuation is quantized; it requires the model to declare
+    input_sensitivity.
 
     Per-input work may run on a thread pool; results are merged in input
     order, so the output is identical for any thread count.
     """
-    if flow is None:
-        flow = SampledFlow(grid.tau)
+    flow = SampledFlow(grid.tau)
     if model.dim != grid.dim or model.input_dim != grid.input_dim:
         raise ValueError("model dimensions do not match the grid")
     if grid.num_cells == 0:
@@ -423,7 +433,7 @@ def build_abstraction(model: Model, grid: GridSpec, flow: SampledFlow | None = N
     eff_lo = grid.domain_lower
     last_center = grid.domain_lower + (K - 1) * eta
     eff_hi = np.minimum(grid.domain_upper, last_center + 0.5 * eta)
-    margin = 0.0 if input_margin is None else float(input_margin)
+    margin = 0.5 * grid.mu if input_margin else 0.0
     if margin > 0 and model.input_sensitivity is None:
         raise ValueError(f"model '{model.name}' declares no input_sensitivity; "
                          "an input margin cannot be covered")

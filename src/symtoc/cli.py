@@ -18,11 +18,10 @@ from . import formats
 from .abstraction import (OutOfDomainError, Quantizer, build_abstraction, target_over,
                           target_under)
 from .config import ConfigError, ProblemConfig, parse_config
-from .dynamics import DivergenceError, SampledFlow
+from .dynamics import DivergenceError
 from .fts import StateSet
 from .refine import RefinedController, simulate
-from .synthesis import (extract_controller, solve_optimistic, solve_pessimistic,
-                        synthesize_safe_reach)
+from .synthesis import synthesize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,12 +36,11 @@ def _out_path(out_dir, name):
 
 def _state_ids(key, states, num_states):
     """Explicit state ids from the config key `key`, each checked against the system."""
-    ids = np.asarray(states, dtype=np.int64)
-    bad = (ids < 0) | (ids >= num_states)
-    if bad.any():
-        raise ConfigError(f"key '{key}': state {ids[bad][0]} outside the "
+    bad = [s for s in states if not 0 <= s < num_states]
+    if bad:
+        raise ConfigError(f"key '{key}': state {bad[0]} outside the "
                           f"{num_states} states of the system")
-    return ids
+    return np.asarray(states, dtype=np.int64)
 
 
 def _target_cell_sets(cfg: ProblemConfig, system, grid):
@@ -50,8 +48,7 @@ def _target_cell_sets(cfg: ProblemConfig, system, grid):
     if grid is not None:
         cfg.check_dimensions(grid)
         if cfg.target is not None:
-            q = Quantizer(grid)
-            return target_under(grid, q, cfg.target), target_over(grid, q, cfg.target)
+            return target_under(grid, cfg.target), target_over(grid, cfg.target)
     if cfg.target_states is not None:
         w = StateSet(system.num_states,
                      _state_ids("target.states", cfg.target_states, system.num_states))
@@ -62,28 +59,25 @@ def _target_cell_sets(cfg: ProblemConfig, system, grid):
 
 def _unsafe_cells(cfg: ProblemConfig, system, grid):
     """Cells touching any obstacle, plus explicitly unsafe states; None if no constraint."""
+    if cfg.obstacles is None and cfg.unsafe_states is None:
+        return None
     mask = np.zeros(system.num_states, dtype=bool)
-    have = False
     if cfg.obstacles is not None:
         if grid is None:
             raise ConfigError("obstacle boxes need a gridded system")
-        mask |= target_over(grid, Quantizer(grid), cfg.obstacles).mask
-        have = True
+        mask |= target_over(grid, cfg.obstacles).mask
     if cfg.unsafe_states is not None:
         mask[_state_ids("unsafe.states", cfg.unsafe_states, system.num_states)] = True
-        have = True
-    return StateSet.from_mask(mask) if have else None
+    return StateSet.from_mask(mask)
 
 
 def cmd_abstract(cfg: ProblemConfig, out_dir=".", threads=1, timestamp=True) -> int:
     if cfg.grid is None:
         raise ConfigError("abstract needs a grid section")
     model = cfg.build_model()
-    flow = SampledFlow(cfg.grid.tau)
-    margin = 0.5 * cfg.grid.mu if cfg.input_margin else None
     t0 = time.perf_counter()
-    system, _ = build_abstraction(model, cfg.grid, flow, threads=threads,
-                                  input_margin=margin)
+    system, _ = build_abstraction(model, cfg.grid, threads=threads,
+                                  input_margin=cfg.input_margin)
     elapsed = time.perf_counter() - t0
     path = _out_path(out_dir, cfg.output_path("system"))
     formats.write_system(path, system, grid=cfg.grid, timestamp=timestamp)
@@ -93,24 +87,15 @@ def cmd_abstract(cfg: ProblemConfig, out_dir=".", threads=1, timestamp=True) -> 
 
 
 def _synthesize(cfg: ProblemConfig, system, grid):
-    """Run the solves; returns (controller, lower_table, unsafe or None)."""
-    w_under, w_over = _target_cell_sets(cfg, system, grid)
-    unsafe = _unsafe_cells(cfg, system, grid)
-    if unsafe is not None:
-        safe = ~unsafe
-        result = synthesize_safe_reach(system, safe, w_under)
-        lower = solve_optimistic(result.restricted, w_over)
-        return result.controller, lower, unsafe
-    table = solve_pessimistic(system, w_under)
-    controller = extract_controller(system, w_under, table)
-    lower = solve_optimistic(system, w_over)
-    return controller, lower, unsafe
+    """The configured problem's (controller, lower-bound table)."""
+    return synthesize(system, *_target_cell_sets(cfg, system, grid),
+                      _unsafe_cells(cfg, system, grid))
 
 
 def cmd_synthesize(cfg: ProblemConfig, system_path, out_dir=".", timestamp=True) -> int:
     system, grid = formats.parse_system(system_path)
     t0 = time.perf_counter()
-    controller, lower, _ = _synthesize(cfg, system, grid)
+    controller, lower = _synthesize(cfg, system, grid)
     elapsed = time.perf_counter() - t0
     ctl_path = _out_path(out_dir, cfg.output_path("controller"))
     bounds_path = _out_path(out_dir, cfg.output_path("bounds"))
@@ -138,9 +123,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
     model = cfg.build_model()
     if model.dim != grid.dim or model.input_dim != grid.input_dim:
         raise ConfigError("configured model does not match the controller's grid")
-    flow = SampledFlow(grid.tau)
-    quantizer = Quantizer(grid)
-    rc = RefinedController(controller, quantizer)
+    rc = RefinedController(controller, Quantizer(grid))
     if bounds_path is None:
         candidate = _out_path(out_dir, cfg.output_path("bounds"))
         bounds_path = candidate if os.path.exists(candidate) else None
@@ -167,7 +150,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
             rep.write(formats._timestamp_line())
         rep.write("trace,reason,initial_cell,lower,achieved,upper,obstacle_visits,certified\n")
         for i, x0 in cfg.initial_states.items():
-            trace = simulate(model, flow, rc, x0, cfg.target, cfg.max_steps, lower=lower)
+            trace = simulate(model, rc, x0, cfg.target, cfg.max_steps, lower=lower)
             trace_path = _out_path(out_dir, f"{cfg.output_path('trace_prefix')}_{i}.csv")
             formats.write_trace(trace_path, trace, grid.dim, grid.input_dim,
                                 timestamp=timestamp)
@@ -201,7 +184,7 @@ def cmd_export_plot(controller_path, out_path, timestamp=True) -> int:
 def cmd_bounds(cfg: ProblemConfig, system_path) -> int:
     """Print-only bound report for the configured initial states (or all states)."""
     system, grid = formats.parse_system(system_path)
-    controller, lower, _ = _synthesize(cfg, system, grid)
+    controller, lower = _synthesize(cfg, system, grid)
     lo = lower.entry_times()
     up = controller.values()
     print("state,lower,upper")

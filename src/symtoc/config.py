@@ -114,9 +114,17 @@ def _want(pairs, key, typ, required=False, default=None):
     return value
 
 
-def _member_from_pairs(pairs, prefix, dim_hint=None) -> TargetBox:
+def _ints(key, values):
+    """The entries of the list under `key` as ints; a fraction is an error."""
+    for v in values:
+        if not float(v).is_integer():
+            raise ConfigError(f"key '{key}': {v!r} is not an integer")
+    return [int(v) for v in values]
+
+
+def _member_from_pairs(pairs, prefix) -> TargetBox:
     shape = _want(pairs, f"{prefix}.shape", "string", default="box")
-    free_dims = _want(pairs, f"{prefix}.free", "list", default=[])
+    free_dims = _ints(f"{prefix}.free", _want(pairs, f"{prefix}.free", "list", default=[]))
     if shape == "box":
         lower = _want(pairs, f"{prefix}.lower", "list", required=True)
         upper = _want(pairs, f"{prefix}.upper", "list", required=True)
@@ -132,7 +140,6 @@ def _member_from_pairs(pairs, prefix, dim_hint=None) -> TargetBox:
         raise ConfigError(f"key '{prefix}': lower/upper lengths differ")
     free = [False] * lower.size
     for d in free_dims:
-        d = int(d)
         if not 0 <= d < lower.size:
             raise ConfigError(f"key '{prefix}.free': dimension {d} out of range")
         free[d] = True
@@ -208,8 +215,8 @@ def parse_config_text(text: str) -> ProblemConfig:
         shape = pairs.get("target.shape", ("box", 0))[0]
         if shape == "states":
             pairs.pop("target.shape", None)
-            states = _want(pairs, "target.states", "list", required=True)
-            cfg.target_states = [int(s) for s in states]
+            cfg.target_states = _ints("target.states",
+                                      _want(pairs, "target.states", "list", required=True))
         elif shape == "union":
             pairs.pop("target.shape", None)
             members = []
@@ -227,7 +234,7 @@ def parse_config_text(text: str) -> ProblemConfig:
     if obstacle_members:
         cfg.obstacles = TargetSpec(obstacle_members)
     if "unsafe.states" in pairs:
-        cfg.unsafe_states = [int(s) for s in _want(pairs, "unsafe.states", "list")]
+        cfg.unsafe_states = _ints("unsafe.states", _want(pairs, "unsafe.states", "list"))
 
     for k, prefix in _numbered_prefixes(pairs, "simulate.initial"):
         value, _ = pairs.pop(prefix)

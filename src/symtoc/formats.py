@@ -381,8 +381,10 @@ def _read_artifact(path, magic, tag, keys, what):
         raise FormatError(f"line {records[0][0]}: {what} before states/inputs header")
     n, m = header["states"][1][0], header["inputs"][1][0]
     grid = _parse_grid_block(grid_entries)
-    if grid is not None and Quantizer(grid).num_cells != n:
+    if grid is not None and grid.num_cells != n:
         raise FormatError("grid metadata cell count does not match the state count")
+    if grid is not None and grid.num_inputs != m:
+        raise FormatError("grid metadata input count does not match the input count")
     return n, m, header, grid, records
 
 

@@ -74,13 +74,13 @@ class Trace:
     certified: bool
 
 
-def simulate(model: Model, flow: SampledFlow, rc: RefinedController,
-             x0, W: TargetSpec, max_steps: int,
-             lower: np.ndarray | None = None) -> Trace:
+def simulate(model: Model, rc: RefinedController, x0, W: TargetSpec,
+             max_steps: int, lower: np.ndarray | None = None) -> Trace:
     """Run the refined controller from x0 until the concrete state enters W.
 
     Each step applies the table's input at the state's cell and integrates
-    one period, recording state, input, cell and cell value. The run ends as
+    one period of the controller's grid (tau of `rc.quantizer.grid`),
+    recording state, input, cell and cell value. The run ends as
     "left-winning-set" at a state with a negative entry (it would indicate
     an unsound abstraction), or at max_steps. `lower` holds per-cell
     lower-bound entry times (`EntryTimeTable.entry_times()`).
@@ -90,6 +90,7 @@ def simulate(model: Model, flow: SampledFlow, rc: RefinedController,
     cover's 1e-9*eta tolerance), so the W test has already ended the run.
     """
     grid = rc.quantizer.grid
+    flow = SampledFlow(grid.tau)
     x = np.asarray(x0, dtype=float).copy()
     cell = rc.quantizer.cell_index(x)
     initial_cell = cell if cell >= 0 else None

@@ -357,32 +357,25 @@ def extract_controller(sys: FiniteSystem, W: StateSet,
     )
 
 
-@dataclass
-class SafeReachResult:
-    """Everything produced by the safety-then-reachability composition."""
-    controller: SymbolicController
-    table: EntryTimeTable
-    safety: SafetyController
-    restricted: FiniteSystem
-    target: StateSet
+def synthesize(sys: FiniteSystem, w_under: StateSet, w_over: StateSet,
+               unsafe: StateSet | None = None):
+    """(SymbolicController, optimistic EntryTimeTable) of one problem.
 
-
-def synthesize_safe_reach(sys: FiniteSystem, safe: StateSet, W: StateSet) -> SafeReachResult:
-    """Least restrictive safety controller composed with the time-optimal game.
-
-    Restricts the system to safety-allowed inputs, then solves pessimistic
-    reachability towards W intersected with the safe winning set. The
-    reverse adjacency of `sys` is released once the restricted system holds
-    its filtered copy. An empty winning set is reported through the result,
-    not raised.
+    The controller is extracted from the pessimistic game towards the inner
+    target cover w_under, the lower bounds are the optimistic game towards
+    the outer cover w_over. With `unsafe`, both games run on `sys` restricted
+    to the least restrictive safety controller's inputs, the pessimistic
+    target shrinks to the maximal safe set, and the reverse adjacency of
+    `sys` is released once the restricted system holds its filtered copy.
+    An empty winning set is reported through the controller, not raised.
     """
-    _check_target(sys, safe)
-    _check_target(sys, W)
-    safety = solve_safety(sys, safe)
-    restricted = sys.restrict(safety.allowed)
-    sys._reverse_cache = None  # the restricted system holds its filtered copy
-    target = W & safety.domain
-    table = solve_pessimistic(restricted, target)
-    controller = extract_controller(restricted, target, table)
-    return SafeReachResult(controller=controller, table=table, safety=safety,
-                           restricted=restricted, target=target)
+    for given in (w_under, w_over, unsafe):
+        if given is not None:
+            _check_target(sys, given)
+    if unsafe is not None:
+        safety = solve_safety(sys, ~unsafe)
+        restricted = sys.restrict(safety.allowed)
+        sys._reverse_cache = None  # the restricted system holds its filtered copy
+        sys, w_under = restricted, w_under & safety.domain
+    controller = extract_controller(sys, w_under, solve_pessimistic(sys, w_under))
+    return controller, solve_optimistic(sys, w_over)

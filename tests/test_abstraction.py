@@ -50,6 +50,19 @@ def test_grid_validation():
             GridSpec(**{**args, **bad})
 
 
+def test_grid_counts_must_fit_int32_ids():
+    line = dict(tau=1, eta=1, mu=1, domain_lower=[0], input_lower=[0], input_upper=[0])
+    assert GridSpec(domain_upper=[2**31 - 2], **line).num_cells == 2**31 - 1
+    with pytest.raises(ValueError, match=r"2\.15e\+09 cells, but state and input ids are int32"):
+        GridSpec(domain_upper=[2**31 - 1], **line)
+    with pytest.raises(ValueError, match=r"^inf cells"):  # finite per axis, not in product
+        GridSpec(tau=1, eta=1e-300, mu=1, domain_lower=[0, 0], domain_upper=[1, 1],
+                 input_lower=[0], input_upper=[0])
+    with pytest.raises(ValueError, match=r"^2e\+300 inputs"):
+        GridSpec(tau=1, eta=1, mu=1e-300, domain_lower=[0], domain_upper=[1],
+                 input_lower=[0], input_upper=[2])
+
+
 def test_single_cell_domain():
     g = GridSpec(tau=1, eta=0.5, mu=1, domain_lower=[0, 0], domain_upper=[0, 0],
                  input_lower=[0], input_upper=[0])
@@ -155,8 +168,8 @@ def test_target_under_over_ball():
     grid = di_grid()
     q = Quantizer(grid)
     W = TargetSpec.ball([0.0, 0.0], 1.0)
-    under = target_under(grid, q, W)
-    over = target_over(grid, q, W)
+    under = target_under(grid, W)
+    over = target_over(grid, W)
     probe = q.quantize(np.array([0.9, 0.0]))      # box [0.75,1.05]x[-0.15,0.15]
     inside = q.quantize(np.array([0.6, 0.6]))     # box [0.45,0.75]^2
     assert probe not in under
@@ -169,21 +182,21 @@ def test_target_full_domain_selects_all_cells():
     grid = di_grid()
     q = Quantizer(grid)
     W = TargetSpec.box([-3, -3], [3, 3])
-    assert len(target_over(grid, q, W)) == q.num_cells
+    assert len(target_over(grid, W)) == q.num_cells
     # edge cell boxes stick out of the domain by eta/2, so the inner cover
     # keeps only the interior cells
-    assert len(target_under(grid, q, W)) == (q.cells[0] - 2) * (q.cells[1] - 2)
+    assert len(target_under(grid, W)) == (q.cells[0] - 2) * (q.cells[1] - 2)
 
 
 def test_target_point_and_vanishing_under():
     grid = di_grid()
     q = Quantizer(grid)
     point = TargetSpec.box([0.6, 0.9], [0.6, 0.9])  # a cell center
-    over = target_over(grid, q, point)
+    over = target_over(grid, point)
     assert len(over) == 1
     assert int(over.indices()[0]) == q.quantize(np.array([0.6, 0.9]))
     tiny = TargetSpec.ball([0.05, 0.05], 0.1)  # smaller than any cell box
-    assert len(target_under(grid, q, tiny)) == 0
+    assert len(target_under(grid, tiny)) == 0
 
 
 def test_target_union_joint_coverage():
@@ -191,11 +204,11 @@ def test_target_union_joint_coverage():
                     input_lower=[0], input_upper=[0])
     q = Quantizer(grid)
     W = TargetSpec.union(TargetSpec.box([0, 0], [1, 2]), TargetSpec.box([1, 0], [2, 2]))
-    under = target_under(grid, q, W)
+    under = target_under(grid, W)
     straddling = q.quantize(np.array([1.0, 1.0]))  # box [0.75,1.25] crosses x=1
     assert straddling in under
     W_gap = TargetSpec.union(TargetSpec.box([0, 0], [0.9, 2]), TargetSpec.box([1.1, 0], [2, 2]))
-    assert q.quantize(np.array([1.0, 1.0])) not in target_under(grid, q, W_gap)
+    assert q.quantize(np.array([1.0, 1.0])) not in target_under(grid, W_gap)
 
 
 def test_target_free_dimension():
@@ -205,7 +218,7 @@ def test_target_free_dimension():
                     periodic=(False, False, True))
     q = Quantizer(grid)
     W = TargetSpec.box([1.0, 1.0, 0.0], [1.4, 1.4, 0.0], free=[2])
-    over = target_over(grid, q, W)
+    over = target_over(grid, W)
     # every theta layer of a covered (x, y) cell is included
     xy = q.quantize(np.array([1.2, 1.2, 0.0]))
     coords = q.index_to_coords(int(xy))
@@ -253,8 +266,8 @@ def test_covers_match_lattice_oracle(case):
     for idx in range(q.num_cells):
         hits = [spec.contains(p, grid) for p in q.center(idx) + offsets]
         over[idx], under[idx] = any(hits), all(hits)
-    assert np.array_equal(target_over(grid, q, spec).mask, over)
-    assert np.array_equal(target_under(grid, q, spec).mask, under)
+    assert np.array_equal(target_over(grid, spec).mask, over)
+    assert np.array_equal(target_under(grid, spec).mask, under)
 
 
 def test_contains_tolerance_on_both_sides_of_a_bound():
@@ -306,7 +319,7 @@ def test_monte_carlo_soundness_small_grid():
     grid = di_grid(extent=1.5)
     flow = SampledFlow(grid.tau)
     model = double_integrator()
-    system, q = build_abstraction(model, grid, flow)
+    system, q = build_abstraction(model, grid)
     inputs = grid.input_values()
     checked = 0
     while checked < 1000:
@@ -318,6 +331,61 @@ def test_monte_carlo_soundness_small_grid():
         nxt = integrate(model, flow, x, inputs[u])
         assert int(q.quantize(nxt)) in system.post(cell, u)
         checked += 1
+
+
+def _boundary_misses(model, grid, margin, cells):
+    """Starts on the closed lower faces of `cells`: per cell, every point with
+    a nonempty set of axes at the cell's lower edge and the others at its
+    center (face centers, lower edges, the lower corner). Each is driven by
+    every grid input, and with the margin also by the inputs shifted to the
+    corners of the +-mu/2 box, through RK4 and through a 512-substep
+    reference. Returns (checks, misses): pairs enabled at the start's cell,
+    and those whose end cell is not among the pair's successors."""
+    system, q = build_abstraction(model, grid, input_margin=margin)
+    N, M = system.num_states, system.num_inputs
+    lower = [s for s in itertools.product((0.0, -0.5), repeat=grid.dim) if any(s)]
+    starts = (q.center(cells)[:, None, :] + np.array(lower) * grid.eta).reshape(-1, grid.dim)
+    source = q.cell_index(starts)
+    pair = source[:, None] * M + np.arange(M)
+    start, u = np.nonzero((source[:, None] >= 0) & (system.pair_counts[pair] > 0))
+    pair = pair[start, u]
+    shifts = [np.zeros(grid.input_dim)]
+    if margin:
+        shifts += [np.array(c) * grid.mu
+                   for c in itertools.product((-0.5, 0.5), repeat=grid.input_dim)]
+    # (pair, successor) keys, ascending: CSR order with sorted successor lists
+    edges = np.repeat(np.arange(N * M), system.pair_counts) * N + system._targets
+    checks = misses = 0
+    for shift in shifts:
+        for substeps in (10, 512):
+            end = integrate(model, SampledFlow(grid.tau, substeps), starts[start],
+                            grid.input_values()[u] + shift)
+            cell = q.cell_index(end)
+            key = pair * N + cell
+            at = np.minimum(np.searchsorted(edges, key), edges.size - 1)
+            checks += key.size
+            misses += int(np.count_nonzero((cell < 0) | (edges[at] != key)))
+    return checks, misses
+
+
+@pytest.mark.parametrize("margin", [False, True], ids=["grid-inputs", "margin"])
+def test_boundary_starts_stay_in_their_successor_sets(margin):
+    # the quantizer's regions are closed below, so a start on a lower face or
+    # corner belongs to the cell and its successors must cover it
+    grid = di_grid(extent=1.5)
+    checks, misses = _boundary_misses(double_integrator(), grid, margin,
+                                      np.arange(grid.num_cells))
+    assert checks > 5000 and misses == 0
+    grid = unicycle_grid()
+    q = Quantizer(grid)
+    coords = q.index_to_coords(np.arange(q.num_cells))
+    # a fixed sample of the cells at the heading seam, whose lower face wraps
+    # to +pi, and of the others
+    rng = np.random.default_rng(7)
+    cells = [rng.choice(np.flatnonzero(layer), 30, replace=False)
+             for layer in (coords[:, 2] == 0, coords[:, 2] > 0)]
+    checks, misses = _boundary_misses(unicycle(), grid, margin, np.concatenate(cells))
+    assert checks > 5000 and misses == 0
 
 
 def _circ_dist(a, b, period):
@@ -333,7 +401,7 @@ def test_successor_sets_pinched_between_independent_bounds():
     grid = unicycle_grid()
     model = unicycle()
     flow = SampledFlow(grid.tau)
-    system, q = build_abstraction(model, grid, flow)
+    system, q = build_abstraction(model, grid)
     inputs = grid.input_values()
     period = 2 * np.pi
     for _ in range(200):
@@ -379,13 +447,13 @@ def test_one_cell_domain_builds_one_state_system():
 def test_input_margin_requires_sensitivity_data():
     grid = di_grid(extent=1.5, eta=0.3, mu=1.0)
     with pytest.raises(ValueError, match="input_sensitivity"):
-        build_abstraction(stationary_model(), grid, input_margin=0.5)
+        build_abstraction(stationary_model(), grid, input_margin=True)
 
 
 def test_input_margin_widens_successors_and_shrinks_enabled_pairs():
     grid = di_grid(extent=1.5)
     plain, q = build_abstraction(double_integrator(), grid)
-    wide, _ = build_abstraction(double_integrator(), grid, input_margin=0.05)
+    wide, _ = build_abstraction(double_integrator(), grid, input_margin=True)
     widened = False
     for x, u, succ in wide.transitions():
         plain_succ = plain.post(x, u)

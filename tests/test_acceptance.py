@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from symtoc import (GridSpec, RefinedController, SampledFlow, StateSet,
+from symtoc import (GridSpec, SampledFlow, StateSet,
                     TargetSpec, build_abstraction, double_integrator,
                     integrate, reach_step, simulate, solve_optimistic,
                     solve_pessimistic, target_under, unicycle)
@@ -83,13 +83,12 @@ def test_double_integrator_benchmark(di_bundle):
     b = di_bundle
     assert b.build_seconds < 300.0, f"abstraction took {b.build_seconds:.0f}s"
     assert b.system.num_states == 40401
-    rc = RefinedController(b.controller, b.quantizer)
     starts = [(-6.1, 6.1), (-6.0, 6.0), (-5.85, 5.85), (3.1, 0.1), (3.0, 0.0), (2.85, -0.1)]
     ref_symbolic = [14, 14, 13, 3, 3, 3]   # reference simulation row
     ref_upper = [29, 29, 29, 7, 7, 7]      # reference upper-bound row
     ref_lower = [9, 9, 9, 2, 2, 2]         # reference lower-bound row
     for x0, sym, up, lo in zip(starts, ref_symbolic, ref_upper, ref_lower):
-        trace = simulate(b.model, b.flow, rc, np.array(x0), b.cfg.target,
+        trace = simulate(b.model, b.rc, np.array(x0), b.cfg.target,
                          b.cfg.max_steps, lower=b.lower.entry_times())
         cell = int(b.quantizer.quantize(np.array(x0)))
         upper_here = b.controller.value(cell)
@@ -137,10 +136,9 @@ def test_grid_refinement_never_raises_upper_bound():
         grid = GridSpec(tau=1.0, eta=eta, mu=0.1,
                         domain_lower=[-10, -10], domain_upper=[10, 10],
                         input_lower=[-1], input_upper=[1])
-        flow = SampledFlow(grid.tau)
-        system, quantizer = build_abstraction(model, grid, flow, input_margin=0.05)
+        system, quantizer = build_abstraction(model, grid, input_margin=True)
         target = TargetSpec.ball([0.0, 0.0], 1.0)
-        w_under = target_under(grid, quantizer, target)
+        w_under = target_under(grid, target)
         table = solve_pessimistic(system, w_under)
         uppers[eta] = table.entry_times()
         quantizers[eta] = quantizer
@@ -163,14 +161,14 @@ def test_unicycle_safe_reach_benchmark(unicycle_bundle):
     inside the 30-60 s sanity band."""
     b = unicycle_bundle
     x0 = b.cfg.initial_states[1]
-    trace = simulate(b.model, b.flow, b.rc, x0, b.cfg.target, b.cfg.max_steps,
+    trace = simulate(b.model, b.rc, x0, b.cfg.target, b.cfg.max_steps,
                      lower=b.lower.entry_times())
     assert trace.reason == "reached-target"
     visits = sum(1 for s in trace.steps if s.cell in b.unsafe)
     assert visits == 0
     cell = int(b.quantizer.quantize(x0))
     lower_here = b.lower.entry_time(cell)
-    upper_here = b.result.controller.value(cell)
+    upper_here = b.controller.value(cell)
     assert lower_here <= trace.achieved <= upper_here
     assert trace.certified
     seconds = trace.achieved * b.cfg.grid.tau

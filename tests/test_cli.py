@@ -147,19 +147,18 @@ def test_bounds_round_trip(tmp_path):
 
 
 def test_trace_and_plot_round_trip(tmp_path):
-    from symtoc import (GridSpec as GS, RefinedController, SampledFlow, TargetSpec,
+    from symtoc import (GridSpec as GS, RefinedController, TargetSpec,
                         build_abstraction, double_integrator, simulate,
                         target_under)
     model = double_integrator()
     grid = GS(tau=1.0, eta=0.3, mu=0.1, domain_lower=[-3, -3], domain_upper=[3, 3],
               input_lower=[-1], input_upper=[1])
-    flow = SampledFlow(grid.tau)
-    system, q = build_abstraction(model, grid, flow)
+    system, q = build_abstraction(model, grid)
     W = TargetSpec.ball([0, 0], 1.0)
-    wu = target_under(grid, q, W)
+    wu = target_under(grid, W)
     ctrl = extract_controller(system, wu, solve_pessimistic(system, wu))
     rc = RefinedController(ctrl, q)
-    trace = simulate(model, flow, rc, np.array([1.5, 0.0]), W, 50)
+    trace = simulate(model, rc, np.array([1.5, 0.0]), W, 50)
     path = tmp_path / "trace.csv"
     formats.write_trace(path, trace, grid.dim, grid.input_dim, timestamp=False)
     rows, reason, achieved = formats.parse_trace(path)
@@ -360,6 +359,7 @@ def test_simulate_bounds_with_other_upper_column_exits_2(tmp_path, capsys):
     ("target.states", "[5]", "bounds"),
     ("unsafe.states", "[7]", "synthesize"),
     ("unsafe.states", "[-1]", "synthesize"),
+    ("unsafe.states", "[1e20]", "synthesize"),  # past int64, still named
 ])
 def test_explicit_state_ids_outside_the_system_exit_2(tmp_path, capsys, key, value, command):
     text = CHAIN_CONFIG + f"unsafe.states = {value}\n" if key == "unsafe.states" \
@@ -369,7 +369,7 @@ def test_explicit_state_ids_outside_the_system_exit_2(tmp_path, capsys, key, val
     os.makedirs(out)
     formats.write_system(os.path.join(out, "chain.sts"), chain_system(), timestamp=False)
     assert cli.main([command, "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
-    state = value.strip("[]")
+    state = int(float(value.strip("[]")))
     assert (f"error: key '{key}': state {state} outside the 3 states of the system"
             in capsys.readouterr().err)
 
@@ -433,8 +433,10 @@ def test_unicycle_nan_heading_start_exits_2(tmp_path, capsys):
         assert "non-finite number in '[1.5, 1, nan]'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("entry", ["eta=[nan]", "tau=nan mu=1.0", "domain_upper=[inf]"])
-def test_non_finite_grid_metadata_exits_2(tmp_path, capsys, entry):
+def _run_with_grid_metadata(tmp_path, capsys, entry):
+    """Write the chain system and controller with the `# grid:` line that
+    starts like `entry` replaced by it; the errors of `synthesize` and
+    `simulate` on them."""
     grid = GridSpec(tau=1.0, eta=1.0, mu=1.0, domain_lower=[0.0], domain_upper=[2.0],
                     input_lower=[0.0], input_upper=[0.0])
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
@@ -446,6 +448,7 @@ def test_non_finite_grid_metadata_exits_2(tmp_path, capsys, entry):
     formats.write_controller(os.path.join(out, "chain.ctl"), extract_controller(
         s, W, solve_pessimistic(s, W)), grid=grid, timestamp=False)
     key = entry.split("=")[0]
+    errors = []
     for name, command in (("chain.sts", "synthesize"), ("chain.ctl", "simulate")):
         path = os.path.join(out, name)
         with open(path) as fh:
@@ -453,8 +456,65 @@ def test_non_finite_grid_metadata_exits_2(tmp_path, capsys, entry):
                      for line in fh.read().splitlines()]
         write(path, "\n".join(lines) + "\n")
         assert cli.main([command, "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
-        assert "error: bad grid metadata: tau, eta, mu and the bounds must be finite" \
-            in capsys.readouterr().err
+        errors.append(capsys.readouterr().err)
+    return errors
+
+
+@pytest.mark.parametrize("entry", ["eta=[nan]", "tau=nan mu=1.0", "domain_upper=[inf]"])
+def test_non_finite_grid_metadata_exits_2(tmp_path, capsys, entry):
+    for err in _run_with_grid_metadata(tmp_path, capsys, entry):
+        assert "error: bad grid metadata: tau, eta, mu and the bounds must be finite" in err
+
+
+@pytest.mark.parametrize("entry, what", [
+    ("eta=[1e-300]", "2e+300 cells"),
+    ("domain_upper=[3e9]", "3e+09 cells"),
+    ("input_upper=[1e10]", "1e+10 inputs"),
+])
+def test_grid_metadata_past_int32_ids_exits_2(tmp_path, capsys, entry, what):
+    for err in _run_with_grid_metadata(tmp_path, capsys, entry):
+        assert f"error: bad grid metadata: {what}, but state and input ids are int32" in err
+
+
+def test_grid_metadata_input_count_must_match_the_header(tmp_path, capsys):
+    # six grid inputs against `inputs 1`: simulate would index past the grid inputs
+    for err in _run_with_grid_metadata(tmp_path, capsys, "input_upper=[5]"):
+        assert "error: grid metadata input count does not match the input count" in err
+
+
+@pytest.mark.parametrize("old, new, what", [
+    ("grid.eta = 0.3", "grid.eta = 1e-300", "inf cells"),  # the product overflows
+    ("grid.eta = 0.3", "grid.eta = 1e-7", "3.6e+15 cells"),
+    ("grid.eta = 0.3", "grid.eta = [0.3, 1e-9]", "1.26e+11 cells"),
+    ("grid.mu = 0.1", "grid.mu = 1e-300", "2e+300 inputs"),
+])
+def test_grid_past_int32_ids_exits_2(tmp_path, capsys, old, new, what):
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG.replace(old, new))
+    out = str(tmp_path / "out")
+    assert cli.main(["abstract", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+    assert (f"error: grid: {what}, but state and input ids are int32: a grid needs "
+            f"fewer than 2^31 {what.split()[1]}") in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key, line", [
+    ("target.states", "target.states = [1.5]"),
+    ("unsafe.states", "unsafe.states = [0.5]"),
+    ("target.free", "target.free = [0.5]"),
+    ("obstacle.1.free", "obstacle.1.free = [0, 1.5]"),
+])
+def test_fractional_ids_and_axes_exit_2(tmp_path, capsys, key, line):
+    if key == "target.states":
+        text = CHAIN_CONFIG.replace("target.states = [2]", line)
+    elif key == "unsafe.states":
+        text = CHAIN_CONFIG + line + "\n"
+    else:
+        text = DI_CONFIG + "obstacle.1.lower = [2, 2]\nobstacle.1.upper = [3, 3]\n" + line + "\n"
+    cfg_path = write(tmp_path / "c.cfg", text)
+    value = line.split("[")[1].rstrip("]").split(", ")[-1]
+    assert cli.main(["synthesize", "--config", cfg_path, "--out", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+    assert f"error: key '{key}': {value} is not an integer" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

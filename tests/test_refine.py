@@ -4,7 +4,7 @@ import pytest
 from symtoc import (FiniteSystem, GridSpec, Quantizer, RefinedController,
                     SampledFlow, StateSet, TargetSpec, build_abstraction,
                     double_integrator, extract_controller, formats, integrate,
-                    simulate, solve_optimistic, solve_pessimistic, target_over,
+                    simulate, solve_pessimistic, synthesize, target_over,
                     target_under, unicycle)
 from symtoc.dynamics import Model
 from symtoc.refine import OUTSIDE, TARGET
@@ -69,7 +69,7 @@ def test_applied_input_driving_off_the_grid_leaves_the_winning_set():
     # the table claims cell 2 reaches cell 0 under input 1; the flow leaves the grid
     rc = hand_built({(1, 1): [2], (2, 1): [0]}, 0)
     W = TargetSpec.box([-0.5], [0.5])
-    trace = simulate(drift(), SampledFlow(1.0), rc, np.array([1.0]), W, 10)
+    trace = simulate(drift(), rc, np.array([1.0]), W, 10)
     assert trace.reason == "left-winning-set"
     assert [(s.cell, s.input_index) for s in trace.steps] == [(1, 1), (2, 1)]
     assert np.allclose([s.state for s in trace.steps], [[1.0], [2.0]])
@@ -81,7 +81,7 @@ def test_target_cell_outside_w_leaves_the_winning_set():
     # the controller was solved for cell 1, the run is asked to reach cell 0
     rc = hand_built({(0, 1): [1]}, 1)
     W = TargetSpec.box([-0.5], [0.5])
-    trace = simulate(drift(), SampledFlow(1.0), rc, np.array([1.0]), W, 10)
+    trace = simulate(drift(), rc, np.array([1.0]), W, 10)
     assert trace.reason == "left-winning-set"
     assert trace.steps == [] and trace.initial_cell == 1
     assert trace.upper_bound == 0 and not trace.certified
@@ -92,12 +92,12 @@ def test_nan_heading_leaves_the_winning_set():
     grid = GridSpec(tau=1.0, eta=[0.5, 0.5, np.pi / 2], mu=0.5,
                     domain_lower=[0, 0, -np.pi], domain_upper=[2, 2, np.pi],
                     input_lower=[0, -0.5], input_upper=[0.5, 0.5], periodic=(False, False, True))
-    system, quantizer = build_abstraction(model, grid, SampledFlow(grid.tau))
+    system, quantizer = build_abstraction(model, grid)
     W = TargetSpec.box([1.5, 0, 0], [2, 2, 0], free=[2])
-    w_under = target_under(grid, quantizer, W)
+    w_under = target_under(grid, W)
     rc = RefinedController(extract_controller(system, w_under, solve_pessimistic(system, w_under)),
                            quantizer)
-    trace = simulate(model, SampledFlow(grid.tau), rc, np.array([1.0, 1.0, np.nan]), W, 10)
+    trace = simulate(model, rc, np.array([1.0, 1.0, np.nan]), W, 10)
     assert trace.reason == "left-winning-set"
     assert trace.steps == [] and trace.initial_cell is None
     assert trace.upper_bound == np.inf and not trace.certified
@@ -109,21 +109,16 @@ def di_problem():
     grid = GridSpec(tau=1.0, eta=0.3, mu=0.1,
                     domain_lower=[-3, -3], domain_upper=[3, 3],
                     input_lower=[-1], input_upper=[1])
-    flow = SampledFlow(grid.tau)
-    system, quantizer = build_abstraction(model, grid, flow)
+    system, quantizer = build_abstraction(model, grid)
     W = TargetSpec.ball([0.0, 0.0], 1.0)
-    w_under = target_under(grid, quantizer, W)
-    w_over = target_over(grid, quantizer, W)
-    table = solve_pessimistic(system, w_under)
-    controller = extract_controller(system, w_under, table)
-    lower = solve_optimistic(system, w_over).entry_times()
-    return model, grid, flow, quantizer, controller, lower, W
+    controller, lower = synthesize(system, target_under(grid, W), target_over(grid, W))
+    return model, grid, SampledFlow(grid.tau), quantizer, controller, lower.entry_times(), W
 
 
 def test_simulation_reaches_target_with_certificate(di_problem):
     model, grid, flow, quantizer, controller, lower, W = di_problem
     rc = RefinedController(controller, quantizer)
-    trace = simulate(model, flow, rc, np.array([1.5, 0.0]), W, 50, lower=lower)
+    trace = simulate(model, rc, np.array([1.5, 0.0]), W, 50, lower=lower)
     assert trace.reason == "reached-target"
     assert trace.certified
     assert trace.lower_bound <= trace.achieved <= trace.upper_bound
@@ -139,7 +134,7 @@ def test_simulation_reaches_target_with_certificate(di_problem):
 def test_simulation_inside_target_is_empty(di_problem):
     model, grid, flow, quantizer, controller, lower, W = di_problem
     rc = RefinedController(controller, quantizer)
-    trace = simulate(model, flow, rc, np.array([0.05, 0.0]), W, 50, lower=lower)
+    trace = simulate(model, rc, np.array([0.05, 0.0]), W, 50, lower=lower)
     assert trace.reason == "reached-target"
     assert trace.achieved == 0
     assert trace.steps == []
@@ -149,7 +144,7 @@ def test_simulation_inside_target_is_empty(di_problem):
 def test_simulation_step_limit(di_problem):
     model, grid, flow, quantizer, controller, lower, W = di_problem
     rc = RefinedController(controller, quantizer)
-    trace = simulate(model, flow, rc, np.array([1.5, 0.0]), W, 0, lower=lower)
+    trace = simulate(model, rc, np.array([1.5, 0.0]), W, 0, lower=lower)
     assert trace.reason == "step-limit"
     assert trace.achieved is None
     assert not trace.certified
@@ -159,7 +154,7 @@ def test_first_enabled_policy_keeps_certificate(di_problem):
     model, grid, flow, quantizer, controller, lower, W = di_problem
     rc = RefinedController(controller, quantizer)
     for x0 in ([1.5, 0.0], [-2.0, 1.0], [2.4, -1.2]):
-        trace = simulate(model, flow, rc, np.array(x0), W, 100, lower=lower)
+        trace = simulate(model, rc, np.array(x0), W, 100, lower=lower)
         assert trace.reason == "reached-target"
         assert trace.certified
         assert all(s.input_index == controller.enabled(s.cell)[0] for s in trace.steps)
@@ -192,7 +187,7 @@ def test_plot_input_column_is_the_applied_input(di_problem, tmp_path):
 def test_start_outside_the_domain_has_no_certificate(di_problem):
     model, grid, flow, quantizer, controller, lower, W = di_problem
     rc = RefinedController(controller, quantizer)
-    trace = simulate(model, flow, rc, np.array([5.0, 0.0]), W, 50, lower=lower)
+    trace = simulate(model, rc, np.array([5.0, 0.0]), W, 50, lower=lower)
     assert trace.reason == "left-winning-set"
     assert trace.initial_cell is None and trace.steps == []
     assert trace.lower_bound == 0 and trace.upper_bound == np.inf
@@ -203,7 +198,7 @@ def test_start_outside_the_winning_set_has_no_certificate(di_problem):
     model, grid, flow, quantizer, controller, lower, W = di_problem
     rc = RefinedController(controller, quantizer)
     cell = int(np.flatnonzero(rc.inputs == OUTSIDE)[0])
-    trace = simulate(model, flow, rc, quantizer.center(cell), W, 50, lower=lower)
+    trace = simulate(model, rc, quantizer.center(cell), W, 50, lower=lower)
     assert trace.reason == "left-winning-set"
     assert trace.initial_cell == cell and trace.steps == []
     assert trace.upper_bound == np.inf and not trace.certified
@@ -219,7 +214,7 @@ def test_greedy_runs_terminate_within_initial_value(di_problem):
         value = controller.value(int(cell))
         if value == np.inf:
             continue
-        trace = simulate(model, flow, rc, x0, W, 200, lower=lower)
+        trace = simulate(model, rc, x0, W, 200, lower=lower)
         assert trace.reason == "reached-target"
         assert trace.achieved <= value
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from symtoc import (FiniteSystem, IntegrityError, StateSet, extract_controller,
                     reach_step, solve_optimistic, solve_pessimistic,
-                    solve_safety, synthesis, synthesize_safe_reach)
+                    solve_safety, synthesis, synthesize)
 
 from helpers import (adversarial_worst_case, brute_force_optimistic,
                      brute_force_pessimistic, brute_force_safety,
@@ -339,11 +339,9 @@ def test_enabled_inputs_lead_exactly_one_level_down(game):
     # the controller stores only levels: every enabled input's worst successor
     # is exactly one level below its state, which worst_values derives
     s, W, safe = game
-    if safe is None:
-        system, ctrl = s, extract_controller(s, W, solve_pessimistic(s, W))
-    else:
-        result = synthesize_safe_reach(s, StateSet(s.num_states, safe), W)
-        system, ctrl = result.restricted, result.controller
+    unsafe = None if safe is None else ~StateSet(s.num_states, safe)
+    system = s if safe is None else s.restrict(solve_safety(s, ~unsafe).allowed)
+    ctrl, _ = synthesize(s, W, W, unsafe)
     for x in range(s.num_states):
         worst = [max(ctrl.levels[t] for t in system.post(x, int(u))) for u in ctrl.enabled(x)]
         assert worst == [ctrl.levels[x] - 1] * len(worst)
@@ -370,27 +368,49 @@ def test_safe_reach_trivial_safety_equals_plain():
     # non-blocking variant of the branching system: target state self-loops
     s = FiniteSystem(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2], (2, 0): [2]})
     W = StateSet(3, [2])
-    res = synthesize_safe_reach(s, StateSet.full(3), W)
-    plain = extract_controller(s, W, solve_pessimistic(s, W))
-    assert np.array_equal(res.controller.levels, plain.levels)
-    assert np.array_equal(res.controller.enabled_inputs_flat, plain.enabled_inputs_flat)
+    ctrl, lower = synthesize(s, W, W, StateSet(3, []))
+    plain, plain_lower = synthesize(s, W, W)
+    assert np.array_equal(ctrl.levels, plain.levels)
+    assert np.array_equal(ctrl.enabled_inputs_flat, plain.enabled_inputs_flat)
+    assert np.array_equal(lower.levels, plain_lower.levels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=games(), data=st.data())
+def test_synthesize_equals_the_step_by_step_composition(game, data):
+    s, w_under, safe = game
+    n = s.num_states
+    w_over = w_under | StateSet(n, data.draw(st.sets(st.integers(0, n - 1))))
+    unsafe = None if safe is None else ~StateSet(n, safe)
+    # by hand: safety, restriction, pessimistic game and extraction on the
+    # safe target, optimistic game on the same system
+    system, target = s, w_under
+    if unsafe is not None:
+        safety = solve_safety(s, ~unsafe)
+        system = s.restrict(safety.allowed)
+        assert system._reverse_cache is not None  # filtered from the parent's
+        target = w_under & safety.domain
+    ctrl = extract_controller(system, target, solve_pessimistic(system, target))
+    lower = solve_optimistic(system, w_over)
+    got, got_lower = synthesize(s, w_under, w_over, unsafe)
+    assert np.array_equal(got.levels, ctrl.levels)
+    assert np.array_equal(got.offsets, ctrl.offsets)
+    assert np.array_equal(got.enabled_inputs_flat, ctrl.enabled_inputs_flat)
+    assert np.array_equal(got_lower.levels, lower.levels)
+    assert got_lower.mode == "optimistic"
 
 
 def test_safe_reach_releases_the_full_systems_reverse():
     rng = np.random.default_rng(11)
     for _ in range(20):
         s = random_system(rng)
-        safe, W = random_target(rng, s.num_states), random_target(rng, s.num_states)
-        res = synthesize_safe_reach(s, safe, W)
-        assert s._reverse_cache is None
-        assert res.restricted._reverse_cache is not None  # filtered from the parent's
-        # the same composition by hand, with the parent's reverse kept
-        restricted = s.restrict(solve_safety(s, safe).allowed)
-        assert s._reverse_cache is not None
-        target = W & res.safety.domain
-        ctrl = extract_controller(restricted, target, solve_pessimistic(restricted, target))
-        assert np.array_equal(res.controller.levels, ctrl.levels)
-        assert np.array_equal(res.controller.enabled_inputs_flat, ctrl.enabled_inputs_flat)
+        unsafe, W = random_target(rng, s.num_states), random_target(rng, s.num_states)
+        s.reverse()
+        synthesize(s, W, W, unsafe)
+        assert s._reverse_cache is None  # the restricted system held its own copy
+        s.reverse()
+        synthesize(s, W, W)
+        assert s._reverse_cache is not None  # no restriction, nothing to release
 
 
 def test_safety_excludes_blocking_states():
@@ -412,14 +432,18 @@ def test_safe_reach_detour_is_strictly_slower():
     W = StateSet(5, [3])
     unconstrained = solve_pessimistic(s, W)
     assert unconstrained.entry_time(0) == 2
-    res = synthesize_safe_reach(s, ~StateSet(5, [1]), W)
-    assert res.controller.value(0) == 3
-    assert res.safety.domain.indices().tolist() == [0, 2, 3, 4]
-    bf = brute_force_pessimistic(res.restricted, res.target.indices())
+    unsafe = StateSet(5, [1])
+    ctrl, lower = synthesize(s, W, W, unsafe)
+    assert ctrl.value(0) == 3
+    assert lower.entry_time(0) == 3  # the optimistic game avoids state 1 too
+    safety = solve_safety(s, ~unsafe)
+    assert safety.domain.indices().tolist() == [0, 2, 3, 4]
+    bf = brute_force_pessimistic(s.restrict(safety.allowed), (W & safety.domain).indices())
     assert bf[0] == 3
 
 
 def test_safe_reach_unreachable_target_reports_empty():
     s = FiniteSystem(3, 1, {(0, 0): [1], (1, 0): [1], (2, 0): [2]})
-    res = synthesize_safe_reach(s, StateSet.full(3), StateSet(3, []))
-    assert len(res.controller.domain()) == 0
+    ctrl, lower = synthesize(s, StateSet(3, []), StateSet(3, []), StateSet(3, []))
+    assert len(ctrl.domain()) == 0
+    assert len(lower.winning()) == 0
