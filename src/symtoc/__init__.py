@@ -15,7 +15,7 @@ from .abstraction import (GridSpec, OutOfDomainError, Quantizer, TargetBox,
 from .dynamics import (DivergenceError, Model, SampledFlow, double_integrator,
                        growth_bound_dominates, growth_radius,
                        input_deviation_radius, integrate, make_model,
-                       reach_radius, register_model, unicycle)
+                       one_period, reach_radius, register_model, unicycle)
 from .fts import FiniteSystem, StateSet
 from .refine import RefinedController, Trace, TraceStep, simulate
 from .synthesis import (EntryTimeTable, IntegrityError, SafetyController,

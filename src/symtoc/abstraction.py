@@ -4,7 +4,8 @@ A GridSpec quantizes an axis-aligned state domain with step eta (per axis)
 and the input box with step mu; each cell stands for the concrete states
 within eta/2 of its center, and the quantizer maps every point to exactly
 one cell (a half-up partition). The builder computes, per cell and grid
-input, a reachable-set box (nominal RK4 endpoint inflated by the growth
+input, a reachable-set box (nominal endpoint, exact for linear models and
+models with a closed-form flow map and RK4 otherwise, inflated by the growth
 radius) and connects the cell to every cell the quantizer can map a box
 point to. Inputs whose box leaves the domain are disabled rather than
 clipped, so the finite system never hides a successor.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Model, SampledFlow, integrate, reach_radius
+from .dynamics import Model, SampledFlow, one_period, reach_radius
 from .fts import FiniteSystem, StateSet, segment_indices
 
 _REL_TOL = 1e-9  # tolerance, in units of eta, for quantization ties and target covers
@@ -42,6 +43,10 @@ _REL_TOL = 1e-9  # tolerance, in units of eta, for quantization ties and target 
 # integration noise well above 1e-12 in magnitude.
 _TIE_SHAVE = 1e-9
 _MAX_IDS = 2.0 ** 31  # state and input ids are stored as int32
+# Successors the builder enumerates per block: a block's int64 work arrays
+# stay near 256 KB, so the memory of a build does not grow with the
+# successors of one input.
+_ENUM_BLOCK = 1 << 15
 
 
 class OutOfDomainError(ValueError):
@@ -402,8 +407,9 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
                       input_margin: bool = False):
     """Finite over-approximating abstraction of the sampled dynamics on the grid.
 
-    For every cell center and grid input the nominal endpoint is integrated
-    over one period grid.tau and inflated by the growth radius at eta/2
+    For every cell center and grid input the nominal endpoint after one
+    period grid.tau (`one_period`: exact where the model allows, RK4
+    otherwise) is inflated by the growth radius at eta/2
     (input-specific when the model provides per-input contraction data);
     successors are all cells the quantizer can map a point of the resulting
     box to. The input is disabled at a cell when the box is not contained in
@@ -448,7 +454,7 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
 
     def job(u):
         radius = reach_radius(model, flow, grid.eps, du=margin, u=inputs[u])
-        nominal = integrate(model, flow, centers, inputs[u])
+        nominal = one_period(model, flow, centers, inputs[u])
         blo = nominal - radius
         bhi = nominal + radius
         enabled = np.ones(N, dtype=bool)
@@ -476,22 +482,29 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
         starts = starts[sel]
         counts = counts[sel]
         tot = counts.prod(axis=1)
-        grand = int(tot.sum())
-        pair_rep = np.repeat(np.arange(sel.size), tot)
-        base = np.repeat(np.cumsum(tot) - tot, tot)
-        rem = np.arange(grand, dtype=np.int64) - base
-        flat = np.zeros(grand, dtype=np.int64)
-        for k in range(n):
-            rad = counts[:, k + 1:].prod(axis=1)[pair_rep]
-            digit = rem // rad
-            rem = rem - digit * rad
-            coord = starts[pair_rep, k] + digit
-            if grid.periodic[k]:
-                coord %= K[k]
-            flat += coord * quantizer.strides[k]
-        key = pair_rep.astype(np.int64) * N + flat
-        key.sort()
-        return sel, tot, (key % N).astype(np.int32)
+        first = np.cumsum(tot) - tot
+        succ = np.empty(int(tot.sum()), dtype=np.int32)
+        # all boxes of one input have the same size, so they span one of a
+        # few cell counts per axis; the cells of one such shape are
+        # enumerated together, at most _ENUM_BLOCK successors per block. A
+        # box that wraps a periodic axis comes out unsorted, hence the sort.
+        shape_id = np.ravel_multi_index((counts - 1).T, K)
+        ids = np.sort(shape_id)
+        for sid in ids[np.diff(ids, prepend=-1) != 0]:  # np.unique would import numpy.ma
+            cells = np.flatnonzero(shape_id == sid)
+            shape = counts[cells[0]]
+            step = max(1, _ENUM_BLOCK // int(tot[cells[0]]))
+            for b in range(0, cells.size, step):
+                rows = cells[b:b + step]
+                flat = np.zeros((rows.size, 1), dtype=np.int64)
+                for k in range(n):
+                    coord = starts[rows, k][:, None] + np.arange(shape[k])
+                    if grid.periodic[k]:
+                        coord %= K[k]
+                    flat = (flat[:, :, None] + coord[:, None, :] * quantizer.strides[k]).reshape(rows.size, -1)
+                flat.sort(axis=1)
+                succ[first[rows][:, None] + np.arange(flat.shape[1])] = flat
+        return sel, tot, succ
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -5,8 +5,10 @@ reachable sets after one sampling period: either a system matrix A (linear
 dynamics, radius scales with the infinity norm of exp(A*tau)) or a
 component-wise contraction matrix L (radius vector exp(L*tau) @ r). Every
 matrix exponential goes through `_expm`, a scaling-and-squaring Taylor
-series, so numpy is the only numerical dependency. All functions are pure
-and safe to call concurrently.
+series, so numpy is the only numerical dependency. `integrate` is fixed-step
+RK4; `one_period` is the exact one-period map where the model has one (its
+own `flow_map`, or the matrix-exponential map of a linear model) and RK4
+otherwise. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -41,13 +43,18 @@ class Model:
     field(x, u) must accept arrays of shape (..., dim) and (..., input_dim)
     and return the state derivative with shape (..., dim). Exactly one of
     linear_matrix (A) and contraction_matrix (L) must be given.
+    linear_matrix declares the field affine in the state,
+    f(x, u) = A x + f(0, u); the growth radius and the exact one-period map
+    of `one_period` both rest on that.
     angular_dims lists coordinates that live on a circle (wrapped by grids).
 
     Optional refinements used by the abstraction builder:
     input_sensitivity bounds |df/du| entrywise (dim x input_dim) and enables
     accounting for input quantization error; contraction_for_input maps a
     concrete input to a (usually tighter) contraction matrix valid for that
-    input alone.
+    input alone; flow_map(x, u, tau) is the closed-form state after time tau
+    under the constant input u, with the shapes of field, which `one_period`
+    uses in place of RK4.
     """
     name: str
     dim: int
@@ -58,6 +65,7 @@ class Model:
     angular_dims: tuple = ()
     input_sensitivity: np.ndarray | None = None
     contraction_for_input: Callable[[np.ndarray], np.ndarray] | None = None
+    flow_map: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
         if (self.linear_matrix is None) == (self.contraction_matrix is None):
@@ -104,14 +112,41 @@ def integrate(model: Model, flow: SampledFlow, x, u) -> np.ndarray:
             k3 = f(y + 0.5 * h * k2, u)
             k4 = f(y + h * k3, u)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                flat = np.atleast_2d(y.reshape(-1, model.dim))
-                bad = int(np.flatnonzero(~np.isfinite(flat).all(axis=1))[0])
-                raise DivergenceError(
-                    f"integration of model '{model.name}' diverged "
-                    f"(first bad batch entry {bad}, "
-                    f"input {np.atleast_1d(u).ravel()[:model.input_dim].tolist()})")
+            _require_finite(model, y, u)
     return y
+
+
+def one_period(model: Model, flow: SampledFlow, x, u) -> np.ndarray:
+    """State after one period tau under the constant input u, exact where it can be.
+
+    Takes the model's own flow_map when it has one; for a linear model
+    (f(x, u) = A x + f(0, u)) the exact map e^{A tau} x + G f(0, u), where
+    [e^{A tau} | G] comes from one augmented matrix exponential (Van Loan,
+    IEEE TAC 1978); otherwise `integrate`. Shapes as for `integrate`.
+    Raises DivergenceError on a non-finite endpoint.
+    """
+    if model.flow_map is None and model.linear_matrix is None:
+        return integrate(model, flow, x, u)
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.flow_map is not None:
+            y = model.flow_map(x, u, flow.tau)
+        else:
+            e, g = _expm_and_integral(model.linear_matrix, flow.tau, model.name)
+            y = x @ e.T + model.field(np.zeros_like(x), u) @ g.T
+    _require_finite(model, y, u)
+    return y
+
+
+def _require_finite(model: Model, y, u):
+    if not np.all(np.isfinite(y)):
+        flat = np.atleast_2d(y.reshape(-1, model.dim))
+        bad = int(np.flatnonzero(~np.isfinite(flat).all(axis=1))[0])
+        raise DivergenceError(
+            f"integration of model '{model.name}' diverged "
+            f"(first bad batch entry {bad}, "
+            f"input {np.atleast_1d(u).ravel()[:model.input_dim].tolist()})")
 
 
 def _expm(a, name: str) -> np.ndarray:
@@ -126,14 +161,17 @@ def _expm(a, name: str) -> np.ndarray:
     the truncation can only under-estimate exp(a); before squaring, the
     omitted tail of each row sums to less than one rounding unit (2^-53) of
     that row's sum. Raises DivergenceError, naming the model `name`, on
-    non-finite input or output.
+    non-finite input, an infinite norm or a non-finite output.
     """
     a = np.asarray(a, dtype=float)
-    norm = np.abs(a).sum(axis=1).max(initial=0.0)
-    if not np.isfinite(norm):
+    if not np.all(np.isfinite(a)):
         raise DivergenceError(f"non-finite growth matrix for model '{name}'")
+    with np.errstate(over="ignore"):
+        norm = np.abs(a).sum(axis=1).max(initial=0.0)
+    if norm == np.inf:
+        raise DivergenceError(f"matrix exponential overflow for model '{name}'")
     s = max(0, int(np.frexp(norm)[1]) + 1)  # norm < 2^(s-1)
-    a = a / 2.0 ** s
+    a = np.ldexp(a, -s)  # a / 2.0 ** s would overflow computing 2^s for s > 1023
     out = term = np.eye(a.shape[0])
     k = 0
     while True:
@@ -189,12 +227,19 @@ def input_deviation_radius(model: Model, flow: SampledFlow, du: float,
     """
     if model.input_sensitivity is None or du <= 0:
         return np.zeros(model.dim)
-    n = model.dim
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = model.state_contraction(u)
-    aug[:n, n:] = np.eye(n)
-    phi = _expm(aug * flow.tau, model.name)[:n, n:]  # integral of exp(L s) over [0, tau]
+    phi = _expm_and_integral(model.state_contraction(u), flow.tau, model.name)[1]
     return phi @ (model.input_sensitivity @ np.full(model.input_dim, float(du)))
+
+
+def _expm_and_integral(a, tau: float, name: str):
+    """(exp(a tau), integral of exp(a s) over [0, tau]) from one `_expm` of
+    the augmented matrix [[a, I], [0, 0]] * tau (Van Loan, IEEE TAC 1978)."""
+    n = a.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = a
+    aug[:n, n:] = np.eye(n)
+    e = _expm(aug * tau, name)
+    return e[:n, :n], e[:n, n:]
 
 
 def reach_radius(model: Model, flow: SampledFlow, r, du: float = 0.0,
@@ -263,11 +308,24 @@ def unicycle(v_max: float = 0.5) -> Model:
                          [0.0, 0.0, v],
                          [0.0, 0.0, 0.0]])
 
+    def flow_map(x, u, tau):
+        # constant v and omega: the heading turns uniformly and the position
+        # moves by the chord, of length v*tau*sinc(omega*tau/2), along the
+        # mean heading; np.sinc(t) = sin(pi t)/(pi t) is 1 at omega = 0
+        v, w = u[..., 0], u[..., 1]
+        chord = v * tau * np.sinc(w * tau / (2.0 * np.pi))
+        mid = x[..., 2] + 0.5 * w * tau
+        out = np.empty_like(x)
+        out[..., 0] = x[..., 0] + chord * np.cos(mid)
+        out[..., 1] = x[..., 1] + chord * np.sin(mid)
+        out[..., 2] = x[..., 2] + w * tau
+        return out
+
     L = contraction_for_input([v_max])
     return Model(name="unicycle", dim=3, input_dim=2, field=f,
                  contraction_matrix=L, angular_dims=(2,),
                  input_sensitivity=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                 contraction_for_input=contraction_for_input)
+                 contraction_for_input=contraction_for_input, flow_map=flow_map)
 
 
 MODEL_REGISTRY: dict[str, Callable[..., Model]] = {

@@ -555,43 +555,6 @@ def write_trace(path, trace, dim: int, input_dim: int, timestamp: bool = True):
         fh.write(f"# reason={trace.reason} achieved={achieved}\n")
 
 
-def parse_trace(path):
-    """Read a trace CSV back; returns (rows, reason, achieved).
-
-    rows is a list of (k, state, input, cell, value) tuples mirroring what
-    write_trace emitted; achieved is None when the run did not enter the target.
-    """
-    rows = []
-    reason = None
-    achieved = None
-    header = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("# reason="):
-                parts = dict(tok.split("=", 1) for tok in line[2:].split())
-                reason = parts["reason"]
-                achieved = None if parts["achieved"] == "none" else int(parts["achieved"])
-                continue
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                dim = sum(1 for h in header if h.startswith("x"))
-                input_dim = sum(1 for h in header if h.startswith("u"))
-                continue
-            parts = line.split(",")
-            k = int(parts[0])
-            state = np.array([float(v) for v in parts[1:1 + dim]])
-            inp = np.array([float(v) for v in parts[1 + dim:1 + dim + input_dim]])
-            cell = int(parts[1 + dim + input_dim])
-            value = int(parts[2 + dim + input_dim])
-            rows.append((k, state, inp, cell, value))
-    if reason is None:
-        raise FormatError("trace file has no final reason comment")
-    return rows, reason, achieved
-
-
 # -- controller plot CSV -------------------------------------------------------
 
 def write_plot(path, ctrl: SymbolicController, quantizer: Quantizer | None = None,
@@ -621,28 +584,3 @@ def write_plot(path, ctrl: SymbolicController, quantizer: Quantizer | None = Non
                 us = ",".join(_fmt_num(v) for v in inputs[applied[x]])
             xs = ",".join(_fmt_num(v) for v in quantizer.center(int(x)))
             fh.write(f"{xs},{us},{ctrl.levels[x] - 1}\n")
-
-
-def parse_plot(path):
-    """Read a plot CSV back; returns (header_fields, rows) with rows as lists of
-    floats (empty input fields become nan) or ints for the gridless format."""
-    header = None
-    rows = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            parts = line.split(",")
-            if header[0] == "state":
-                rows.append((int(parts[0]),
-                             None if parts[1] == "" else int(parts[1]),
-                             int(parts[2])))
-            else:
-                rows.append([float("nan") if p == "" else float(p) for p in parts])
-    if header is None:
-        raise FormatError("plot file has no header")
-    return header, rows

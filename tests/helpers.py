@@ -1,5 +1,6 @@
 """Independent oracles for the solver tests: definitional value iteration with
-plain Python dicts and sets, plus random system generators.
+plain Python dicts and sets, plus random system generators, and readers for
+the trace and plot CSVs that only the tests read back.
 
 These deliberately avoid the package's layered/vectorized code paths: values
 are computed straight from the fixed-point definitions so solver bugs cannot
@@ -11,6 +12,7 @@ import math
 import numpy as np
 
 from symtoc import FiniteSystem, StateSet
+from symtoc.formats import FormatError
 
 
 def brute_force_pessimistic(sys, w_indices):
@@ -157,3 +159,65 @@ def adversarial_worst_case(sys, controller, x, memo=None):
             worst = max(worst, 1 + adversarial_worst_case(sys, controller, int(t), memo))
     memo[x] = worst
     return worst
+
+
+def parse_trace(path):
+    """Read a trace CSV back; returns (rows, reason, achieved).
+
+    rows is a list of (k, state, input, cell, value) tuples mirroring what
+    write_trace emitted; achieved is None when the run did not enter the target.
+    """
+    rows = []
+    reason = None
+    achieved = None
+    header = None
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if line.startswith("# reason="):
+                parts = dict(tok.split("=", 1) for tok in line[2:].split())
+                reason = parts["reason"]
+                achieved = None if parts["achieved"] == "none" else int(parts["achieved"])
+                continue
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                header = line.split(",")
+                dim = sum(1 for h in header if h.startswith("x"))
+                input_dim = sum(1 for h in header if h.startswith("u"))
+                continue
+            parts = line.split(",")
+            k = int(parts[0])
+            state = np.array([float(v) for v in parts[1:1 + dim]])
+            inp = np.array([float(v) for v in parts[1 + dim:1 + dim + input_dim]])
+            cell = int(parts[1 + dim + input_dim])
+            value = int(parts[2 + dim + input_dim])
+            rows.append((k, state, inp, cell, value))
+    if reason is None:
+        raise FormatError("trace file has no final reason comment")
+    return rows, reason, achieved
+
+
+def parse_plot(path):
+    """Read a plot CSV back; returns (header_fields, rows) with rows as lists of
+    floats (empty input fields become nan) or ints for the gridless format."""
+    header = None
+    rows = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                header = line.split(",")
+                continue
+            parts = line.split(",")
+            if header[0] == "state":
+                rows.append((int(parts[0]),
+                             None if parts[1] == "" else int(parts[1]),
+                             int(parts[2])))
+            else:
+                rows.append([float("nan") if p == "" else float(p) for p in parts])
+    if header is None:
+        raise FormatError("plot file has no header")
+    return header, rows

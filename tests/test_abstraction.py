@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from symtoc import (GridSpec, Model, OutOfDomainError, Quantizer, SampledFlow,
                     TargetBox, TargetSpec, build_abstraction, double_integrator, integrate,
-                    reach_radius, target_over, target_under, unicycle)
+                    one_period, reach_radius, target_over, target_under, unicycle)
+from symtoc.config import parse_config_text
+from symtoc.dynamics import MODEL_REGISTRY
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def di_grid(extent=3.0, eta=0.3, mu=0.1, tau=1.0):
@@ -338,9 +344,10 @@ def _boundary_misses(model, grid, margin, cells):
     a nonempty set of axes at the cell's lower edge and the others at its
     center (face centers, lower edges, the lower corner). Each is driven by
     every grid input, and with the margin also by the inputs shifted to the
-    corners of the +-mu/2 box, through RK4 and through a 512-substep
-    reference. Returns (checks, misses): pairs enabled at the start's cell,
-    and those whose end cell is not among the pair's successors."""
+    corners of the +-mu/2 box, through RK4, through a 512-substep reference
+    and through `one_period`, the builder's map. Returns (checks, misses):
+    pairs enabled at the start's cell, and those whose end cell is not among
+    the pair's successors."""
     system, q = build_abstraction(model, grid, input_margin=margin)
     N, M = system.num_states, system.num_inputs
     lower = [s for s in itertools.product((0.0, -0.5), repeat=grid.dim) if any(s)]
@@ -356,10 +363,12 @@ def _boundary_misses(model, grid, margin, cells):
     # (pair, successor) keys, ascending: CSR order with sorted successor lists
     edges = np.repeat(np.arange(N * M), system.pair_counts) * N + system._targets
     checks = misses = 0
+    x = starts[start]
     for shift in shifts:
-        for substeps in (10, 512):
-            end = integrate(model, SampledFlow(grid.tau, substeps), starts[start],
-                            grid.input_values()[u] + shift)
+        v = grid.input_values()[u] + shift
+        for end in (integrate(model, SampledFlow(grid.tau), x, v),
+                    integrate(model, SampledFlow(grid.tau, 512), x, v),
+                    one_period(model, SampledFlow(grid.tau), x, v)):
             cell = q.cell_index(end)
             key = pair * N + cell
             at = np.minimum(np.searchsorted(edges, key), edges.size - 1)
@@ -472,3 +481,39 @@ def test_per_axis_eta_grid():
     assert grid.cells_per_axis().tolist() == [3, 5]
     q = Quantizer(grid)
     assert np.allclose(q.center(q.quantize(np.array([0.6, 0.6]))), [0.5, 0.5])
+
+
+# sha256 of each abstraction's CSR, the offsets as little-endian int64 then
+# the targets as little-endian int32, recorded when the builder still took
+# every nominal endpoint from RK4 and enumerated successors digit by digit:
+# neither the exact one-period maps nor the block enumeration may move a
+# single transition
+CSR_SHA256 = {
+    "double_integrator.cfg": "b0dfbe23e0f63bf3450888c5e9c64e8ec33d9f1061fca9eee5c1ee6997261cae",
+    "unicycle.cfg": "dae10345a401426fabf61805b925d479dd9a186b0b824181307b975db5bb3bba",
+    "di_pipeline": "144eb500aaf0691a97dcb17977902ad0466af63d435f6889a107eff5134afce3",
+    "unicycle_pipeline": "4756a02ef2ed5c71b28f6a46d76a2eeb2156c402cc5de67dee91553190b9e09a",
+    "game_chain": "1040ad320cf7d7853193cb062bbbac5737c2cce00a6d7557430ff7553064d7f8",
+}
+
+
+def _csr_sha256(system):
+    h = hashlib.sha256(system._offsets.astype("<i8").tobytes())
+    h.update(system._targets.astype("<i4").tobytes())
+    return h.hexdigest()
+
+
+def test_csr_is_pinned_on_the_shipped_configs_and_benchmark_workloads(
+        di_bundle, unicycle_bundle, monkeypatch):
+    got = {"double_integrator.cfg": _csr_sha256(di_bundle.system),
+           "unicycle.cfg": _csr_sha256(unicycle_bundle.system)}
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import conveyor
+    import workloads
+    monkeypatch.setitem(MODEL_REGISTRY, conveyor.MODEL_ID, conveyor.conveyor)
+    for w in workloads.WORKLOADS.values():
+        cfg = parse_config_text(workloads.base_config(ROOT, w))
+        system, _ = build_abstraction(cfg.build_model(), cfg.grid, threads=w.threads,
+                                      input_margin=cfg.input_margin)
+        got[w.name] = _csr_sha256(system)
+    assert got == CSR_SHA256

@@ -16,8 +16,8 @@ from symtoc import (GridSpec, SampledFlow, StateSet,
 from symtoc import formats
 
 from helpers import (aggregated_pair, brute_force_optimistic,
-                     brute_force_pessimistic, lift_targets, random_system,
-                     random_target)
+                     brute_force_pessimistic, lift_targets, parse_trace,
+                     random_system, random_target)
 
 
 def _report(name):
@@ -116,7 +116,7 @@ def test_double_integrator_cli_traces(tmp_path):
     verdicts = [line.split(",")[-1] for line in report[1:]]
     assert verdicts == ["pass"] * 6
     for i in range(1, 7):
-        rows, reason, achieved = formats.parse_trace(
+        rows, reason, achieved = parse_trace(
             os.path.join(out, f"double_integrator_trace_{i}.csv"))
         assert reason == "reached-target"
         assert achieved == len(rows)

@@ -10,7 +10,7 @@ from symtoc import cli, formats
 from symtoc.config import ConfigError, parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY, Model
 
-from helpers import random_system
+from helpers import parse_plot, parse_trace, random_system
 
 DI_CONFIG = """
 model.id = double_integrator
@@ -161,7 +161,7 @@ def test_trace_and_plot_round_trip(tmp_path):
     trace = simulate(model, rc, np.array([1.5, 0.0]), W, 50)
     path = tmp_path / "trace.csv"
     formats.write_trace(path, trace, grid.dim, grid.input_dim, timestamp=False)
-    rows, reason, achieved = formats.parse_trace(path)
+    rows, reason, achieved = parse_trace(path)
     assert reason == trace.reason and achieved == trace.achieved
     assert len(rows) == len(trace.steps)
     for row, step in zip(rows, trace.steps):
@@ -169,7 +169,7 @@ def test_trace_and_plot_round_trip(tmp_path):
         assert np.allclose(row[1], step.state) and np.allclose(row[2], step.input)
     plot_path = tmp_path / "plot.csv"
     formats.write_plot(plot_path, ctrl, q, timestamp=False)
-    header, prows = formats.parse_plot(plot_path)
+    header, prows = parse_plot(plot_path)
     assert header == ["x1", "x2", "u1", "value"]
     assert len(prows) == len(ctrl.domain())
 
@@ -584,6 +584,26 @@ target.upper = [1]
 """)
     assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "error: matrix exponential overflow for model 'blow'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, code", [("double_integrator", cli.EXIT_CONFIG),
+                                        ("unicycle", cli.EXIT_OK)])
+def test_huge_sampling_period_never_raises_a_traceback(name, code, tmp_path, capsys):
+    # tau*A has a norm near the largest float: scaling it by 2^-s must not
+    # overflow computing 2^s. The double integrator's augmented exponential
+    # (tau^2/2 in its input integral) then overflows and exits 2; the
+    # unicycle's contraction is nilpotent, so e^{L tau} = I + L tau stays
+    # finite and every moving input is disabled.
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "configs", f"{name}.cfg")) as fh:
+        text = fh.read().replace("grid.tau = 1\n", "grid.tau = 1e308\n") \
+                        .replace("grid.tau = 0.5\n", "grid.tau = 1e308\n")
+    assert "grid.tau = 1e308\n" in text
+    cfg_path = write(tmp_path / f"{name}.cfg", text)
+    assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) == code
+    if code == cli.EXIT_CONFIG:
+        assert "error: matrix exponential overflow for model 'double_integrator'" \
+            in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symtoc import (DivergenceError, Model, SampledFlow, double_integrator,
                     growth_bound_dominates, growth_radius, input_deviation_radius,
-                    integrate, make_model, reach_radius, unicycle)
+                    integrate, make_model, one_period, reach_radius, unicycle)
 from symtoc.dynamics import _expm
 
 
@@ -57,6 +58,75 @@ def test_rk4_order_on_smooth_model():
     e_fine = np.abs(integrate(m, SampledFlow(tau, substeps=8), x0, u) - ref).max()
     factor = e_coarse / e_fine
     assert 8.0 <= factor <= 32.0
+
+
+# one_period against a 512-substep RK4: RK4's own error at that step is
+# below 1e-14 on both models, so the tolerance bounds the rounding of the
+# two ways, far below the builder's 1e-9 tie shave
+ONE_PERIOD_TOL = 1e-11
+
+taus = st.floats(0.05, 2.0)
+
+
+def _close_to_fine_rk4(model, tau, x, u):
+    x, u = np.array(x), np.array(u)
+    got = one_period(model, SampledFlow(tau), x, u)
+    want = integrate(model, SampledFlow(tau, substeps=512), x, u)
+    assert np.all(np.abs(got - want) <= ONE_PERIOD_TOL * (1.0 + np.abs(want))), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(taus, st.floats(-30, 30), st.floats(-30, 30), st.floats(-1, 1))
+@example(1.0, 0.0, 0.0, 1.0)
+@example(1.0, -30.0, 30.0, -1.0)
+@example(0.5, 30.0, -30.0, 0.0)
+def test_one_period_matches_fine_rk4_on_the_double_integrator(tau, x1, x2, u):
+    _close_to_fine_rk4(double_integrator(), tau, [x1, x2], [u])
+
+
+@settings(max_examples=200, deadline=None)
+@given(taus, st.floats(0, 5.1), st.floats(0, 2.1), st.floats(-np.pi, np.pi),
+       st.floats(0, 0.5), st.floats(-0.5, 0.5))
+@example(0.5, 1.0, 1.0, 0.3, 0.5, 0.0)                # omega = 0
+@example(0.5, 1.0, 1.0, np.pi - 1e-9, 0.5, 0.5)       # below the seam, turning across it
+@example(0.5, 1.0, 1.0, -np.pi + 1e-9, 0.5, -0.5)     # above the seam, turning across it
+@example(0.5, 1.0, 1.0, np.pi, 0.0, 0.5)              # v = 0 on the seam
+@example(2.0, 5.1, 2.1, -np.pi, 0.5, 0.5)             # extreme inputs and corner
+@example(2.0, 0.0, 0.0, np.pi, 0.0, -0.5)
+def test_one_period_matches_fine_rk4_on_the_unicycle(tau, x, y, theta, v, w):
+    _close_to_fine_rk4(unicycle(), tau, [x, y, theta], [v, w])
+
+
+def test_one_period_batch_matches_single_states():
+    rng = np.random.default_rng(3)
+    for model, xs, u in ((double_integrator(), rng.uniform(-5, 5, (20, 2)), np.array([0.3])),
+                         (unicycle(), rng.uniform(-3, 3, (20, 3)), np.array([0.4, -0.2]))):
+        batch = one_period(model, SampledFlow(0.5), xs, u)
+        for i in range(20):
+            assert np.array_equal(batch[i], one_period(model, SampledFlow(0.5), xs[i], u))
+
+
+def test_one_period_falls_back_to_rk4_without_an_exact_map():
+    m = Model(name="drift", dim=1, input_dim=1, field=lambda x, u: np.sin(x) + u,
+              contraction_matrix=[[1.0]])
+    x, u, flow = np.array([[0.3], [1.2]]), np.array([0.5]), SampledFlow(0.7)
+    assert np.array_equal(one_period(m, flow, x, u), integrate(m, flow, x, u))
+
+
+@pytest.mark.parametrize("model", [
+    double_integrator(),  # the derived linear map
+    unicycle(),           # the model's own flow_map
+    Model(name="drift", dim=2, input_dim=1, field=lambda x, u: np.sin(x) + u[..., :1],
+          contraction_matrix=np.eye(2)),  # the RK4 fallback
+], ids=["linear", "flow_map", "rk4"])
+def test_one_period_raises_on_a_non_finite_state(model):
+    x = np.zeros((3, model.dim))
+    x[1, 0] = np.nan
+    with pytest.raises(DivergenceError, match=f"model '{model.name}' diverged"):
+        one_period(model, SampledFlow(0.5), x, np.zeros(model.input_dim))
+    x[1, 0] = np.inf
+    with pytest.raises(DivergenceError, match="first bad batch entry 1"):
+        one_period(model, SampledFlow(0.5), x, np.zeros(model.input_dim))
 
 
 def test_growth_radius_double_integrator():

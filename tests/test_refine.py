@@ -9,6 +9,8 @@ from symtoc import (FiniteSystem, GridSpec, Quantizer, RefinedController,
 from symtoc.dynamics import Model
 from symtoc.refine import OUTSIDE, TARGET
 
+from helpers import parse_plot
+
 
 def line_grid():
     # 1-D grid with centers 0, 1, 2 and two grid inputs (0 and 1)
@@ -169,7 +171,7 @@ def test_plot_input_column_is_the_applied_input(di_problem, tmp_path):
     assert OUTSIDE not in chosen
     # one row per winning cell, in cell order
     formats.write_plot(tmp_path / "grid.csv", controller, quantizer, timestamp=False)
-    _, rows = formats.parse_plot(tmp_path / "grid.csv")
+    _, rows = parse_plot(tmp_path / "grid.csv")
     inputs = grid.input_values()
     assert len(rows) == winning.size
     for x, u, row in zip(winning, chosen, rows):
@@ -179,7 +181,7 @@ def test_plot_input_column_is_the_applied_input(di_problem, tmp_path):
         else:
             assert row[2] == inputs[u][0]
     formats.write_plot(tmp_path / "plain.csv", controller, timestamp=False)
-    _, rows = formats.parse_plot(tmp_path / "plain.csv")
+    _, rows = parse_plot(tmp_path / "plain.csv")
     assert [(x, u) for x, u, _ in rows] == \
         [(x, None if u == TARGET else u) for x, u in zip(winning.tolist(), chosen.tolist())]
 
