@@ -13,8 +13,7 @@ the least restrictive safety game.
 from .abstraction import (GridSpec, OutOfDomainError, Quantizer, TargetBox,
                           TargetSpec, build_abstraction, target_over, target_under)
 from .dynamics import (DivergenceError, Model, SampledFlow, double_integrator,
-                       growth_bound_dominates, growth_radius,
-                       input_deviation_radius, integrate, make_model,
+                       growth_radius, input_deviation_radius, integrate, make_model,
                        one_period, reach_radius, register_model, unicycle)
 from .fts import FiniteSystem, StateSet
 from .refine import RefinedController, Trace, TraceStep, simulate

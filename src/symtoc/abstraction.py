@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Model, SampledFlow, one_period, reach_radius
+from .dynamics import DivergenceError, Model, SampledFlow, one_period, reach_radius
 from .fts import FiniteSystem, StateSet, segment_indices
 
 _REL_TOL = 1e-9  # tolerance, in units of eta, for quantization ties and target covers
@@ -42,6 +42,10 @@ _REL_TOL = 1e-9  # tolerance, in units of eta, for quantization ties and target 
 # grids of different steps shave identically. Assumes coordinates and
 # integration noise well above 1e-12 in magnitude.
 _TIE_SHAVE = 1e-9
+# A coordinate of magnitude m is rounded by up to m * 2^-53 before a periodic
+# axis wraps it; past this magnitude that rounding exceeds the tie shave, so
+# the builder rejects such endpoints on periodic axes.
+_MAX_WRAPPED = _TIE_SHAVE * 2.0 ** 53
 _MAX_IDS = 2.0 ** 31  # state and input ids are stored as int32
 # Successors the builder enumerates per block: a block's int64 work arrays
 # stay near 256 KB, so the memory of a build does not grow with the
@@ -53,30 +57,32 @@ class OutOfDomainError(ValueError):
     """A concrete state fell outside the gridded region."""
 
 
-def _axis_cell_nonperiodic(vals, lo, eta, K):
+def _axis_cell(vals, lo, eta, K, period, periodic):
     """Nearest-center cell index per value, ties rounding half-up.
 
-    The closed top edge (last center + eta/2) clips to the last cell; no
-    range validation, callers decide how to treat out-of-range indices.
+    lo, eta, K, period and periodic broadcast against vals: one axis's
+    scalars, or one entry per column of a (points, dim) array. On a
+    non-periodic axis the closed top edge (last center + eta/2) clips to the
+    last cell; there is no range validation, callers decide how to treat
+    out-of-range indices. On a periodic axis values are taken on the circle,
+    and those in the seam gap past the last center map to whichever of the
+    last and first centers is closer (first on ties).
     """
-    v = (np.asarray(vals, dtype=float) - lo) / eta + 0.5
+    periodic = np.asarray(periodic)
+    # a scalar flag (the builder's per-axis calls) skips the reductions
+    wrap, every = (periodic.any(), periodic.all()) if periodic.ndim else (bool(periodic),) * 2
+    d = np.asarray(vals, dtype=float) - lo
+    if wrap:
+        np.mod(d, period, out=d, where=periodic)
+    v = d / eta + 0.5
     i = np.floor(v + _REL_TOL).astype(np.int64)
-    return np.where((i == K) & (v <= K + _REL_TOL), K - 1, i)
-
-
-def _axis_cell_periodic(vals, lo, eta, K, period):
-    """Nearest-center cell index on the circle.
-
-    Values falling in the seam gap past the last center map to whichever of
-    the last and first centers is closer (first on ties)."""
-    d = np.mod(np.asarray(vals, dtype=float) - lo, period)
-    i = np.floor(d / eta + 0.5 + _REL_TOL).astype(np.int64)
-    over = i >= K
-    if np.any(over):
-        d_over = d[over]
-        to_first = period - d_over
-        to_last = d_over - (K - 1) * eta
-        i[over] = np.where(to_first <= to_last, 0, K - 1)
+    if wrap:
+        seam = (i >= K) & periodic
+        if seam.any():
+            ds, Ks, etas, ps = (np.broadcast_to(a, i.shape)[seam] for a in (d, K, eta, period))
+            i[seam] = np.where(ps - ds <= ds - (Ks - 1) * etas, 0, Ks - 1)
+    if not every:
+        i = np.where((i == K) & (v <= K + _REL_TOL), K - 1, i)
     return i
 
 
@@ -190,6 +196,8 @@ class Quantizer:
         for k in range(grid.dim - 2, -1, -1):
             strides[k] = strides[k + 1] * self.cells[k + 1]
         self.strides = strides
+        self._periods = grid.periods()
+        self._periodic = np.array(grid.periodic)
         self._centers = None
 
     def index_to_coords(self, idx) -> np.ndarray:
@@ -200,10 +208,6 @@ class Quantizer:
             coords[..., k] = rem // self.strides[k]
             rem = rem % self.strides[k]
         return coords
-
-    def coords_to_index(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64)
-        return (coords * self.strides).sum(axis=-1)
 
     def center(self, idx) -> np.ndarray:
         coords = self.index_to_coords(idx)
@@ -231,17 +235,10 @@ class Quantizer:
         g = self.grid
         ok = np.isfinite(pts).all(axis=1)
         pts = np.where(ok[:, None], pts, g.domain_lower)
-        flat = np.zeros(len(pts), dtype=np.int64)
-        for k in range(g.dim):
-            K = int(self.cells[k])
-            lo, eta = g.domain_lower[k], g.eta[k]
-            if g.periodic[k]:
-                i = _axis_cell_periodic(pts[:, k], lo, eta, K, g.domain_upper[k] - lo)
-            else:
-                i = _axis_cell_nonperiodic(pts[:, k], lo, eta, K)
-                ok &= (i >= 0) & (i < K)
-            flat += i * self.strides[k]
-        flat = np.where(ok, flat, -1)
+        # periodic columns always come out in range
+        i = _axis_cell(pts, g.domain_lower, g.eta, self.cells, self._periods, self._periodic)
+        ok &= ((i >= 0) & (i < self.cells)).all(axis=1)
+        flat = np.where(ok, i @ self.strides, -1)
         return int(flat[0]) if x.ndim == 1 else flat
 
     def quantize(self, x) -> np.ndarray | int:
@@ -414,7 +411,8 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     successors are all cells the quantizer can map a point of the resulting
     box to. The input is disabled at a cell when the box is not contained in
     the domain (non-periodic axes). All cells are initial. Returns
-    (FiniteSystem, Quantizer).
+    (FiniteSystem, Quantizer). Raises DivergenceError when an endpoint on a
+    periodic axis is too large to wrap soundly (`_MAX_WRAPPED`).
 
     With input_margin (the config's `grid.input_margin`) the boxes also cover
     concrete inputs within mu/2 of each grid input, for plants whose
@@ -435,6 +433,7 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     n, N, M = grid.dim, quantizer.num_cells, inputs.shape[0]
     eta = grid.eta
     K = quantizer.cells
+    periods = grid.periods()
     abs_tol = _REL_TOL * eta
     eff_lo = grid.domain_lower
     last_center = grid.domain_lower + (K - 1) * eta
@@ -455,27 +454,33 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     def job(u):
         radius = reach_radius(model, flow, grid.eps, du=margin, u=inputs[u])
         nominal = one_period(model, flow, centers, inputs[u])
+        for k in np.flatnonzero(grid.periodic):
+            m = float(np.abs(nominal[:, k]).max())
+            if m > _MAX_WRAPPED:
+                raise DivergenceError(
+                    f"model '{model.name}': an endpoint on periodic axis x{k + 1} has "
+                    f"magnitude {m:.3g}, above {_MAX_WRAPPED:.3g}, where its rounding "
+                    f"exceeds the {_TIE_SHAVE:g} tie shave")
         blo = nominal - radius
         bhi = nominal + radius
         enabled = np.ones(N, dtype=bool)
         starts = np.zeros((N, n), dtype=np.int64)
         counts = np.ones((N, n), dtype=np.int64)
         for k in range(n):
-            lo = grid.domain_lower[k]
+            axis = (grid.domain_lower[k], eta[k], int(K[k]), periods[k], grid.periodic[k])
             if grid.periodic[k]:
-                period = grid.domain_upper[k] - lo
-                if 2.0 * radius[k] >= period - abs_tol[k]:
+                if 2.0 * radius[k] >= periods[k] - abs_tol[k]:
                     starts[:, k] = 0
                     counts[:, k] = K[k]
                     continue
-                s = _axis_cell_periodic(blo[:, k] + _TIE_SHAVE, lo, eta[k], int(K[k]), period)
-                e = _axis_cell_periodic(bhi[:, k] - top_shave, lo, eta[k], int(K[k]), period)
+                s = _axis_cell(blo[:, k] + _TIE_SHAVE, *axis)
+                e = _axis_cell(bhi[:, k] - top_shave, *axis)
                 starts[:, k] = s
                 counts[:, k] = np.mod(e - s, K[k]) + 1
             else:
                 enabled &= (blo[:, k] >= eff_lo[k] - abs_tol[k]) & (bhi[:, k] <= eff_hi[k] + abs_tol[k])
-                s = np.clip(_axis_cell_nonperiodic(blo[:, k] + _TIE_SHAVE, lo, eta[k], int(K[k])), 0, K[k] - 1)
-                e = np.clip(_axis_cell_nonperiodic(bhi[:, k] - top_shave, lo, eta[k], int(K[k])), 0, K[k] - 1)
+                s = np.clip(_axis_cell(blo[:, k] + _TIE_SHAVE, *axis), 0, K[k] - 1)
+                e = np.clip(_axis_cell(bhi[:, k] - top_shave, *axis), 0, K[k] - 1)
                 starts[:, k] = s
                 counts[:, k] = np.maximum(e - s + 1, 1)
         sel = np.flatnonzero(enabled)

@@ -53,10 +53,6 @@ class EntryTimeTable:
     num_states: int
     iterations: int
 
-    def entry_time(self, x: int):
-        lvl = int(self.levels[x])
-        return lvl - 1 if lvl <= self.num_states else math.inf
-
     def entry_times(self) -> np.ndarray:
         """Float vector of entry times with inf for unreachable states."""
         out = self.levels.astype(float) - 1.0
@@ -77,9 +73,6 @@ class SafetyController:
     allowed: np.ndarray  # bool, (num_states, num_inputs)
     domain: StateSet
     iterations: int = 0
-
-    def allowed_inputs(self, x: int) -> np.ndarray:
-        return np.flatnonzero(self.allowed[x])
 
 
 @dataclass

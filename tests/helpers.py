@@ -1,6 +1,7 @@
 """Independent oracles for the solver tests: definitional value iteration with
-plain Python dicts and sets, plus random system generators, and readers for
-the trace and plot CSVs that only the tests read back.
+plain Python dicts and sets, plus random system generators, readers for the
+trace and plot CSVs that only the tests read back, per-state accessors of
+the solver results, and a Monte-Carlo check of a model's growth bound.
 
 These deliberately avoid the package's layered/vectorized code paths: values
 are computed straight from the fixed-point definitions so solver bugs cannot
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from symtoc import FiniteSystem, StateSet
+from symtoc import FiniteSystem, StateSet, growth_radius, integrate
 from symtoc.formats import FormatError
 
 
@@ -221,3 +222,43 @@ def parse_plot(path):
     if header is None:
         raise FormatError("plot file has no header")
     return header, rows
+
+
+def entry_time(table, x):
+    """Entry time of state x in an EntryTimeTable: its level minus one, or
+    infinity at the sentinel level."""
+    lvl = int(table.levels[x])
+    return lvl - 1 if lvl <= table.num_states else math.inf
+
+
+def allowed_inputs(safety, x):
+    """Inputs a SafetyController allows at state x, ascending."""
+    return np.flatnonzero(safety.allowed[x])
+
+
+def coords_to_index(quantizer, coords):
+    """Flat cell index of per-axis grid coordinates (the last axis of coords)."""
+    return (np.asarray(coords, dtype=np.int64) * quantizer.strides).sum(axis=-1)
+
+
+def growth_bound_dominates(model, flow, r, domain_lower, domain_upper,
+                           input_lower, input_upper, samples=1000, seed=0):
+    """Monte-Carlo check that growth_radius dominates observed trajectory spread.
+
+    Draws random nominal states in the domain box, random inputs in the input
+    box, and random perturbed starts within infinity-distance r; returns True
+    if every perturbed endpoint stays inside the growth box of its nominal
+    endpoint.
+    """
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(domain_lower, dtype=float)
+    hi = np.asarray(domain_upper, dtype=float)
+    ilo = np.asarray(input_lower, dtype=float)
+    ihi = np.asarray(input_upper, dtype=float)
+    x = rng.uniform(lo, hi, size=(samples, model.dim))
+    u = rng.uniform(ilo, ihi, size=(samples, model.input_dim))
+    dx = rng.uniform(-r, r, size=(samples, model.dim))
+    nominal = integrate(model, flow, x, u)
+    perturbed = integrate(model, flow, x + dx, u)
+    bound = growth_radius(model, flow, r)
+    return bool(np.all(np.abs(perturbed - nominal) <= bound + 1e-12))

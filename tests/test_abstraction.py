@@ -13,6 +13,8 @@ from symtoc import (GridSpec, Model, OutOfDomainError, Quantizer, SampledFlow,
 from symtoc.config import parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY
 
+from helpers import coords_to_index
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -231,7 +233,7 @@ def test_target_free_dimension():
     for k in range(q.cells[2]):
         c = coords.copy()
         c[2] = k
-        assert int(q.coords_to_index(c)) in over
+        assert int(coords_to_index(q, c)) in over
 
 
 @st.composite
@@ -301,6 +303,20 @@ def test_periodic_quantize_wraps():
     assert near_pi != past_pi
     c = q.center(past_pi)
     assert c[2] == pytest.approx(-np.pi, abs=0.11)
+
+
+def test_periodic_seam_gap_maps_to_the_closer_center():
+    # heading centers 0 and 0.55 on a circle of period 1: past 0.825 a value
+    # is nearer the first center (one period on) than the last one
+    grid = GridSpec(tau=1, eta=[0.5, 0.55], mu=1, domain_lower=[0, 0], domain_upper=[1, 1],
+                    input_lower=[0], input_upper=[0], periodic=(False, True))
+    q = Quantizer(grid)
+    thetas = [0.0, 0.27, 0.28, 0.8, 0.82, 0.83, 0.9, 0.999, 1.0, -0.05, 1.3, 2.9]
+    want = [0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0]
+    rows = np.array([[0.7, t] for t in thetas])
+    cells = q.cell_index(rows)
+    assert q.index_to_coords(cells).tolist() == [[1, w] for w in want]
+    assert [q.cell_index(r) for r in rows] == cells.tolist()
 
 
 def test_periodic_successors_wrap_across_seam():

@@ -16,8 +16,8 @@ from symtoc import (GridSpec, SampledFlow, StateSet,
 from symtoc import formats
 
 from helpers import (aggregated_pair, brute_force_optimistic,
-                     brute_force_pessimistic, lift_targets, parse_trace,
-                     random_system, random_target)
+                     brute_force_pessimistic, entry_time, lift_targets,
+                     parse_trace, random_system, random_target)
 
 
 def _report(name):
@@ -40,8 +40,8 @@ def test_oracle_equivalence_exact():
         bf_pes = brute_force_pessimistic(s, W.indices())
         bf_opt = brute_force_optimistic(s, W.indices())
         for x in range(s.num_states):
-            assert pes.entry_time(x) == bf_pes[x]
-            assert opt.entry_time(x) == bf_opt[x]
+            assert entry_time(pes, x) == bf_pes[x]
+            assert entry_time(opt, x) == bf_opt[x]
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
     _report("oracle equivalence (200 random systems, exact)")
@@ -63,14 +63,14 @@ def test_entry_time_bound_ordering():
         true = brute_force_pessimistic(sys_b, w_b)
         for s in range(sys_b.num_states):
             a = int(group_of[s])
-            assert opt.entry_time(a) <= true[s] <= pes.entry_time(a), (i, s)
+            assert entry_time(opt, a) <= true[s] <= entry_time(pes, a), (i, s)
     for i in range(100):
         sys_a, sys_b, group_of, w_b = aggregated_pair(rng, deterministic=False)
         under, _ = lift_targets(group_of, sys_a.num_states, w_b)
         pes = solve_pessimistic(sys_a, StateSet(sys_a.num_states, under))
         true = brute_force_pessimistic(sys_b, w_b)
         for s in range(sys_b.num_states):
-            assert true[s] <= pes.entry_time(int(group_of[s])), (i, s)
+            assert true[s] <= entry_time(pes, int(group_of[s])), (i, s)
     _report("entry-time bound ordering (100 deterministic + 100 nondeterministic)")
 
 
@@ -92,7 +92,7 @@ def test_double_integrator_benchmark(di_bundle):
                          b.cfg.max_steps, lower=b.lower.entry_times())
         cell = int(b.quantizer.quantize(np.array(x0)))
         upper_here = b.controller.value(cell)
-        lower_here = b.lower.entry_time(cell)
+        lower_here = entry_time(b.lower, cell)
         assert trace.reason == "reached-target", x0
         assert trace.certified, x0
         assert lower_here <= trace.achieved <= upper_here, x0
@@ -167,7 +167,7 @@ def test_unicycle_safe_reach_benchmark(unicycle_bundle):
     visits = sum(1 for s in trace.steps if s.cell in b.unsafe)
     assert visits == 0
     cell = int(b.quantizer.quantize(x0))
-    lower_here = b.lower.entry_time(cell)
+    lower_here = entry_time(b.lower, cell)
     upper_here = b.controller.value(cell)
     assert lower_here <= trace.achieved <= upper_here
     assert trace.certified

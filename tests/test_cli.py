@@ -587,23 +587,28 @@ target.upper = [1]
 
 
 @pytest.mark.parametrize("name, code", [("double_integrator", cli.EXIT_CONFIG),
-                                        ("unicycle", cli.EXIT_OK)])
+                                        ("unicycle", cli.EXIT_CONFIG)])
 def test_huge_sampling_period_never_raises_a_traceback(name, code, tmp_path, capsys):
     # tau*A has a norm near the largest float: scaling it by 2^-s must not
     # overflow computing 2^s. The double integrator's augmented exponential
-    # (tau^2/2 in its input integral) then overflows and exits 2; the
-    # unicycle's contraction is nilpotent, so e^{L tau} = I + L tau stays
-    # finite and every moving input is disabled.
+    # (tau^2/2 in its input integral) then overflows. The unicycle's
+    # contraction is nilpotent, so e^{L tau} = I + L tau stays finite, but
+    # its heading endpoints theta + omega*tau are far off the circle, where
+    # rounding swamps theta: the builder rejects them rather than wrap them.
+    message = {"double_integrator": "error: matrix exponential overflow for model "
+                                    "'double_integrator'",
+               "unicycle": "error: model 'unicycle': an endpoint on periodic axis x3 "
+                           "has magnitude 5e+"}[name]
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(here, "configs", f"{name}.cfg")) as fh:
-        text = fh.read().replace("grid.tau = 1\n", "grid.tau = 1e308\n") \
-                        .replace("grid.tau = 0.5\n", "grid.tau = 1e308\n")
-    assert "grid.tau = 1e308\n" in text
-    cfg_path = write(tmp_path / f"{name}.cfg", text)
-    assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) == code
-    if code == cli.EXIT_CONFIG:
-        assert "error: matrix exponential overflow for model 'double_integrator'" \
-            in capsys.readouterr().err
+        shipped = fh.read()
+    for tau in ("1e308", "1e300"):
+        text = shipped.replace("grid.tau = 1\n", f"grid.tau = {tau}\n") \
+                      .replace("grid.tau = 0.5\n", f"grid.tau = {tau}\n")
+        assert f"grid.tau = {tau}\n" in text
+        cfg_path = write(tmp_path / f"{name}.cfg", text)
+        assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,11 +1,16 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symtoc import (DivergenceError, Model, SampledFlow, double_integrator,
-                    growth_bound_dominates, growth_radius, input_deviation_radius,
-                    integrate, make_model, one_period, reach_radius, unicycle)
+                    growth_radius, input_deviation_radius, integrate, make_model,
+                    one_period, reach_radius, unicycle)
 from symtoc.dynamics import _expm
+
+from helpers import growth_bound_dominates
 
 
 def rel_inf_error(got, want):
@@ -45,6 +50,65 @@ def test_batch_integration_matches_single():
     batch = integrate(m, flow, xs, u)
     for i in range(20):
         assert np.allclose(batch[i], integrate(m, flow, xs[i], u), atol=1e-14)
+
+
+def _conveyor():
+    """The benchmark's `conveyor` model (perfbench/conveyor.py), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "conveyor.py"
+    spec = importlib.util.spec_from_file_location("perfbench_conveyor", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.conveyor(length=3000.0)
+
+
+# (model, tau, state box, input box) as the shipped configs and the
+# benchmark's game_chain workload use them
+INTEGRATE_CASES = {
+    "double_integrator": (double_integrator(), 1.0, ([-30, -30], [30, 30]), ([-1], [1])),
+    "unicycle": (unicycle(), 0.5, ([0.1, 0.1, -np.pi], [5.1, 2.1, np.pi]), ([0, -0.5], [0.5, 0.5])),
+    "conveyor": (_conveyor(), 1.0, ([0], [3000]), ([-1], [2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_CASES))
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(1, 0)
+@example(300, 1)
+def test_batch_integration_equals_single_states_bit_for_bit(name, k, seed):
+    # a lockstep simulation that steps k states in one call must reproduce
+    # the k one-state runs exactly; NumPy does not promise that for its
+    # vectorized loops, so it is pinned here
+    model, tau, (lo, hi), (ilo, ihi) = INTEGRATE_CASES[name]
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(lo, hi, size=(k, model.dim))
+    us = rng.uniform(ilo, ihi, size=(k, model.input_dim))
+    us[rng.random(k) < 0.5] = ilo  # some rows share an input, as grid inputs do
+    flow = SampledFlow(tau)
+    batch = integrate(model, flow, xs, us)
+    singles = np.stack([integrate(model, flow, xs[i], us[i]) for i in range(k)])
+    assert batch.tobytes() == singles.tobytes()
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("j", range(1, 11))
+def test_integrate_raises_when_the_field_turns_non_finite_at_any_substep(j, batch):
+    # the first field call of substep j returns inf, -inf or nan (in row 2
+    # of a batch); the endpoint check must still raise, naming the model
+    calls = []
+
+    def field(x, u):
+        calls.append(None)
+        out = np.zeros_like(x) + u
+        if len(calls) == 4 * (j - 1) + 1:
+            out[(2, 0) if batch else (0,)] = (np.inf, -np.inf, np.nan)[j % 3]
+        return out
+
+    model = Model(name="spike", dim=1, input_dim=1, field=field, contraction_matrix=[[0.0]])
+    x = np.zeros((5, 1)) if batch else np.zeros(1)
+    match = "model 'spike' diverged" + (r" \(first bad batch entry 2" if batch else "")
+    with pytest.raises(DivergenceError, match=match):
+        integrate(model, SampledFlow(1.0), x, np.array([0.5]))
 
 
 def test_rk4_order_on_smooth_model():

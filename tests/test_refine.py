@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,14 @@ from symtoc import (FiniteSystem, GridSpec, Quantizer, RefinedController,
                     double_integrator, extract_controller, formats, integrate,
                     simulate, solve_pessimistic, synthesize, target_over,
                     target_under, unicycle)
-from symtoc.dynamics import Model
+from symtoc import cli
+from symtoc.config import parse_config_text
+from symtoc.dynamics import MODEL_REGISTRY, Model
 from symtoc.refine import OUTSIDE, TARGET
 
 from helpers import parse_plot
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def line_grid():
@@ -227,3 +234,57 @@ def test_controller_quantizer_size_mismatch():
                     input_lower=[0], input_upper=[1])
     with pytest.raises(ValueError):
         RefinedController(ctrl, Quantizer(grid))
+
+
+# sha256 of the files `simulate --no-timestamp` writes (every trace CSV and
+# the report; see _simulate_digest), recorded before the single-state step
+# was made leaner: neither the per-period finiteness check nor the one-call
+# quantizer may move a byte. The workloads run with the starts that
+# perfbench/workloads.py draws for TRACE_SEED; the shipped configs use their
+# own simulate.initial.<k> starts.
+TRACE_SEED = 1
+TRACE_SHA256 = {
+    "double_integrator.cfg": "ea90be8b4663b2260ad384e1f34450544aa32c7f1f6a9023b60f5e4fe8b5e97e",
+    "unicycle.cfg": "eb7055a2a56d3e9cb2ba48d77f5da9ce891f1459df86eae7928a1969b7088d38",
+    "di_pipeline": "a70f9fcb8d03ebec271ca447ae1f0000dddc3023400860b1f8490741801dc55e",
+    "unicycle_pipeline": "0135c51d14420a99e4efd44e2afbc64590e155e2a7567e945dcce67d477cb469",
+    "game_chain": "9114404cb4b38493fe2ee01ff52ae190e9655460fe47bc6fac63f5dd6787c81d",
+}
+
+
+def _simulate_digest(code, out_dir):
+    """One sha256 over the exit code and each written file's name and sha256."""
+    h = hashlib.sha256(f"exit {code}\n".encode())
+    for path in sorted(Path(out_dir).iterdir()):
+        h.update(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return h.hexdigest()
+
+
+def test_trace_bytes_are_pinned_on_the_shipped_configs_and_benchmark_workloads(
+        di_bundle, unicycle_bundle, tmp_path, monkeypatch):
+    got = {}
+    for name, b in (("double_integrator.cfg", di_bundle), ("unicycle.cfg", unicycle_bundle)):
+        ctl, bounds, out = tmp_path / f"{name}.ctl", tmp_path / f"{name}.csv", tmp_path / name
+        formats.write_controller(ctl, b.controller, grid=b.cfg.grid, timestamp=False)
+        formats.write_bounds(bounds, b.lower, b.controller, timestamp=False)
+        out.mkdir()
+        code = cli.cmd_simulate(b.cfg, ctl, out_dir=out, bounds_path=bounds, timestamp=False)
+        got[name] = _simulate_digest(code, out)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import conveyor
+    import workloads
+    monkeypatch.setitem(MODEL_REGISTRY, conveyor.MODEL_ID, conveyor.conveyor)
+    for w in workloads.WORKLOADS.values():
+        work, out = tmp_path / f"{w.name}_work", tmp_path / w.name
+        work.mkdir()
+        out.mkdir()
+        cfg_path = str(workloads.write_inputs(ROOT, w, TRACE_SEED, work / "run.cfg"))
+        cfg = parse_config_text(Path(cfg_path).read_text())
+        common = ["--config", cfg_path, "--out", str(work), "--no-timestamp"]
+        assert cli.main(["abstract", *common, "--threads", str(w.threads)]) == cli.EXIT_OK
+        assert cli.main(["synthesize", *common]) == cli.EXIT_OK
+        code = cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--no-timestamp",
+                         "--controller", str(work / cfg.output_path("controller")),
+                         "--bounds", str(work / cfg.output_path("bounds"))])
+        got[w.name] = _simulate_digest(code, out)
+    assert got == TRACE_SHA256

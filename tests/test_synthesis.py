@@ -9,8 +9,8 @@ from symtoc import (FiniteSystem, IntegrityError, StateSet, extract_controller,
                     reach_step, solve_optimistic, solve_pessimistic,
                     solve_safety, synthesis, synthesize)
 
-from helpers import (adversarial_worst_case, brute_force_optimistic,
-                     brute_force_pessimistic, brute_force_safety,
+from helpers import (adversarial_worst_case, allowed_inputs, brute_force_optimistic,
+                     brute_force_pessimistic, brute_force_safety, entry_time,
                      random_system, random_target)
 
 
@@ -32,12 +32,12 @@ def branching():
 def test_pessimistic_chain():
     t = solve_pessimistic(chain(), StateSet(3, [2]))
     assert t.levels.tolist() == [3, 2, 1]
-    assert [t.entry_time(x) for x in range(3)] == [2, 1, 0]
+    assert [entry_time(t, x) for x in range(3)] == [2, 1, 0]
 
 
 def test_pessimistic_branching():
     t = solve_pessimistic(branching(), StateSet(3, [2]))
-    assert [t.entry_time(x) for x in range(3)] == [2, 1, 0]
+    assert [entry_time(t, x) for x in range(3)] == [2, 1, 0]
 
 
 def test_pessimistic_full_and_empty_target():
@@ -45,25 +45,25 @@ def test_pessimistic_full_and_empty_target():
     t = solve_pessimistic(s, StateSet.full(3))
     assert t.levels.tolist() == [1, 1, 1]
     t = solve_pessimistic(s, StateSet(3, []))
-    assert [t.entry_time(x) for x in range(3)] == [math.inf] * 3
+    assert [entry_time(t, x) for x in range(3)] == [math.inf] * 3
 
 
 def test_optimistic_branching_beats_pessimistic():
     s = branching()
     opt = solve_optimistic(s, StateSet(3, [2]))
-    assert [opt.entry_time(x) for x in range(3)] == [1, 1, 0]
+    assert [entry_time(opt, x) for x in range(3)] == [1, 1, 0]
     pes = solve_pessimistic(s, StateSet(3, [2]))
-    assert opt.entry_time(0) < pes.entry_time(0)
+    assert entry_time(opt, 0) < entry_time(pes, 0)
 
 
 def test_optimistic_equals_pessimistic_on_deterministic():
     t = solve_optimistic(chain(), StateSet(3, [2]))
-    assert [t.entry_time(x) for x in range(3)] == [2, 1, 0]
+    assert [entry_time(t, x) for x in range(3)] == [2, 1, 0]
 
 
 def test_optimistic_empty_target():
     t = solve_optimistic(branching(), StateSet(3, []))
-    assert all(t.entry_time(x) == math.inf for x in range(3))
+    assert all(entry_time(t, x) == math.inf for x in range(3))
 
 
 def test_optimistic_matches_materialized_determinization(wave_path):
@@ -94,8 +94,8 @@ def test_solvers_match_brute_force(wave_path):
         bf_pes = brute_force_pessimistic(s, W.indices())
         bf_opt = brute_force_optimistic(s, W.indices())
         for x in range(s.num_states):
-            assert pes.entry_time(x) == bf_pes[x]
-            assert opt.entry_time(x) == bf_opt[x]
+            assert entry_time(pes, x) == bf_pes[x]
+            assert entry_time(opt, x) == bf_opt[x]
 
 
 def test_fixed_point_within_state_count_iterations():
@@ -154,7 +154,7 @@ def test_safety_all_safe_nonblocking():
     ctrl = solve_safety(s, StateSet.full(2))
     assert len(ctrl.domain) == 2
     for x in range(2):
-        assert ctrl.allowed_inputs(x).tolist() == [0, 1]
+        assert allowed_inputs(ctrl, x).tolist() == [0, 1]
 
 
 def test_safety_hand_example():
@@ -162,7 +162,7 @@ def test_safety_hand_example():
     s = FiniteSystem(3, 2, {(0, 0): [0], (0, 1): [1], (1, 0): [2]})
     ctrl = solve_safety(s, StateSet(3, [0, 1]))
     assert ctrl.domain.indices().tolist() == [0]
-    assert ctrl.allowed_inputs(0).tolist() == [0]
+    assert allowed_inputs(ctrl, 0).tolist() == [0]
     assert ctrl.iterations == 2  # 2 is unsafe (level 1), 1 is lost next (level 2)
 
 
@@ -189,7 +189,7 @@ def test_safety_matches_brute_force(wave_path):
         z, allowed = brute_force_safety(s, safe.indices())
         assert set(ctrl.domain.indices().tolist()) == z
         for x in z:
-            assert ctrl.allowed_inputs(x).tolist() == allowed[x]
+            assert allowed_inputs(ctrl, x).tolist() == allowed[x]
         assert not ctrl.allowed[~ctrl.domain.mask].any()
 
     rng = np.random.default_rng(31)
@@ -431,11 +431,11 @@ def test_safe_reach_detour_is_strictly_slower():
     })
     W = StateSet(5, [3])
     unconstrained = solve_pessimistic(s, W)
-    assert unconstrained.entry_time(0) == 2
+    assert entry_time(unconstrained, 0) == 2
     unsafe = StateSet(5, [1])
     ctrl, lower = synthesize(s, W, W, unsafe)
     assert ctrl.value(0) == 3
-    assert lower.entry_time(0) == 3  # the optimistic game avoids state 1 too
+    assert entry_time(lower, 0) == 3  # the optimistic game avoids state 1 too
     safety = solve_safety(s, ~unsafe)
     assert safety.domain.indices().tolist() == [0, 2, 3, 4]
     bf = brute_force_pessimistic(s.restrict(safety.allowed), (W & safety.domain).indices())
