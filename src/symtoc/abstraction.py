@@ -198,6 +198,8 @@ class Quantizer:
         self.strides = strides
         self._periods = grid.periods()
         self._periodic = np.array(grid.periodic)
+        # distance from the lower edge past which a point is off the grid
+        self._reach = np.where(self._periodic, np.inf, (self.cells + 1) * grid.eta)
         self._centers = None
 
     def index_to_coords(self, idx) -> np.ndarray:
@@ -233,7 +235,9 @@ class Quantizer:
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         g = self.grid
-        ok = np.isfinite(pts).all(axis=1)
+        # non-finite and far off-grid points are replaced before their
+        # index could overflow the int64 cast
+        ok = (np.abs(pts - g.domain_lower) < self._reach).all(axis=1)
         pts = np.where(ok[:, None], pts, g.domain_lower)
         # periodic columns always come out in range
         i = _axis_cell(pts, g.domain_lower, g.eta, self.cells, self._periods, self._periodic)
@@ -410,9 +414,9 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     (input-specific when the model provides per-input contraction data);
     successors are all cells the quantizer can map a point of the resulting
     box to. The input is disabled at a cell when the box is not contained in
-    the domain (non-periodic axes). All cells are initial. Returns
-    (FiniteSystem, Quantizer). Raises DivergenceError when an endpoint on a
-    periodic axis is too large to wrap soundly (`_MAX_WRAPPED`).
+    the domain (non-periodic axes). Returns (FiniteSystem, Quantizer).
+    Raises DivergenceError when an endpoint on a periodic axis is too large
+    to wrap soundly (`_MAX_WRAPPED`).
 
     With input_margin (the config's `grid.input_margin`) the boxes also cover
     concrete inputs within mu/2 of each grid input, for plants whose
@@ -525,5 +529,4 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     targets = np.zeros(offsets[-1], dtype=np.int32)
     for u, (sel, tot, tgt) in enumerate(results):
         targets[segment_indices(offsets[sel * M + u], tot)] = tgt
-    system = FiniteSystem.from_csr(N, M, offsets, targets, initial=StateSet.full(N))
-    return system, quantizer
+    return FiniteSystem.from_csr(N, M, offsets, targets), quantizer

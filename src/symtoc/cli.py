@@ -29,11 +29,6 @@ EXIT_EMPTY_WINNING = 3
 EXIT_CERTIFICATION = 4
 
 
-def _out_path(out_dir, name):
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
 def _state_ids(key, states, num_states):
     """Explicit state ids from the config key `key`, each checked against the system."""
     bad = [s for s in states if not 0 <= s < num_states]
@@ -72,6 +67,7 @@ def _unsafe_cells(cfg: ProblemConfig, system, grid):
 
 
 def cmd_abstract(cfg: ProblemConfig, out_dir=".", threads=1, timestamp=True) -> int:
+    os.makedirs(out_dir, exist_ok=True)
     if cfg.grid is None:
         raise ConfigError("abstract needs a grid section")
     model = cfg.build_model()
@@ -79,7 +75,7 @@ def cmd_abstract(cfg: ProblemConfig, out_dir=".", threads=1, timestamp=True) -> 
     system, _ = build_abstraction(model, cfg.grid, threads=threads,
                                   input_margin=cfg.input_margin)
     elapsed = time.perf_counter() - t0
-    path = _out_path(out_dir, cfg.output_path("system"))
+    path = os.path.join(out_dir, cfg.output_path("system"))
     formats.write_system(path, system, grid=cfg.grid, timestamp=timestamp)
     print(f"abstract: {system.num_states} states, {system.num_inputs} inputs, "
           f"{system.num_transitions} transitions in {elapsed:.1f}s -> {path}")
@@ -93,12 +89,13 @@ def _synthesize(cfg: ProblemConfig, system, grid):
 
 
 def cmd_synthesize(cfg: ProblemConfig, system_path, out_dir=".", timestamp=True) -> int:
+    os.makedirs(out_dir, exist_ok=True)
     system, grid = formats.parse_system(system_path)
     t0 = time.perf_counter()
     controller, lower = _synthesize(cfg, system, grid)
     elapsed = time.perf_counter() - t0
-    ctl_path = _out_path(out_dir, cfg.output_path("controller"))
-    bounds_path = _out_path(out_dir, cfg.output_path("bounds"))
+    ctl_path = os.path.join(out_dir, cfg.output_path("controller"))
+    bounds_path = os.path.join(out_dir, cfg.output_path("bounds"))
     formats.write_controller(ctl_path, controller, grid=grid, timestamp=timestamp)
     formats.write_bounds(bounds_path, lower, controller, timestamp=timestamp)
     winning = len(controller.domain())
@@ -112,6 +109,7 @@ def cmd_synthesize(cfg: ProblemConfig, system_path, out_dir=".", timestamp=True)
 
 def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
                  bounds_path=None, timestamp=True) -> int:
+    os.makedirs(out_dir, exist_ok=True)
     controller, grid = formats.parse_controller(controller_path)
     if grid is None:
         raise ConfigError("simulate needs a controller with grid metadata")
@@ -125,7 +123,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
         raise ConfigError("configured model does not match the controller's grid")
     rc = RefinedController(controller, Quantizer(grid))
     if bounds_path is None:
-        candidate = _out_path(out_dir, cfg.output_path("bounds"))
+        candidate = os.path.join(out_dir, cfg.output_path("bounds"))
         bounds_path = candidate if os.path.exists(candidate) else None
     lower = None
     if bounds_path is not None:
@@ -143,7 +141,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
                 f"{formats._fmt_entry_time(upper[x])}, the controller's value "
                 f"{formats._fmt_entry_time(values[x])}")
     unsafe = _unsafe_cells(cfg, controller, grid)
-    report_path = _out_path(out_dir, cfg.output_path("report"))
+    report_path = os.path.join(out_dir, cfg.output_path("report"))
     all_ok = True
     with open(report_path, "w") as rep:
         if timestamp:
@@ -151,7 +149,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
         rep.write("trace,reason,initial_cell,lower,achieved,upper,obstacle_visits,certified\n")
         for i, x0 in cfg.initial_states.items():
             trace = simulate(model, rc, x0, cfg.target, cfg.max_steps, lower=lower)
-            trace_path = _out_path(out_dir, f"{cfg.output_path('trace_prefix')}_{i}.csv")
+            trace_path = os.path.join(out_dir, f"{cfg.output_path('trace_prefix')}_{i}.csv")
             formats.write_trace(trace_path, trace, grid.dim, grid.input_dim,
                                 timestamp=timestamp)
             visits = (sum(1 for s in trace.steps if s.cell in unsafe)
@@ -173,6 +171,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
 
 
 def cmd_export_plot(controller_path, out_path, timestamp=True) -> int:
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     controller, grid = formats.parse_controller(controller_path)
     quantizer = Quantizer(grid) if grid is not None else None
     formats.write_plot(out_path, controller, quantizer, timestamp=timestamp)
@@ -262,7 +261,7 @@ def main(argv=None) -> int:
                 raise ConfigError("export-plot needs --controller or --config")
             ctl_path = args.controller or os.path.join(args.out, cfg.output_path("controller"))
             plot_name = cfg.output_path("plot") if cfg else "controller_plot.csv"
-            return cmd_export_plot(ctl_path, _out_path(args.out, plot_name),
+            return cmd_export_plot(ctl_path, os.path.join(args.out, plot_name),
                                    timestamp=not args.no_timestamp)
         if args.command == "bounds":
             system_path = args.system or os.path.join(args.out, cfg.output_path("system"))

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .abstraction import GridSpec, Quantizer
-from .fts import FiniteSystem, StateSet, segment_indices
+from .fts import FiniteSystem, segment_indices
 from .refine import TARGET, applied_inputs
 from .synthesis import EntryTimeTable, SymbolicController
 
@@ -38,6 +38,13 @@ class FormatError(ValueError):
 
 def _timestamp_line():
     return f"# written: {datetime.now(timezone.utc).isoformat(timespec='seconds')}\n"
+
+
+_SHOWN_CHARS = 40  # an error message echoes at most this much of a bad line
+
+
+def _shown(line: str) -> str:
+    return line if len(line) <= _SHOWN_CHARS else line[:_SHOWN_CHARS] + "..."
 
 
 def _fmt_num(v) -> str:
@@ -338,13 +345,12 @@ def _sorted_tails(key, lines, tail_len, tail, what):
     return tail[segment_indices(starts[order], tail_len[order])]
 
 
-def _read_artifact(path, magic, tag, keys, what):
-    """Shared reader of STS1/CTL1: magic line, header lines, grid metadata, records.
+def _read_artifact(path, magic, tag, what):
+    """Shared reader of STS1/CTL1: magic line, `states N` and `inputs M`
+    header lines, grid metadata, records.
 
-    `keys` are the allowed header keywords, each required once. Returns the
-    states and inputs counts, a dict of (line number, list of ints) for each
-    keyword, the grid, and (record line numbers, per-field token counts,
-    token values).
+    Returns the states and inputs counts, the grid, and (record line
+    numbers, per-field token counts, token values).
     """
     header, grid_entries = {}, {}
 
@@ -355,37 +361,32 @@ def _read_artifact(path, magic, tag, keys, what):
         if line.startswith("#"):
             return
         key, *values = line.split()
-        if key not in keys:
-            raise FormatError(f"line {lineno}: unrecognized line '{line}'")
+        if key not in ("states", "inputs"):
+            raise FormatError(f"line {lineno}: unrecognized line '{_shown(line)}'")
         if key in header:
             raise FormatError(f"line {lineno}: repeated '{key}' line")
-        joined = "".join(values)
-        if values and not (joined.isascii() and joined.isdigit()
-                           and max(map(len, values)) <= _MAX_DIGITS):
-            raise FormatError(f"line {lineno}: '{key}' takes decimal numbers")
-        header[key] = (lineno, [int(v) for v in values])
+        if not (len(values) == 1 and values[0].isascii() and values[0].isdigit()
+                and len(values[0]) <= _MAX_DIGITS):
+            raise FormatError(f"line {lineno}: '{key}' takes one decimal number")
+        header[key] = (lineno, int(values[0]))
 
     with open(path, "rb") as fh:
         first = fh.readline().decode(errors="replace").strip()
         if first != magic:
             article = "an" if magic == "STS1" else "a"
-            raise FormatError(f"not {article} {magic} file (header '{first}')")
+            raise FormatError(f"not {article} {magic} file (header '{_shown(first)}')")
         records = _scan(fh, 2, tag, b":", 2, what, on_line)
-    if any(k not in header for k in keys):
-        raise FormatError(f"missing {'/'.join(keys)} header")
-    for k in ("states", "inputs"):
-        if len(header[k][1]) != 1:
-            raise FormatError(f"line {header[k][0]}: '{k}' takes one number")
-    ready = max(header["states"][0], header["inputs"][0])
-    if records[0].size and records[0][0] < ready:
+    if len(header) < 2:
+        raise FormatError("missing states/inputs header")
+    (states_line, n), (inputs_line, m) = header["states"], header["inputs"]
+    if records[0].size and records[0][0] < max(states_line, inputs_line):
         raise FormatError(f"line {records[0][0]}: {what} before states/inputs header")
-    n, m = header["states"][1][0], header["inputs"][1][0]
     grid = _parse_grid_block(grid_entries)
     if grid is not None and grid.num_cells != n:
         raise FormatError("grid metadata cell count does not match the state count")
     if grid is not None and grid.num_inputs != m:
         raise FormatError("grid metadata input count does not match the input count")
-    return n, m, header, grid, records
+    return n, m, grid, records
 
 
 def _header_bytes(magic, grid, timestamp, lines):
@@ -405,8 +406,7 @@ def write_system(path, sys: FiniteSystem, grid: GridSpec | None = None,
     pairs = np.flatnonzero(np.diff(offsets) > 0)
     with open(path, "wb") as fh:
         fh.write(_header_bytes("STS1", grid, timestamp, [
-            f"states {sys.num_states}\n", f"inputs {sys.num_inputs}\n",
-            "initial " + " ".join(map(str, sys.initial.indices().tolist())) + "\n"]))
+            f"states {sys.num_states}\n", f"inputs {sys.num_inputs}\n"]))
 
         def tokens_of(a, b):
             x, u = np.divmod(pairs[a:b], sys.num_inputs)
@@ -418,8 +418,7 @@ def write_system(path, sys: FiniteSystem, grid: GridSpec | None = None,
 def parse_system(path):
     """Read an STS1 file; returns (FiniteSystem, GridSpec or None)."""
     what = "transition line"
-    n, m, header, grid, (lines, counts, values) = _read_artifact(
-        path, "STS1", b"t", ("states", "inputs", "initial"), what)
+    n, m, grid, (lines, counts, values) = _read_artifact(path, "STS1", b"t", what)
     x, u, tail_len, succ = _tagged_records(lines, counts, values, what)
     if (tail_len == 0).any():
         raise FormatError(f"line {lines[np.argmax(tail_len == 0)]}: empty successor list")
@@ -427,16 +426,12 @@ def parse_system(path):
     if bad.any():
         raise FormatError(f"line {lines[np.argmax(bad)]}: state or input out of range")
     _check_tail(lines, tail_len, succ, n, "successor")
-    init_line, initial = header["initial"]
-    if initial and max(initial) >= n:
-        raise FormatError(f"line {init_line}: initial state {max(initial)} out of range")
     pair = x.astype(np.int64) * m + u
     targets = _sorted_tails(pair, lines, tail_len, succ, "(state,input) " + what)
     offsets = np.zeros(n * m + 1, dtype=np.int64)
     offsets[pair + 1] = tail_len
     np.cumsum(offsets, out=offsets)
-    system = FiniteSystem.from_csr(n, m, offsets, targets, initial=StateSet(n, initial))
-    return system, grid
+    return FiniteSystem.from_csr(n, m, offsets, targets), grid
 
 
 # -- CTL1 controller files ------------------------------------------------
@@ -459,8 +454,7 @@ def write_controller(path, ctrl: SymbolicController, grid: GridSpec | None = Non
 def parse_controller(path):
     """Read a CTL1 file; returns (SymbolicController, GridSpec or None)."""
     what = "controller line"
-    n, m, _, grid, (lines, counts, values) = _read_artifact(
-        path, "CTL1", b"c", ("states", "inputs"), what)
+    n, m, grid, (lines, counts, values) = _read_artifact(path, "CTL1", b"c", what)
     x, value, tail_len, inputs = _tagged_records(lines, counts, values, what)
     bad = (x >= n) | (value >= n)
     if bad.any():
@@ -516,7 +510,7 @@ def parse_bounds(path):
     """
     def on_line(lineno, line):
         if not (line.startswith("#") or line.startswith("state,")):
-            raise FormatError(f"line {lineno}: malformed bounds row '{line}'")
+            raise FormatError(f"line {lineno}: malformed bounds row '{_shown(line)}'")
 
     with open(path, "rb") as fh:
         lines, counts, values = _scan(fh, 1, None, b",", 3, "bounds row", on_line, inf=True)

@@ -34,12 +34,6 @@ class StateSet:
         s.mask = np.asarray(mask, dtype=bool).copy()
         return s
 
-    @classmethod
-    def full(cls, num_states: int) -> "StateSet":
-        s = cls.__new__(cls)
-        s.mask = np.ones(int(num_states), dtype=bool)
-        return s
-
     @property
     def num_states(self) -> int:
         return self.mask.size
@@ -88,8 +82,7 @@ class FiniteSystem:
     """
 
     def __init__(self, num_states, num_inputs,
-                 transitions: Mapping[tuple, Iterable[int]] | None = None,
-                 initial: StateSet | Iterable[int] | None = None):
+                 transitions: Mapping[tuple, Iterable[int]] | None = None):
         num_states = int(num_states)
         num_inputs = int(num_inputs)
         if num_states < 0 or num_inputs < 0:
@@ -113,11 +106,10 @@ class FiniteSystem:
         for (x, u), arr in cleaned.items():
             k = x * num_inputs + u
             targets[offsets[k]:offsets[k + 1]] = arr
-        self._init_from_csr(num_states, num_inputs, offsets, targets, initial)
+        self._init_from_csr(num_states, num_inputs, offsets, targets)
 
     @classmethod
-    def from_csr(cls, num_states, num_inputs, offsets, targets,
-                 initial=None) -> "FiniteSystem":
+    def from_csr(cls, num_states, num_inputs, offsets, targets) -> "FiniteSystem":
         """Build directly from the compressed layout, after checking it."""
         sys = cls.__new__(cls)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -130,26 +122,16 @@ class FiniteSystem:
             raise ValueError("offsets must be nondecreasing")
         if targets.size and (targets.min() < 0 or targets.max() >= num_states):
             raise IndexError("successor out of range")
-        sys._init_from_csr(int(num_states), int(num_inputs), offsets, targets, initial)
+        sys._init_from_csr(int(num_states), int(num_inputs), offsets, targets)
         return sys
 
-    def _init_from_csr(self, num_states, num_inputs, offsets, targets, initial):
+    def _init_from_csr(self, num_states, num_inputs, offsets, targets):
         self.num_states = num_states
         self.num_inputs = num_inputs
         self._offsets = offsets
         self._targets = targets
-        if initial is None:
-            init = StateSet.full(num_states)
-        elif isinstance(initial, StateSet):
-            if initial.num_states != num_states:
-                raise ValueError("initial set sized for a different system")
-            init = StateSet.from_mask(initial.mask)
-        else:
-            init = StateSet(num_states, initial)
-        self.initial = init
         self._offsets.setflags(write=False)
         self._targets.setflags(write=False)
-        self.initial.mask.setflags(write=False)
         self._reverse_cache = None
 
     # -- basic queries -------------------------------------------------
@@ -188,33 +170,18 @@ class FiniteSystem:
     # -- restriction ---------------------------------------------------
 
     def restrict(self, allowed) -> "FiniteSystem":
-        """Keep transition (x,u,.) iff u is allowed at x; initial set unchanged.
-
-        `allowed` is either a mapping state -> iterable of inputs (states not
-        mentioned keep nothing) or a bool array of shape (num_states, num_inputs).
-        """
-        if isinstance(allowed, np.ndarray):
-            if allowed.shape != (self.num_states, self.num_inputs):
-                raise ValueError("allowed matrix has wrong shape")
-            keep = allowed.astype(bool).ravel()
-        else:
-            keep = np.zeros(self.num_states * self.num_inputs, dtype=bool)
-            for x, inputs in allowed.items():
-                x = int(x)
-                if not (0 <= x < self.num_states):
-                    raise IndexError(f"state index {x} out of range")
-                for u in inputs:
-                    u = int(u)
-                    if not (0 <= u < self.num_inputs):
-                        raise IndexError(f"input index {u} out of range")
-                    keep[x * self.num_inputs + u] = True
+        """Keep transition (x,u,.) iff allowed[x, u], for a bool array of shape
+        (num_states, num_inputs)."""
+        keep = np.asarray(allowed, dtype=bool)
+        if keep.shape != (self.num_states, self.num_inputs):
+            raise ValueError("allowed matrix has wrong shape")
+        keep = keep.ravel()
         counts = self.pair_counts * keep
         offsets = np.zeros_like(self._offsets)
         np.cumsum(counts, out=offsets[1:])
         entry_keep = np.repeat(keep, self.pair_counts)
         targets = self._targets[entry_keep]
-        child = FiniteSystem.from_csr(self.num_states, self.num_inputs,
-                                      offsets, targets, self.initial)
+        child = FiniteSystem.from_csr(self.num_states, self.num_inputs, offsets, targets)
         if self._reverse_cache is not None:
             # filtering keeps every state's pairs in ascending order, so this
             # is exactly the child's own reverse()
@@ -257,7 +224,6 @@ class FiniteSystem:
         return (isinstance(other, FiniteSystem)
                 and self.num_states == other.num_states
                 and self.num_inputs == other.num_inputs
-                and self.initial == other.initial
                 and np.array_equal(self._offsets, other._offsets)
                 and np.array_equal(self._targets, other._targets))
 

@@ -176,7 +176,7 @@ def test_trace_and_plot_round_trip(tmp_path):
 
 def test_parse_rejects_malformed(tmp_path):
     path = tmp_path / "bad.sts"
-    path.write_text("STS1\nstates 2\ninputs 1\ninitial 0\nt 0 0 :\n")
+    path.write_text("STS1\nstates 2\ninputs 1\nt 0 0 :\n")
     with pytest.raises(formats.FormatError, match="empty successor"):
         formats.parse_system(path)
     path.write_text("nope\n")
@@ -289,12 +289,23 @@ def test_synthesize_malformed_system_exits_2(tmp_path, capsys, line):
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    write(os.path.join(out, "chain.sts"), f"STS1\nstates 3\ninputs 1\ninitial 0\n{line}\n")
+    write(os.path.join(out, "chain.sts"), f"STS1\nstates 3\ninputs 1\n{line}\n")
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
-    assert "error: line 5:" in capsys.readouterr().err
-    write(os.path.join(out, "chain.sts"), "STS1\nstates 3\ninputs 1\ninitial 0 3\n")
+    assert "error: line 4:" in capsys.readouterr().err
+
+
+def test_synthesize_system_with_an_initial_line_exits_2(tmp_path, capsys):
+    # STS1 files once listed every state on an `initial` header line
+    cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    initial = "initial " + " ".join(map(str, range(20000)))
+    write(os.path.join(out, "chain.sts"),
+          f"STS1\nstates 20000\ninputs 1\n{initial}\nt 0 0 : 1\nt 1 0 : 2\n")
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
-    assert "error: line 4: initial state 3 out of range" in capsys.readouterr().err
+    # one line, naming the line and echoing only the start of it
+    assert capsys.readouterr().err == f"error: line 4: unrecognized line '{initial[:40]}...'\n"
+    assert not os.path.exists(os.path.join(out, "chain.ctl"))
 
 
 def test_simulate_bounds_from_other_grid_exits_2(tmp_path, capsys):
@@ -543,6 +554,20 @@ def test_dimensions_checked_against_the_artifact_grid(di_artifacts, tmp_path, ca
     for command in commands:
         assert cli.main([command, "--config", cfg_path, "--out", di_artifacts]) == cli.EXIT_CONFIG
         assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_commands_create_a_missing_nested_out_directory(di_artifacts, tmp_path):
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
+    system = os.path.join(di_artifacts, "double_integrator.sts")
+    controller = os.path.join(di_artifacts, "double_integrator.ctl")
+    for command, extra, name in [
+            ("abstract", [], "double_integrator.sts"),
+            ("synthesize", ["--system", system], "double_integrator.ctl"),
+            ("simulate", ["--controller", controller], "double_integrator_report.csv"),
+            ("export-plot", ["--controller", controller], "double_integrator_plot.csv")]:
+        out = str(tmp_path / command / "a" / "b")
+        assert cli.main([command, "--config", cfg_path, "--out", out, *extra]) == cli.EXIT_OK
+        assert os.path.isfile(os.path.join(out, name)), command
 
 
 def test_report_spells_a_missing_initial_cell_none(di_artifacts, tmp_path):

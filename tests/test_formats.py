@@ -23,14 +23,14 @@ def _disabled_pairs():
                 continue
             succ = {max(x - 1 - u, 0), (x * 7 + u) % 12 if u == 2 else max(x - 1, 0)}
             trans[(x, u)] = sorted(succ)
-    return FiniteSystem(12, 3, trans, initial=[0, 3, 10, 11]), None
+    return FiniteSystem(12, 3, trans), None
 
 
 def _large_ids():
     trans = {(0, 0): [1], (7, 1): [0, 99999], (99, 0): [7, 123456],
              (1000, 1): [0], (99999, 0): [0, 1000], (123456, 1): [0, 9, 10, 99, 100000],
              (1, 1): [0]}
-    return FiniteSystem(123457, 2, trans, initial=[0, 5, 123456]), None
+    return FiniteSystem(123457, 2, trans), None
 
 
 def _gridded():
@@ -60,22 +60,23 @@ def _case(name):
     return system, grid, ctrl, solve_optimistic(system, W)
 
 
-# sha256 of (STS1, CTL1, bounds CSV) as written by the per-line writers that
-# the block codec replaced, with timestamp=False
+# sha256 of (STS1, CTL1, bounds CSV) with timestamp=False, as written by the
+# per-line writers that the block codec replaced; the STS1 hashes are of those
+# bytes without the `initial` header line, which STS1 no longer has
 PINNED = {
-    "empty": ("c6b5bb8fb82155ba55d54810d91fc59556a239506b7b1ba793d28e279aa979b2",
+    "empty": ("a6b43e8fceaf31b5103ff8e3a0c6c2aa3d5c03a1077ac2c38eaf953dc0ab70f0",
               "ca51edea40891513a3a5cceff2705f3dc917169fbe4f39557223dc05d25a8f0b",
               "4d92d0855cc233c32003f6e12e14724b977a420f43f378989c92ffea43e69c31"),
-    "no_transitions": ("ccf12756e0fb160d5e43d107756c122f212a8662f77b232861bd086fd4dec791",
+    "no_transitions": ("f0f85298b587918abb1c3eac9319b3d18356eef3664c28675fd92e4e7c8b6e0d",
                        "3212f33929c64e7d50269e22136476e54db8974cea3f8d703608e76ed85c9b9c",
                        "2ef3d4212c4391f1b00551e9d42cd127fc0f8ca4cc4a4242c2949b25e94d8d17"),
-    "disabled_pairs": ("e1645b9650e0ba6372f1909a1006142b3e0732288201b943c137613671e23a07",
+    "disabled_pairs": ("63a9754ecba3d6e577670ebeee99df5fa3014c429ce929d4c85e500daa8783f0",
                        "b0bbd37257875b3ce3ee029228d893fe564452015ea1504272ccae7f50581ef3",
                        "035e8f8dfcdb2997c3b67ea2ddf467c5e375d641764e02e36331a72de5798fcc"),
-    "large_ids": ("1174b91df52f32c3706693760a6a80572375302bb1e8ec07dbc0730a1861384a",
+    "large_ids": ("6384cb7300f3b30746750e420bffff09a1bafc06d34ae985706674a102dde236",
                   "20e2cbba77da03ff0624891c7563ffa27807e5131d86d30917219dbd5e122a1a",
                   "6018f44dfe647bfbd024515284f824ef2b21206bbc0a138e200690c37577d1a5"),
-    "gridded": ("17a0e5d8338bd3f6dfb4fb4fe298f8dc2c9ad4d4b5109a3aa1fd4132e909f82c",
+    "gridded": ("12f00de8bce06f9baca4d7ba9cbe99b128fc9b15bfd6597a26a099837427d59f",
                 "4355081b6b640c1f07e08d1c5c9897b8a7e6ab5204fbf39bb301860175256f5f",
                 "a962c100c0be7ad81493e3cd4da8ec30bf31ad1e213501152678d96ab6d1c235"),
 }
@@ -128,9 +129,9 @@ def test_tiny_blocks_split_lines(tmp_path, monkeypatch, block):
 
 def test_missing_final_newline_and_comment_after_records(tmp_path):
     path = tmp_path / "a.sts"
-    path.write_bytes(b"STS1\nstates 3\ninputs 1\ninitial 2\nt 0 0 : 1 2\n# end\nt 1 0 : 2")
+    path.write_bytes(b"STS1\nstates 3\ninputs 1\nt 0 0 : 1 2\n# end\nt 1 0 : 2")
     system, _ = formats.parse_system(path)
-    assert system == FiniteSystem(3, 1, {(0, 0): [1, 2], (1, 0): [2]}, initial=[2])
+    assert system == FiniteSystem(3, 1, {(0, 0): [1, 2], (1, 0): [2]})
 
 
 # -- round trips ------------------------------------------------------------------
@@ -142,8 +143,7 @@ def systems(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
                           max_size=25, unique=True)) if n and m else []
     trans = {p: draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)) for p in pairs}
-    initial = draw(st.lists(st.integers(0, n - 1), max_size=5)) if n else []
-    return FiniteSystem(n, m, trans, initial=initial)
+    return FiniteSystem(n, m, trans)
 
 
 @st.composite
@@ -205,8 +205,7 @@ def _reference_parse_system(text):
             trans[(x, u)] = [int(v) for v in tail.split()]
         else:
             header[words[0]] = [int(v) for v in words[1:]]
-    return FiniteSystem(header["states"][0], header["inputs"][0], trans,
-                        initial=header["initial"])
+    return FiniteSystem(header["states"][0], header["inputs"][0], trans)
 
 
 def _reformat(text, rng):
@@ -242,8 +241,7 @@ def test_parse_agrees_with_line_reader(tmp_path_factory, system, seed, block):
 
 def test_sts1_accepts_whitespace_comments_and_any_pair_order(tmp_path):
     path = tmp_path / "a.sts"
-    path.write_bytes(b"STS1\r\n# written: then\r\nstates 4\r\ninputs\t2\r\n"
-                     b"initial 0  3\r\n\r\n"
+    path.write_bytes(b"STS1\r\n# written: then\r\n states  4 \r\n\r\ninputs\t2\r\n\r\n"
                      b"t 1 0 : 2\t3\r\n"
                      b"   t 0 1 : 1 2\r\n"
                      b"# between\r\n\r\n"
@@ -252,7 +250,7 @@ def test_sts1_accepts_whitespace_comments_and_any_pair_order(tmp_path):
     system, grid = formats.parse_system(path)
     assert grid is None
     assert system == FiniteSystem(4, 2, {(1, 0): [2, 3], (0, 1): [1, 2], (0, 0): [0],
-                                         (3, 1): [0]}, initial=[0, 3])
+                                         (3, 1): [0]})
 
 
 def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
@@ -270,27 +268,28 @@ def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
     assert lo.tolist() == [0, 1, np.inf] and up.tolist() == [0, np.inf, np.inf]
 
 
-HEAD = "STS1\nstates 2\ninputs 1\ninitial 0\n"
+HEAD = "STS1\nstates 2\ninputs 1\n"
 
 
 @pytest.mark.parametrize("text, match", [
-    (HEAD + "t 0 0 : 1\nt 0 0 : 0\n", r"line 6: duplicate"),
-    ("STS1\nt 0 0 : 1\nstates 2\ninputs 1\ninitial 0\n", r"line 2: transition line before"),
-    (HEAD + "t 0 0 1 : 1\n", r"line 5: malformed transition line"),
-    (HEAD + "t 0 0 :\n", r"line 5: empty successor"),
-    (HEAD + "x 0 0 : 1\n", r"line 5: unrecognized line"),
-    ("STS1\nstates 2\ninputs 1\nt 0 0 : 1\n", r"missing states/inputs/initial header"),
-    (HEAD + "t 0 0 : 5\n", r"line 5: successor 5 out of range"),
-    ("STS1\nstates 2\ninputs 1\ninitial 0 2\nt 0 0 : 1\n", r"line 4: initial state 2"),
-    (HEAD + "t 0 0 : a\n", r"line 5: unexpected character 'a'"),
-    (HEAD + "t 0 0 : -1\n", r"line 5: unexpected character '-'"),
-    (HEAD + "t 0 0 : +1\n", r"line 5: unexpected character '\+'"),
-    (HEAD + "t 0 0 : 1 : 1\n", r"line 5: expected 1 ':'"),
-    (HEAD + "t 0 0 1\n", r"line 5: expected 1 ':'"),
-    (HEAD + "t 0 1 : 1\n", r"line 5: state or input out of range"),
-    (HEAD + "t 0 0 : 1234567890\n", r"line 5: number out of range"),
-    ("STS1\nstates -2\ninputs 1\ninitial 0\n", r"line 2: 'states' takes decimal numbers"),
-    ("STS1\nstates 2\nstates 2\ninputs 1\ninitial 0\n", r"line 3: repeated 'states'"),
+    (HEAD + "t 0 0 : 1\nt 0 0 : 0\n", r"line 5: duplicate"),
+    ("STS1\nt 0 0 : 1\nstates 2\ninputs 1\n", r"line 2: transition line before"),
+    (HEAD + "t 0 0 1 : 1\n", r"line 4: malformed transition line"),
+    (HEAD + "t 0 0 :\n", r"line 4: empty successor"),
+    (HEAD + "x 0 0 : 1\n", r"line 4: unrecognized line"),
+    (HEAD + "initial 0 1\n", r"line 4: unrecognized line 'initial 0 1'"),
+    ("STS1\nstates 2\nt 0 0 : 1\n", r"missing states/inputs header"),
+    (HEAD + "t 0 0 : 5\n", r"line 4: successor 5 out of range"),
+    (HEAD + "t 0 0 : a\n", r"line 4: unexpected character 'a'"),
+    (HEAD + "t 0 0 : -1\n", r"line 4: unexpected character '-'"),
+    (HEAD + "t 0 0 : +1\n", r"line 4: unexpected character '\+'"),
+    (HEAD + "t 0 0 : 1 : 1\n", r"line 4: expected 1 ':'"),
+    (HEAD + "t 0 0 1\n", r"line 4: expected 1 ':'"),
+    (HEAD + "t 0 1 : 1\n", r"line 4: state or input out of range"),
+    (HEAD + "t 0 0 : 1234567890\n", r"line 4: number out of range"),
+    ("STS1\nstates -2\ninputs 1\n", r"line 2: 'states' takes one decimal number"),
+    ("STS1\nstates 2\ninputs 1 1\n", r"line 3: 'inputs' takes one decimal number"),
+    ("STS1\nstates 2\nstates 2\ninputs 1\n", r"line 3: repeated 'states'"),
     ("STS1\n# grid: tau=x mu=1 eta=[1] periodic=[0] domain_lower=[0] domain_upper=[1]"
      " input_lower=[0] input_upper=[1]\n" + HEAD[5:], r"bad grid metadata"),
     ("nope\n", r"not an STS1 file"),

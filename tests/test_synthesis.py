@@ -42,7 +42,7 @@ def test_pessimistic_branching():
 
 def test_pessimistic_full_and_empty_target():
     s = branching()
-    t = solve_pessimistic(s, StateSet.full(3))
+    t = solve_pessimistic(s, StateSet(3, range(3)))
     assert t.levels.tolist() == [1, 1, 1]
     t = solve_pessimistic(s, StateSet(3, []))
     assert [entry_time(t, x) for x in range(3)] == [math.inf] * 3
@@ -151,7 +151,7 @@ def test_optimistic_levels_never_exceed_pessimistic():
 
 def test_safety_all_safe_nonblocking():
     s = FiniteSystem(2, 2, {(0, 0): [1], (0, 1): [0], (1, 0): [0], (1, 1): [1]})
-    ctrl = solve_safety(s, StateSet.full(2))
+    ctrl = solve_safety(s, StateSet(2, range(2)))
     assert len(ctrl.domain) == 2
     for x in range(2):
         assert allowed_inputs(ctrl, x).tolist() == [0, 1]
@@ -202,7 +202,7 @@ def test_safety_matches_brute_force(wave_path):
         s = random_system(rng, density=0.2 + 0.6 * (i % 5) / 4)
         s = with_loops_and_dead_state(rng, s)
         n = s.num_states
-        for safe in (StateSet(n, []), StateSet.full(n), random_target(rng, n)):
+        for safe in (StateSet(n, []), StateSet(n, range(n)), random_target(rng, n)):
             check(s, safe)
 
 
@@ -416,7 +416,7 @@ def test_safe_reach_releases_the_full_systems_reverse():
 def test_safety_excludes_blocking_states():
     # the safety operator demands a non-empty safe move, so sink states fall out
     s = branching()
-    ctrl = solve_safety(s, StateSet.full(3))
+    ctrl = solve_safety(s, StateSet(3, range(3)))
     assert 2 not in ctrl.domain
 
 
