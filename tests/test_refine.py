@@ -252,21 +252,62 @@ TRACE_SHA256 = {
 }
 
 
+# sha256 of the (STS1, CTL1, bounds CSV, export-plot CSV) files that
+# `abstract`, `synthesize` and `export-plot` write with --no-timestamp, for the
+# same configs and workloads, recorded before STS1 and CTL1 shared one
+# tagged-record writer and reader.
+ARTIFACT_SHA256 = {
+    "double_integrator.cfg": (
+        "fe6a19e03c5444ad53d28308c521c981162f42c4f5191984ad22b757e031098e",
+        "68d41ff7f345e44bc6400792f549d1db4028feac71047e813e5ca1be3873c3e5",
+        "13d60c9a460a3bb884276688a668425a526692840140b353ad52c26345a3ff74",
+        "ca704b03a9c461d142734a543fbfebe5328b57f7518fd2d6c1a127db81d18a38"),
+    "unicycle.cfg": (
+        "d60f059d952de42a07cdb0e074c499f8a615f0fbfe07fd1942a779d923902467",
+        "cdf4dded03e1febd5119763e0cc3762a22d07a5fcdea5c3933e5ec6b03af7baa",
+        "56be21632030cc2d463d0c2851491674e88377735ca968276bdd85035c22cb06",
+        "2014543bb6260e147bbd423ef3cedd5ea16a15d7ebc2533fe1155992d78e148b"),
+    "di_pipeline": (
+        "c47fc825175fcd5f3ffd7e931a6498a9fbd52aef174f7dfeb308420b2c58c154",
+        "5773d4d5fb09f2a14df432d55b6d4e8ee81d44ea6661598c33b1a06763e42c86",
+        "967dd813bda0549f8d581acb1b5ceb4d428ebf2fd3a2c978c94b7861e7459a35",
+        "ab7e5c40e145f79629c72cb3009b404b8dbd4427052d55c6ec2eb4dc8a0543c0"),
+    "unicycle_pipeline": (
+        "b543a2d7a235d32a54e87d5ddbcb6a2412af8b599d0ab7648851e50adb4ebd69",
+        "8b9e56dcbb4da5330341d54c937ba3aced37f4c78c2fba24769c4bc0134a1d13",
+        "b81a725b6462b05808976ec77d15c18e3ee33905aabd92a64aeee9ef03a7b024",
+        "7ea813f1adb9bf5c9f378dd821b29770a8555d6366de3fc0c484e0afba41f439"),
+    "game_chain": (
+        "ba75365995a191931bb268deefb968d73658dd0616dfa2ef8e2c89af98e14faa",
+        "d52681996cfb9ba758a89a3accc44c33672e01dc52ad16db2b2bfc8e05150666",
+        "c3a428b8bee4233bc0e0d56cb3c7d7c0a6980dcba0d7593c0bf8d34027b8ffcc",
+        "9dc264988d6e9bda561eca4ac96937b5db99853aaf0d6d523324ed6d91a2998a"),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _simulate_digest(code, out_dir):
     """One sha256 over the exit code and each written file's name and sha256."""
     h = hashlib.sha256(f"exit {code}\n".encode())
     for path in sorted(Path(out_dir).iterdir()):
-        h.update(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+        h.update(f"{path.name} {_sha256(path)}\n".encode())
     return h.hexdigest()
 
 
 def test_trace_bytes_are_pinned_on_the_shipped_configs_and_benchmark_workloads(
         di_bundle, unicycle_bundle, tmp_path, monkeypatch):
-    got = {}
+    got, artifacts = {}, {}
     for name, b in (("double_integrator.cfg", di_bundle), ("unicycle.cfg", unicycle_bundle)):
-        ctl, bounds, out = tmp_path / f"{name}.ctl", tmp_path / f"{name}.csv", tmp_path / name
+        sts, ctl, bounds = (tmp_path / f"{name}.{ext}" for ext in ("sts", "ctl", "csv"))
+        plot, out = tmp_path / f"{name}.plot.csv", tmp_path / name
+        formats.write_system(sts, b.system, grid=b.cfg.grid, timestamp=False)
         formats.write_controller(ctl, b.controller, grid=b.cfg.grid, timestamp=False)
         formats.write_bounds(bounds, b.lower, b.controller, timestamp=False)
+        assert cli.cmd_export_plot(ctl, plot, timestamp=False) == cli.EXIT_OK
+        artifacts[name] = tuple(_sha256(p) for p in (sts, ctl, bounds, plot))
         out.mkdir()
         code = cli.cmd_simulate(b.cfg, ctl, out_dir=out, bounds_path=bounds, timestamp=False)
         got[name] = _simulate_digest(code, out)
@@ -283,8 +324,12 @@ def test_trace_bytes_are_pinned_on_the_shipped_configs_and_benchmark_workloads(
         common = ["--config", cfg_path, "--out", str(work), "--no-timestamp"]
         assert cli.main(["abstract", *common, "--threads", str(w.threads)]) == cli.EXIT_OK
         assert cli.main(["synthesize", *common]) == cli.EXIT_OK
+        assert cli.main(["export-plot", *common]) == cli.EXIT_OK
+        artifacts[w.name] = tuple(_sha256(work / cfg.output_path(kind))
+                                  for kind in ("system", "controller", "bounds", "plot"))
         code = cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--no-timestamp",
                          "--controller", str(work / cfg.output_path("controller")),
                          "--bounds", str(work / cfg.output_path("bounds"))])
         got[w.name] = _simulate_digest(code, out)
     assert got == TRACE_SHA256
+    assert artifacts == ARTIFACT_SHA256
