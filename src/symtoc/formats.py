@@ -4,13 +4,16 @@ Formats are line oriented and diff friendly; floats are written with Python
 repr so every file re-parses to a structurally identical object and repeated
 runs are byte identical (a timestamp comment can be suppressed).
 
-The integer lines of STS1 (`t x u : s ...`), CTL1 (`c x v : u ...`) and the
-bounds CSV (`x,lower,upper`) go through one block codec built on numpy:
-`_render` turns a block of lines into a uint8 buffer, and `_scan` reads a
-file in blocks of about `_BLOCK_BYTES` bytes cut at the last newline and
-tokenizes each block as a whole. Header, comment and `# grid:` lines are few
-and go through plain Python. Memory beyond the arrays of the written or
-parsed object stays O(`_BLOCK_BYTES`) per block.
+STS1 (`t x u : s ...`) and CTL1 (`c x v : u ...`) share one tagged-record
+layout, written by `_write_tagged` and read by `_read_tagged`; one table,
+`_GRID_META`, lists their `# grid:` metadata. The record lines and the bounds
+CSV (`x,lower,upper`) go through one block codec built on numpy: `_render`
+turns a block of lines into a uint8 buffer, and `_scan` reads a file in
+blocks of about `_BLOCK_BYTES` bytes cut at the last newline and tokenizes
+each block as a whole. Header, comment and `# grid:` lines are few and go
+through plain Python. Memory beyond the arrays of the written or parsed
+object is about ten times a block's size; blocks end only at newlines, so a
+line longer than `_BLOCK_BYTES` makes its block that long.
 
 Accepted integer grammar: a number is one or more ASCII decimal digits (no
 sign); tokens are separated by any run of spaces, tabs or carriage returns,
@@ -51,14 +54,6 @@ def _fmt_num(v) -> str:
     return repr(float(v))
 
 
-def _fmt_list(values) -> str:
-    return "[" + ",".join(_fmt_num(v) for v in np.atleast_1d(values)) + "]"
-
-
-def _fmt_int_list(values) -> str:
-    return "[" + ",".join(str(int(v)) for v in np.atleast_1d(values)) + "]"
-
-
 def _parse_list(text) -> list:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -69,45 +64,29 @@ def _parse_list(text) -> list:
     return [float(t) for t in inner.replace(",", " ").split()]
 
 
-def _grid_lines(grid: GridSpec):
-    yield f"# grid: tau={_fmt_num(grid.tau)} mu={_fmt_num(grid.mu)}\n"
-    yield f"# grid: eta={_fmt_list(grid.eta)}\n"
-    yield f"# grid: periodic={_fmt_int_list([1 if p else 0 for p in grid.periodic])}\n"
-    yield f"# grid: domain_lower={_fmt_list(grid.domain_lower)}\n"
-    yield f"# grid: domain_upper={_fmt_list(grid.domain_upper)}\n"
-    yield f"# grid: input_lower={_fmt_list(grid.input_lower)}\n"
-    yield f"# grid: input_upper={_fmt_list(grid.input_upper)}\n"
+# The `# grid:` metadata: each GridSpec field, in file order, with its kind,
+# the (writer, reader) pair of its `key=value` text
+_NUM = (_fmt_num, float)
+_LIST = (lambda values: "[" + ",".join(map(_fmt_num, values)) + "]",
+         lambda text: np.array(_parse_list(text)))
+_FLAGS = (lambda flags: "[" + ",".join("1" if f else "0" for f in flags) + "]",
+          lambda text: tuple(int(v) != 0 for v in _parse_list(text)))
+_GRID_META = (("tau", _NUM), ("mu", _NUM), ("eta", _LIST), ("periodic", _FLAGS),
+              ("domain_lower", _LIST), ("domain_upper", _LIST),
+              ("input_lower", _LIST), ("input_upper", _LIST))
 
 
-def _parse_grid_block(entries: dict) -> GridSpec | None:
+def _parse_grid(entries: dict) -> GridSpec | None:
+    """The GridSpec of the `key=value` grid metadata; None when there is none."""
     if not entries:
         return None
-    needed = {"tau", "eta", "mu", "periodic", "domain_lower", "domain_upper",
-              "input_lower", "input_upper"}
-    missing = needed - entries.keys()
+    missing = {key for key, _ in _GRID_META} - entries.keys()
     if missing:
         raise FormatError(f"grid metadata missing keys: {sorted(missing)}")
     try:
-        return GridSpec(tau=float(entries["tau"]),
-                        eta=np.array(_parse_list(entries["eta"])),
-                        mu=float(entries["mu"]),
-                        domain_lower=np.array(_parse_list(entries["domain_lower"])),
-                        domain_upper=np.array(_parse_list(entries["domain_upper"])),
-                        input_lower=np.array(_parse_list(entries["input_lower"])),
-                        input_upper=np.array(_parse_list(entries["input_upper"])),
-                        periodic=tuple(int(v) != 0
-                                       for v in _parse_list(entries["periodic"])))
-    except ValueError as e:
+        return GridSpec(**{key: kind[1](entries[key]) for key, kind in _GRID_META})
+    except (ValueError, OverflowError) as e:  # int() of an infinite flag overflows
         raise FormatError(f"bad grid metadata: {e}") from None
-
-
-def _collect_grid_entry(line: str, entries: dict):
-    body = line[len("# grid:"):].strip()
-    for token in body.split():
-        if "=" not in token:
-            raise FormatError(f"bad grid metadata token '{token}'")
-        k, v = token.split("=", 1)
-        entries[k] = v
 
 
 # -- block codec for the integer lines ----------------------------------------
@@ -300,17 +279,6 @@ def _scan(fh, lineno, lead, sep: bytes, fields, what, on_line, inf=False):
             np.concatenate(values_out))
 
 
-def _tagged_records(lines, counts, values, what):
-    """Split `tag a b : tail ...` records; returns (a, b, tail lengths, tail values)."""
-    if (counts[:, 0] != 2).any():
-        raise FormatError(f"line {lines[np.argmax(counts[:, 0] != 2)]}: malformed {what}")
-    width = counts.sum(axis=1)
-    first = np.cumsum(width) - width
-    tail = np.ones(values.size, dtype=bool)
-    tail[first] = tail[first + 1] = False
-    return values[first], values[first + 1], counts[:, 1], values[tail]
-
-
 def _tail_line(lines, tail_len, i):
     """Line number of the record holding tail value i."""
     return lines[int(np.searchsorted(np.cumsum(tail_len), i, side="right"))]
@@ -336,27 +304,53 @@ def _key_order(key, lines, what):
     return order
 
 
-def _sorted_tails(key, lines, tail_len, tail, what):
-    """Tail values regrouped by ascending record key; duplicate keys are rejected."""
+def _keyed_csr(key, size, lines, tail_len, tail, what):
+    """(offsets, values) of a CSR over keys 0..size-1 holding each record's
+    tail under its key; a duplicate key is rejected."""
     order = _key_order(key, lines, what)
-    if order is None:
-        return tail
-    starts = np.cumsum(tail_len) - tail_len
-    return tail[segment_indices(starts[order], tail_len[order])]
+    if order is not None:
+        starts = np.cumsum(tail_len) - tail_len
+        tail = tail[segment_indices(starts[order], tail_len[order])]
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    offsets[key + 1] = tail_len
+    np.cumsum(offsets, out=offsets)
+    return offsets, tail
 
 
-def _read_artifact(path, magic, tag, what):
-    """Shared reader of STS1/CTL1: magic line, `states N` and `inputs M`
-    header lines, grid metadata, records.
+# -- STS1 and CTL1: tagged records -----------------------------------------------
 
-    Returns the states and inputs counts, the grid, and (record line
-    numbers, per-field token counts, token values).
+def _write_tagged(path, magic, tag: bytes, n, m, grid, timestamp, rows, heads, offsets, flat):
+    """Write the header, then one line `tag h0 h1 : flat[offsets[r]:offsets[r+1]]`
+    per row r of `rows`; heads(rows) gives the h0 and h1 columns of a block."""
+    text = magic + "\n" + (_timestamp_line() if timestamp else "")
+    if grid is not None:
+        entries = [f"{key}={kind[0](getattr(grid, key))}" for key, kind in _GRID_META]
+        entries[:2] = [" ".join(entries[:2])]  # tau and mu share a line
+        text += "".join(f"# grid: {entry}\n" for entry in entries)
+    with open(path, "wb") as fh:
+        fh.write(f"{text}states {n}\ninputs {m}\n".encode())
+        _write_blocks(fh, np.diff(offsets)[rows] + 4,
+                      lambda a, b: _tagged_tokens(heads(rows[a:b]), offsets, flat, rows[a:b]),
+                      b" ", (tag, b":"))
+
+
+def _read_tagged(path, magic, tag: bytes, what):
+    """Read the header and the `tag a b : tail ...` records of a file.
+
+    Returns the states and inputs counts, the grid (or None), the record line
+    numbers, the a and b columns, the tail lengths and values, and the scanned
+    tokens, which a caller holds until its CSR is built (freed first, their
+    heap hole takes the CSR offsets and a later synthesis peaks higher in RSS).
     """
     header, grid_entries = {}, {}
 
     def on_line(lineno, line):
         if line.startswith("# grid:"):
-            _collect_grid_entry(line, grid_entries)
+            for token in line[len("# grid:"):].split():
+                if "=" not in token:
+                    raise FormatError(f"bad grid metadata token '{token}'")
+                key, value = token.split("=", 1)
+                grid_entries[key] = value
             return
         if line.startswith("#"):
             return
@@ -371,55 +365,46 @@ def _read_artifact(path, magic, tag, what):
         header[key] = (lineno, int(values[0]))
 
     with open(path, "rb") as fh:
-        first = fh.readline().decode(errors="replace").strip()
-        if first != magic:
+        # read no further than the echo needs: a longer first line is no magic line
+        head = fh.readline(_SHOWN_CHARS + 2)
+        first = head.decode(errors="replace").strip()
+        if first != magic or (len(head) == _SHOWN_CHARS + 2 and not head.endswith(b"\n")):
             article = "an" if magic == "STS1" else "a"
             raise FormatError(f"not {article} {magic} file (header '{_shown(first)}')")
-        records = _scan(fh, 2, tag, b":", 2, what, on_line)
+        lines, counts, values = _scan(fh, 2, tag, b":", 2, what, on_line)
     if len(header) < 2:
         raise FormatError("missing states/inputs header")
     (states_line, n), (inputs_line, m) = header["states"], header["inputs"]
-    if records[0].size and records[0][0] < max(states_line, inputs_line):
-        raise FormatError(f"line {records[0][0]}: {what} before states/inputs header")
-    grid = _parse_grid_block(grid_entries)
+    if lines.size and lines[0] < max(states_line, inputs_line):
+        raise FormatError(f"line {lines[0]}: {what} before states/inputs header")
+    grid = _parse_grid(grid_entries)
     if grid is not None and grid.num_cells != n:
         raise FormatError("grid metadata cell count does not match the state count")
     if grid is not None and grid.num_inputs != m:
         raise FormatError("grid metadata input count does not match the input count")
-    return n, m, grid, records
-
-
-def _header_bytes(magic, grid, timestamp, lines):
-    text = magic + "\n"
-    if timestamp:
-        text += _timestamp_line()
-    if grid is not None:
-        text += "".join(_grid_lines(grid))
-    return (text + "".join(lines)).encode()
+    if (counts[:, 0] != 2).any():
+        raise FormatError(f"line {lines[np.argmax(counts[:, 0] != 2)]}: malformed {what}")
+    width = counts.sum(axis=1)
+    start = np.cumsum(width) - width
+    tail = np.ones(values.size, dtype=bool)
+    tail[start] = tail[start + 1] = False
+    return (n, m, grid, lines, values[start], values[start + 1], counts[:, 1], values[tail],
+            values)
 
 
 # -- STS1 system files ---------------------------------------------------
 
 def write_system(path, sys: FiniteSystem, grid: GridSpec | None = None,
                  timestamp: bool = True):
-    offsets, targets = sys._offsets, sys._targets
-    pairs = np.flatnonzero(np.diff(offsets) > 0)
-    with open(path, "wb") as fh:
-        fh.write(_header_bytes("STS1", grid, timestamp, [
-            f"states {sys.num_states}\n", f"inputs {sys.num_inputs}\n"]))
-
-        def tokens_of(a, b):
-            x, u = np.divmod(pairs[a:b], sys.num_inputs)
-            return _tagged_tokens((x, u), offsets, targets, pairs[a:b])
-
-        _write_blocks(fh, np.diff(offsets)[pairs] + 4, tokens_of, b" ", (b"t", b":"))
+    _write_tagged(path, "STS1", b"t", sys.num_states, sys.num_inputs, grid, timestamp,
+                  np.flatnonzero(np.diff(sys._offsets) > 0),
+                  lambda pairs: np.divmod(pairs, sys.num_inputs), sys._offsets, sys._targets)
 
 
 def parse_system(path):
     """Read an STS1 file; returns (FiniteSystem, GridSpec or None)."""
     what = "transition line"
-    n, m, grid, (lines, counts, values) = _read_artifact(path, "STS1", b"t", what)
-    x, u, tail_len, succ = _tagged_records(lines, counts, values, what)
+    n, m, grid, lines, x, u, tail_len, succ, _tokens = _read_tagged(path, "STS1", b"t", what)
     if (tail_len == 0).any():
         raise FormatError(f"line {lines[np.argmax(tail_len == 0)]}: empty successor list")
     bad = (x >= n) | (u >= m)
@@ -427,10 +412,7 @@ def parse_system(path):
         raise FormatError(f"line {lines[np.argmax(bad)]}: state or input out of range")
     _check_tail(lines, tail_len, succ, n, "successor")
     pair = x.astype(np.int64) * m + u
-    targets = _sorted_tails(pair, lines, tail_len, succ, "(state,input) " + what)
-    offsets = np.zeros(n * m + 1, dtype=np.int64)
-    offsets[pair + 1] = tail_len
-    np.cumsum(offsets, out=offsets)
+    offsets, targets = _keyed_csr(pair, n * m, lines, tail_len, succ, "(state,input) " + what)
     return FiniteSystem.from_csr(n, m, offsets, targets), grid
 
 
@@ -438,24 +420,15 @@ def parse_system(path):
 
 def write_controller(path, ctrl: SymbolicController, grid: GridSpec | None = None,
                      timestamp: bool = True):
-    winning = np.flatnonzero(ctrl.levels <= ctrl.num_states)
-    with open(path, "wb") as fh:
-        fh.write(_header_bytes("CTL1", grid, timestamp, [
-            f"states {ctrl.num_states}\n", f"inputs {ctrl.num_inputs}\n"]))
-
-        def tokens_of(a, b):
-            x = winning[a:b]
-            return _tagged_tokens((x, ctrl.levels[x] - 1), ctrl.offsets,
-                                  ctrl.enabled_inputs_flat, x)
-
-        _write_blocks(fh, np.diff(ctrl.offsets)[winning] + 4, tokens_of, b" ", (b"c", b":"))
+    _write_tagged(path, "CTL1", b"c", ctrl.num_states, ctrl.num_inputs, grid, timestamp,
+                  np.flatnonzero(ctrl.levels <= ctrl.num_states),
+                  lambda x: (x, ctrl.levels[x] - 1), ctrl.offsets, ctrl.enabled_inputs_flat)
 
 
 def parse_controller(path):
     """Read a CTL1 file; returns (SymbolicController, GridSpec or None)."""
     what = "controller line"
-    n, m, grid, (lines, counts, values) = _read_artifact(path, "CTL1", b"c", what)
-    x, value, tail_len, inputs = _tagged_records(lines, counts, values, what)
+    n, m, grid, lines, x, value, tail_len, inputs, _ = _read_tagged(path, "CTL1", b"c", what)
     bad = (x >= n) | (value >= n)
     if bad.any():
         raise FormatError(f"line {lines[np.argmax(bad)]}: state or value out of range")
@@ -473,12 +446,9 @@ def parse_controller(path):
     if not ascending.all():
         line = _tail_line(lines, tail_len, int(np.argmin(ascending)))
         raise FormatError(f"line {line}: inputs not strictly ascending")
-    enabled = _sorted_tails(x, lines, tail_len, inputs, "controller state")
+    offsets, enabled = _keyed_csr(x, n, lines, tail_len, inputs, "controller state")
     levels = np.full(n, n + 1, dtype=np.int64)
     levels[x] = value + 1
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    offsets[x + 1] = tail_len
-    np.cumsum(offsets, out=offsets)
     ctrl = SymbolicController(num_states=n, num_inputs=m, levels=levels, offsets=offsets,
                               enabled_inputs_flat=enabled)
     return ctrl, grid
@@ -557,24 +527,22 @@ def write_plot(path, ctrl: SymbolicController, quantizer: Quantizer | None = Non
     controller applies (`refine.applied_inputs`, empty on target cells), value."""
     winning = np.flatnonzero(ctrl.levels <= ctrl.num_states)
     applied = applied_inputs(ctrl)
+    if quantizer is None:  # one column each: the state id and the input id
+        header, fmt = ["state", "input"], str
+        cells, inputs = winning[:, None], np.arange(ctrl.num_inputs)[:, None]
+    else:
+        grid = quantizer.grid
+        header = ([f"x{i+1}" for i in range(grid.dim)]
+                  + [f"u{i+1}" for i in range(grid.input_dim)])
+        fmt, cells, inputs = _fmt_num, quantizer.centers()[winning], grid.input_values()
     with open(path, "w") as fh:
         if timestamp:
             fh.write(_timestamp_line())
-        if quantizer is None:
-            fh.write("state,input,value\n")
-            for x in winning:
-                u = "" if applied[x] == TARGET else str(applied[x])
-                fh.write(f"{x},{u},{ctrl.levels[x] - 1}\n")
-            return
-        grid = quantizer.grid
-        input_dim = grid.input_dim
-        inputs = grid.input_values()
-        fh.write(",".join(f"x{i+1}" for i in range(grid.dim)) + ","
-                 + ",".join(f"u{i+1}" for i in range(input_dim)) + ",value\n")
-        for x in winning:
+        fh.write(",".join(header) + ",value\n")
+        for x, cell in zip(winning, cells):
             if applied[x] == TARGET:
-                us = "," * (input_dim - 1)
+                us = "," * (inputs.shape[1] - 1)
             else:
-                us = ",".join(_fmt_num(v) for v in inputs[applied[x]])
-            xs = ",".join(_fmt_num(v) for v in quantizer.center(int(x)))
+                us = ",".join(fmt(v) for v in inputs[applied[x]])
+            xs = ",".join(fmt(v) for v in cell)
             fh.write(f"{xs},{us},{ctrl.levels[x] - 1}\n")

@@ -3,6 +3,7 @@ boundaries, and the inputs it accepts and rejects."""
 
 import hashlib
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -269,31 +270,46 @@ def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
 
 
 HEAD = "STS1\nstates 2\ninputs 1\n"
+GRID = ("# grid: tau=1 mu=1 eta=[1] periodic=[0] domain_lower=[0] domain_upper=[1]"
+        " input_lower=[0] input_upper=[1]\n")
 
 
 @pytest.mark.parametrize("text, match", [
-    (HEAD + "t 0 0 : 1\nt 0 0 : 0\n", r"line 5: duplicate"),
-    ("STS1\nt 0 0 : 1\nstates 2\ninputs 1\n", r"line 2: transition line before"),
-    (HEAD + "t 0 0 1 : 1\n", r"line 4: malformed transition line"),
-    (HEAD + "t 0 0 :\n", r"line 4: empty successor"),
-    (HEAD + "x 0 0 : 1\n", r"line 4: unrecognized line"),
-    (HEAD + "initial 0 1\n", r"line 4: unrecognized line 'initial 0 1'"),
-    ("STS1\nstates 2\nt 0 0 : 1\n", r"missing states/inputs header"),
-    (HEAD + "t 0 0 : 5\n", r"line 4: successor 5 out of range"),
-    (HEAD + "t 0 0 : a\n", r"line 4: unexpected character 'a'"),
-    (HEAD + "t 0 0 : -1\n", r"line 4: unexpected character '-'"),
-    (HEAD + "t 0 0 : +1\n", r"line 4: unexpected character '\+'"),
-    (HEAD + "t 0 0 : 1 : 1\n", r"line 4: expected 1 ':'"),
-    (HEAD + "t 0 0 1\n", r"line 4: expected 1 ':'"),
-    (HEAD + "t 0 1 : 1\n", r"line 4: state or input out of range"),
-    (HEAD + "t 0 0 : 1234567890\n", r"line 4: number out of range"),
-    ("STS1\nstates -2\ninputs 1\n", r"line 2: 'states' takes one decimal number"),
-    ("STS1\nstates 2\ninputs 1 1\n", r"line 3: 'inputs' takes one decimal number"),
-    ("STS1\nstates 2\nstates 2\ninputs 1\n", r"line 3: repeated 'states'"),
-    ("STS1\n# grid: tau=x mu=1 eta=[1] periodic=[0] domain_lower=[0] domain_upper=[1]"
-     " input_lower=[0] input_upper=[1]\n" + HEAD[5:], r"bad grid metadata"),
-    ("nope\n", r"not an STS1 file"),
-    ("", r"not an STS1 file"),
+    pytest.param(HEAD + "t 0 0 : 1\nt 0 0 : 0\n", r"line 5: duplicate", id="duplicate-pair"),
+    pytest.param("STS1\nt 0 0 : 1\nstates 2\ninputs 1\n", r"line 2: transition line before",
+                 id="record-before-header"),
+    pytest.param(HEAD + "t 0 0 1 : 1\n", r"line 4: malformed transition line", id="three-heads"),
+    pytest.param(HEAD + "t 0 0 :\n", r"line 4: empty successor", id="empty-successors"),
+    pytest.param(HEAD + "x 0 0 : 1\n", r"line 4: unrecognized line", id="unknown-tag"),
+    pytest.param(HEAD + "initial 0 1\n", r"line 4: unrecognized line 'initial 0 1'",
+                 id="initial-line"),
+    pytest.param("STS1\nstates 2\nt 0 0 : 1\n", r"missing states/inputs header",
+                 id="missing-inputs"),
+    pytest.param(HEAD + "t 0 0 : 5\n", r"line 4: successor 5 out of range",
+                 id="successor-out-of-range"),
+    pytest.param(HEAD + "t 0 0 : a\n", r"line 4: unexpected character 'a'", id="letter"),
+    pytest.param(HEAD + "t 0 0 : -1\n", r"line 4: unexpected character '-'", id="minus-sign"),
+    pytest.param(HEAD + "t 0 0 : +1\n", r"line 4: unexpected character '\+'", id="plus-sign"),
+    pytest.param(HEAD + "t 0 0 : 1 : 1\n", r"line 4: expected 1 ':'", id="two-colons"),
+    pytest.param(HEAD + "t 0 0 1\n", r"line 4: expected 1 ':'", id="no-colon"),
+    pytest.param(HEAD + "t 0 1 : 1\n", r"line 4: state or input out of range",
+                 id="input-out-of-range"),
+    pytest.param(HEAD + "t 0 0 : 1234567890\n", r"line 4: number out of range",
+                 id="ten-digits"),
+    pytest.param("STS1\nstates -2\ninputs 1\n", r"line 2: 'states' takes one decimal number",
+                 id="negative-states"),
+    pytest.param("STS1\nstates 2\ninputs 1 1\n", r"line 3: 'inputs' takes one decimal number",
+                 id="two-input-counts"),
+    pytest.param("STS1\nstates 2\nstates 2\ninputs 1\n", r"line 3: repeated 'states'",
+                 id="repeated-states"),
+    pytest.param("STS1\n" + GRID.replace("tau=1", "tau=x") + HEAD[5:], r"bad grid metadata",
+                 id="grid-bad-number"),
+    pytest.param("STS1\n" + GRID.replace("periodic=[0]", "periodic=[inf]") + HEAD[5:],
+                 r"bad grid metadata: cannot convert float infinity", id="grid-infinite-flag"),
+    pytest.param("nope\n", r"not an STS1 file", id="wrong-magic"),
+    pytest.param("", r"not an STS1 file", id="empty-file"),
+    pytest.param("STS1" + " " * 60 + "\n" + HEAD[5:], r"not an STS1 file \(header 'STS1'\)",
+                 id="overlong-magic-line"),
 ])
 def test_sts1_rejects(tmp_path, text, match):
     path = tmp_path / "bad.sts"
@@ -302,17 +318,38 @@ def test_sts1_rejects(tmp_path, text, match):
         formats.parse_system(path)
 
 
+def test_magic_line_read_is_bounded(tmp_path):
+    """A file without a newline is rejected after its first few bytes, not read whole."""
+    path = tmp_path / "flat.sts"
+    path.write_bytes(b"x" * (8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(formats.FormatError, match=r"header 'x{40}\.\.\.'"):
+            formats.parse_system(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("text, match", [
-    ("CTL1\nstates 2\ninputs 1\nc 1 1 :\n", r"line 4: winning state without inputs"),
-    ("CTL1\nstates 2\ninputs 1\nc 2 0 :\n", r"line 4: state or value out of range"),
-    ("CTL1\nstates 2\ninputs 1\nc 1 1 : 1\n", r"line 4: input 1 out of range"),
-    ("CTL1\nstates 2\ninputs 1\nc 0 0 :\nc 0 0 :\n", r"line 5: duplicate controller state"),
-    ("CTL1\nstates 3\ninputs 2\nc 0 0 : 1\n", r"line 4: target state with inputs"),
-    ("CTL1\nstates 3\ninputs 2\nc 2 1 : 1 1\n", r"line 4: inputs not strictly ascending"),
-    ("CTL1\nstates 3\ninputs 2\nc 1 1 : 0\nc 0 0 :\nc 2 1 : 1 0\n",
-     r"line 6: inputs not strictly ascending"),
-    ("CTL1\nstates 2\ninputs 1\ninitial 0\n", r"line 4: unrecognized line"),
-    ("STS1\nstates 2\n", r"not a CTL1 file"),
+    pytest.param("CTL1\nstates 2\ninputs 1\nc 1 1 :\n", r"line 4: winning state without inputs",
+                 id="winning-without-inputs"),
+    pytest.param("CTL1\nstates 2\ninputs 1\nc 2 0 :\n", r"line 4: state or value out of range",
+                 id="state-out-of-range"),
+    pytest.param("CTL1\nstates 2\ninputs 1\nc 1 1 : 1\n", r"line 4: input 1 out of range",
+                 id="input-out-of-range"),
+    pytest.param("CTL1\nstates 2\ninputs 1\nc 0 0 :\nc 0 0 :\n",
+                 r"line 5: duplicate controller state", id="duplicate-state"),
+    pytest.param("CTL1\nstates 3\ninputs 2\nc 0 0 : 1\n", r"line 4: target state with inputs",
+                 id="target-with-inputs"),
+    pytest.param("CTL1\nstates 3\ninputs 2\nc 2 1 : 1 1\n",
+                 r"line 4: inputs not strictly ascending", id="repeated-input"),
+    pytest.param("CTL1\nstates 3\ninputs 2\nc 1 1 : 0\nc 0 0 :\nc 2 1 : 1 0\n",
+                 r"line 6: inputs not strictly ascending", id="descending-inputs"),
+    pytest.param("CTL1\nstates 2\ninputs 1\ninitial 0\n", r"line 4: unrecognized line",
+                 id="initial-line"),
+    pytest.param("STS1\nstates 2\n", r"not a CTL1 file", id="wrong-magic"),
 ])
 def test_ctl1_rejects(tmp_path, text, match):
     path = tmp_path / "bad.ctl"
