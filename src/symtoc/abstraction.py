@@ -203,13 +203,7 @@ class Quantizer:
         self._centers = None
 
     def index_to_coords(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        coords = np.empty(idx.shape + (self.grid.dim,), dtype=np.int64)
-        rem = idx
-        for k in range(self.grid.dim):
-            coords[..., k] = rem // self.strides[k]
-            rem = rem % self.strides[k]
-        return coords
+        return np.stack(np.unravel_index(idx, self.cells), axis=-1)
 
     def center(self, idx) -> np.ndarray:
         coords = self.index_to_coords(idx)
@@ -294,12 +288,14 @@ class TargetSpec:
     def _free_mask(free, dim):
         mask = [False] * dim
         for d in free:
-            mask[int(d)] = True
+            if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and 0 <= d < dim):
+                raise ValueError(f"free axis {d!r} is not an integer in 0..{dim - 1}")
+            mask[d] = True
         return tuple(mask)
 
     @classmethod
     def box(cls, lower, upper, free=()) -> "TargetSpec":
-        """Axis-aligned box; `free` lists coordinate indices left unconstrained."""
+        """Axis-aligned box; `free` lists the axes (integers in 0..dim-1) left unconstrained."""
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         return cls([TargetBox(lower, upper, cls._free_mask(free, lower.size))])
 

@@ -141,31 +141,24 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
                 f"{formats._fmt_entry_time(upper[x])}, the controller's value "
                 f"{formats._fmt_entry_time(values[x])}")
     unsafe = _unsafe_cells(cfg, controller, grid)
+    rows, all_ok = [], True
+    for i, x0 in cfg.initial_states.items():
+        trace = simulate(model, rc, x0, cfg.target, cfg.max_steps, lower=lower)
+        trace_path = os.path.join(out_dir, f"{cfg.output_path('trace_prefix')}_{i}.csv")
+        formats.write_trace(trace_path, trace, grid.dim, grid.input_dim, timestamp=timestamp)
+        visits = (sum(1 for s in trace.steps if s.cell in unsafe)
+                  if unsafe is not None else 0)
+        ok = trace.certified and (unsafe is None or visits == 0)
+        all_ok &= ok
+        rows.append((i, trace.reason, trace.initial_cell, trace.lower_bound, trace.achieved,
+                     trace.upper_bound, visits, ok))
+        achieved = "none" if trace.achieved is None else trace.achieved
+        print(f"simulate: trace {i}: reason={trace.reason} achieved={achieved} "
+              f"bounds=[{formats._fmt_entry_time(trace.lower_bound)},"
+              f"{formats._fmt_entry_time(trace.upper_bound)}] "
+              f"{'pass' if ok else 'FAIL'} -> {trace_path}")
     report_path = os.path.join(out_dir, cfg.output_path("report"))
-    all_ok = True
-    with open(report_path, "w") as rep:
-        if timestamp:
-            rep.write(formats._timestamp_line())
-        rep.write("trace,reason,initial_cell,lower,achieved,upper,obstacle_visits,certified\n")
-        for i, x0 in cfg.initial_states.items():
-            trace = simulate(model, rc, x0, cfg.target, cfg.max_steps, lower=lower)
-            trace_path = os.path.join(out_dir, f"{cfg.output_path('trace_prefix')}_{i}.csv")
-            formats.write_trace(trace_path, trace, grid.dim, grid.input_dim,
-                                timestamp=timestamp)
-            visits = (sum(1 for s in trace.steps if s.cell in unsafe)
-                      if unsafe is not None else 0)
-            ok = trace.certified and (unsafe is None or visits == 0)
-            all_ok &= ok
-            achieved = "none" if trace.achieved is None else trace.achieved
-            cell = "none" if trace.initial_cell is None else trace.initial_cell
-            rep.write(f"{i},{trace.reason},{cell},"
-                      f"{formats._fmt_entry_time(trace.lower_bound)},{achieved},"
-                      f"{formats._fmt_entry_time(trace.upper_bound)},{visits},"
-                      f"{'pass' if ok else 'fail'}\n")
-            print(f"simulate: trace {i}: reason={trace.reason} achieved={achieved} "
-                  f"bounds=[{formats._fmt_entry_time(trace.lower_bound)},"
-                  f"{formats._fmt_entry_time(trace.upper_bound)}] "
-                  f"{'pass' if ok else 'FAIL'} -> {trace_path}")
+    formats.write_report(report_path, rows, timestamp=timestamp)
     print(f"simulate: certification report -> {report_path}")
     return EXIT_OK if all_ok else EXIT_CERTIFICATION
 
@@ -267,7 +260,7 @@ def main(argv=None) -> int:
             system_path = args.system or os.path.join(args.out, cfg.output_path("system"))
             return cmd_bounds(cfg, system_path)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, formats.FormatError, FileNotFoundError, DivergenceError) as e:
+    except (ConfigError, formats.FormatError, OSError, DivergenceError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_CONFIG
 

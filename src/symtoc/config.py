@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import GridSpec, TargetBox, TargetSpec
+from .abstraction import GridSpec, TargetSpec
 from .dynamics import MODEL_REGISTRY, Model, make_model
 
 
@@ -122,29 +122,18 @@ def _ints(key, values):
     return [int(v) for v in values]
 
 
-def _member_from_pairs(pairs, prefix) -> TargetBox:
+def _member_from_pairs(pairs, prefix) -> TargetSpec:
     shape = _want(pairs, f"{prefix}.shape", "string", default="box")
-    free_dims = _ints(f"{prefix}.free", _want(pairs, f"{prefix}.free", "list", default=[]))
+    free = _ints(f"{prefix}.free", _want(pairs, f"{prefix}.free", "list", default=[]))
     if shape == "box":
-        lower = _want(pairs, f"{prefix}.lower", "list", required=True)
-        upper = _want(pairs, f"{prefix}.upper", "list", required=True)
+        make, fields = TargetSpec.box, (("lower", "list"), ("upper", "list"))
     elif shape == "ball":
-        center = np.asarray(_want(pairs, f"{prefix}.center", "list", required=True))
-        radius = _want(pairs, f"{prefix}.radius", "number", required=True)
-        lower, upper = center - radius, center + radius
+        make, fields = TargetSpec.ball, (("center", "list"), ("radius", "number"))
     else:
         raise ConfigError(f"key '{prefix}.shape': unknown shape '{shape}'")
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.size != upper.size:
-        raise ConfigError(f"key '{prefix}': lower/upper lengths differ")
-    free = [False] * lower.size
-    for d in free_dims:
-        if not 0 <= d < lower.size:
-            raise ConfigError(f"key '{prefix}.free': dimension {d} out of range")
-        free[d] = True
+    args = [_want(pairs, f"{prefix}.{name}", typ, required=True) for name, typ in fields]
     try:
-        return TargetBox(lower, upper, tuple(free))
+        return make(*args, free=free)
     except ValueError as e:
         raise ConfigError(f"key '{prefix}': {e}") from None
 
@@ -203,6 +192,9 @@ def parse_config_text(text: str) -> ProblemConfig:
             periodic = tuple(k in model.angular_dims for k in range(len(dlo)))
             if model.dim != len(dlo) or model.input_dim != len(ilo):
                 raise ConfigError("grid dimensions do not match the model")
+            if cfg.input_margin and model.input_sensitivity is None:
+                raise ConfigError(f"key 'grid.input_margin': model '{cfg.model_id}' declares "
+                                  "no input_sensitivity, so an input margin cannot be covered")
         try:
             cfg.grid = GridSpec(tau=tau, eta=eta, mu=mu,
                                 domain_lower=np.array(dlo), domain_upper=np.array(dhi),
@@ -224,15 +216,15 @@ def parse_config_text(text: str) -> ProblemConfig:
                 members.append(_member_from_pairs(pairs, prefix))
             if not members:
                 raise ConfigError("target.shape = union needs numbered members")
-            cfg.target = TargetSpec(members)
+            cfg.target = TargetSpec.union(*members)
         else:
-            cfg.target = TargetSpec([_member_from_pairs(pairs, "target")])
+            cfg.target = _member_from_pairs(pairs, "target")
 
     obstacle_members = []
     for _, prefix in _numbered_prefixes(pairs, "obstacle"):
         obstacle_members.append(_member_from_pairs(pairs, prefix))
     if obstacle_members:
-        cfg.obstacles = TargetSpec(obstacle_members)
+        cfg.obstacles = TargetSpec.union(*obstacle_members)
     if "unsafe.states" in pairs:
         cfg.unsafe_states = _ints("unsafe.states", _want(pairs, "unsafe.states", "list"))
 
@@ -262,5 +254,9 @@ def parse_config_text(text: str) -> ProblemConfig:
 
 
 def parse_config(path) -> ProblemConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from None
+    return parse_config_text(text)

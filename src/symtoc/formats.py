@@ -1,4 +1,4 @@
-"""Text file formats: STS1 systems, CTL1 controllers, bounds/trace/plot CSVs.
+"""Text file formats: STS1 systems, CTL1 controllers and every CSV (bounds, trace, plot, report).
 
 Formats are line oriented and diff friendly; floats are written with Python
 repr so every file re-parses to a structurally identical object and repeated
@@ -502,24 +502,26 @@ def parse_bounds(path):
     return lo, up
 
 
-# -- trace CSV ---------------------------------------------------------------
+# -- trace, plot and report CSVs: rows of fields through one writer ---------------
 
-def write_trace(path, trace, dim: int, input_dim: int, timestamp: bool = True):
-    header = ("k," + ",".join(f"x{i+1}" for i in range(dim)) + ","
-              + ",".join(f"u{i+1}" for i in range(input_dim)) + ",cell,value\n")
+def _write_csv(path, header, rows, timestamp: bool):
+    """Write the timestamp comment (optional), then the header and each row
+    as its fields joined by commas on a line of its own."""
     with open(path, "w") as fh:
         if timestamp:
             fh.write(_timestamp_line())
-        fh.write(header)
-        for s in trace.steps:
-            xs = ",".join(_fmt_num(v) for v in s.state)
-            us = ",".join(_fmt_num(v) for v in s.input)
-            fh.write(f"{s.k},{xs},{us},{s.cell},{s.value}\n")
-        achieved = "none" if trace.achieved is None else str(trace.achieved)
-        fh.write(f"# reason={trace.reason} achieved={achieved}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-# -- controller plot CSV -------------------------------------------------------
+def write_trace(path, trace, dim: int, input_dim: int, timestamp: bool = True):
+    rows = [[s.k, *map(_fmt_num, s.state), *map(_fmt_num, s.input), s.cell, s.value]
+            for s in trace.steps]
+    achieved = "none" if trace.achieved is None else trace.achieved
+    rows.append([f"# reason={trace.reason} achieved={achieved}"])
+    _write_csv(path, ["k", *(f"x{i+1}" for i in range(dim)),
+                      *(f"u{i+1}" for i in range(input_dim)), "cell", "value"], rows, timestamp)
+
 
 def write_plot(path, ctrl: SymbolicController, quantizer: Quantizer | None = None,
                timestamp: bool = True):
@@ -535,14 +537,20 @@ def write_plot(path, ctrl: SymbolicController, quantizer: Quantizer | None = Non
         header = ([f"x{i+1}" for i in range(grid.dim)]
                   + [f"u{i+1}" for i in range(grid.input_dim)])
         fmt, cells, inputs = _fmt_num, quantizer.centers()[winning], grid.input_values()
-    with open(path, "w") as fh:
-        if timestamp:
-            fh.write(_timestamp_line())
-        fh.write(",".join(header) + ",value\n")
-        for x, cell in zip(winning, cells):
-            if applied[x] == TARGET:
-                us = "," * (inputs.shape[1] - 1)
-            else:
-                us = ",".join(fmt(v) for v in inputs[applied[x]])
-            xs = ",".join(fmt(v) for v in cell)
-            fh.write(f"{xs},{us},{ctrl.levels[x] - 1}\n")
+
+    def row(x, cell):
+        us = [""] * inputs.shape[1] if applied[x] == TARGET else map(fmt, inputs[applied[x]])
+        return [*map(fmt, cell), *us, ctrl.levels[x] - 1]
+
+    _write_csv(path, header + ["value"], (row(x, c) for x, c in zip(winning, cells)), timestamp)
+
+
+def write_report(path, rows, timestamp: bool = True):
+    """The certification report of `simulate`. Each row is (trace id, reason, initial
+    cell, lower, achieved, upper, obstacle visits, certified); None reads `none`."""
+    _write_csv(path, ["trace", "reason", "initial_cell", "lower", "achieved", "upper",
+                      "obstacle_visits", "certified"],
+               ([i, reason, "none" if cell is None else cell, _fmt_entry_time(lower),
+                 "none" if achieved is None else achieved, _fmt_entry_time(upper), visits,
+                 "pass" if ok else "fail"]
+                for i, reason, cell, lower, achieved, upper, visits, ok in rows), timestamp)

@@ -87,52 +87,43 @@ class FiniteSystem:
         num_inputs = int(num_inputs)
         if num_states < 0 or num_inputs < 0:
             raise ValueError("num_states and num_inputs must be nonnegative")
-        counts = np.zeros(num_states * num_inputs, dtype=np.int64)
-        cleaned = {}
+        pairs = {}
         for (x, u), succ in (transitions or {}).items():
             x, u = int(x), int(u)
             if not (0 <= x < num_states and 0 <= u < num_inputs):
                 raise IndexError(f"transition key ({x},{u}) out of range")
-            arr = np.unique(np.asarray(list(succ), dtype=np.int64))
-            if arr.size == 0:
-                continue  # empty list means disabled, same as absent
-            if arr[0] < 0 or arr[-1] >= num_states:
-                raise IndexError(f"successor out of range at ({x},{u})")
-            cleaned[(x, u)] = arr
-            counts[x * num_inputs + u] = arr.size
-        offsets = np.zeros(num_states * num_inputs + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        targets = np.zeros(offsets[-1], dtype=np.int32)
-        for (x, u), arr in cleaned.items():
-            k = x * num_inputs + u
-            targets[offsets[k]:offsets[k + 1]] = arr
-        self._init_from_csr(num_states, num_inputs, offsets, targets)
+            # an empty list means disabled, same as absent
+            pairs[x * num_inputs + u] = np.unique(np.asarray(list(succ), dtype=np.int64))
+        counts = np.zeros(num_states * num_inputs, dtype=np.int64)
+        counts[list(pairs)] = [a.size for a in pairs.values()]
+        targets = np.concatenate([np.zeros(0, dtype=np.int64), *(pairs[k] for k in sorted(pairs))])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        # the layout constructor owns the checks and the fields
+        vars(self).update(vars(FiniteSystem.from_csr(num_states, num_inputs, offsets, targets)))
 
     @classmethod
     def from_csr(cls, num_states, num_inputs, offsets, targets) -> "FiniteSystem":
         """Build directly from the compressed layout, after checking it."""
         sys = cls.__new__(cls)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        targets = np.ascontiguousarray(targets, dtype=np.int32)
+        targets = np.asarray(targets)
         if offsets.shape != (num_states * num_inputs + 1,):
             raise ValueError("offsets has wrong length")
         if offsets[0] != 0 or offsets[-1] != targets.size:
             raise ValueError("offsets do not span targets")
         if np.any(np.diff(offsets) < 0):
             raise ValueError("offsets must be nondecreasing")
+        # before the int32 cast, which would wrap a wider id into range
         if targets.size and (targets.min() < 0 or targets.max() >= num_states):
             raise IndexError("successor out of range")
-        sys._init_from_csr(int(num_states), int(num_inputs), offsets, targets)
+        sys.num_states = int(num_states)
+        sys.num_inputs = int(num_inputs)
+        sys._offsets = offsets
+        sys._targets = np.ascontiguousarray(targets, dtype=np.int32)
+        sys._offsets.setflags(write=False)
+        sys._targets.setflags(write=False)
+        sys._reverse_cache = None
         return sys
-
-    def _init_from_csr(self, num_states, num_inputs, offsets, targets):
-        self.num_states = num_states
-        self.num_inputs = num_inputs
-        self._offsets = offsets
-        self._targets = targets
-        self._offsets.setflags(write=False)
-        self._targets.setflags(write=False)
-        self._reverse_cache = None
 
     # -- basic queries -------------------------------------------------
 

@@ -95,10 +95,8 @@ class SymbolicController:
         lvl = int(self.levels[x])
         return lvl - 1 if lvl <= self.num_states else math.inf
 
-    def values(self) -> np.ndarray:
-        out = self.levels.astype(float) - 1.0
-        out[self.levels > self.num_states] = np.inf
-        return out
+    values = EntryTimeTable.entry_times  # the levels mean the same in both
+    domain = EntryTimeTable.winning
 
     def enabled(self, x: int) -> np.ndarray:
         return self.enabled_inputs_flat[self.offsets[x]:self.offsets[x + 1]]
@@ -109,9 +107,6 @@ class SymbolicController:
     @property
     def worst_values_flat(self) -> np.ndarray:  # aligned with enabled_inputs_flat
         return np.repeat(self.levels - 2, np.diff(self.offsets))
-
-    def domain(self) -> StateSet:
-        return StateSet.from_mask(self.levels <= self.num_states)
 
 
 

@@ -231,6 +231,14 @@ def test_target_free_dimension():
         assert int(coords_to_index(q, c)) in over
 
 
+@pytest.mark.parametrize("free", [[-1], [1.7], [2], [True, False]])  # a mask is no axis list
+def test_target_free_axes_are_integers_in_range(free):
+    with pytest.raises(ValueError, match="free axis"):
+        TargetSpec.box([0, 0], [1, 1], free=free)
+    with pytest.raises(ValueError, match="free axis"):
+        TargetSpec.ball([0, 0], 1, free=free)
+
+
 @st.composite
 def lattice_covers_case(draw):
     """A small grid and a union target whose bounds, cell edges and periods

@@ -6,6 +6,7 @@ assertions; random suites use fixed seeds and independent brute-force oracles.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -112,7 +113,7 @@ def test_double_integrator_cli_traces(tmp_path):
     assert cli.main(["abstract", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
     assert cli.main(["synthesize", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
     assert cli.main(["simulate", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
-    report = open(os.path.join(out, "double_integrator_report.csv")).read().splitlines()
+    report = Path(out, "double_integrator_report.csv").read_text().splitlines()
     verdicts = [line.split(",")[-1] for line in report[1:]]
     assert verdicts == ["pass"] * 6
     for i in range(1, 7):

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,9 +206,9 @@ def test_end_to_end_small_double_integrator(tmp_path):
                  "double_integrator_trace_2.csv", "double_integrator_report.csv",
                  "double_integrator_plot.csv"):
         assert os.path.exists(os.path.join(out, name)), name
-    report = open(os.path.join(out, "double_integrator_report.csv")).read()
+    report = Path(out, "double_integrator_report.csv").read_text()
     assert "fail" not in report
-    trace = open(os.path.join(out, "double_integrator_trace_1.csv")).read()
+    trace = Path(out, "double_integrator_trace_1.csv").read_text()
     assert trace.startswith("k,x1,x2,u1,cell,value\n")
     assert "# reason=reached-target achieved=" in trace
 
@@ -218,8 +220,8 @@ def test_pipeline_byte_identical_outputs(tmp_path):
         for cmd in ("abstract", "synthesize", "simulate", "export-plot"):
             assert cli.main([cmd, "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     for name in sorted(os.listdir(outs[0])):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b, f"{name} differs between runs"
 
 
@@ -229,8 +231,8 @@ def test_threads_do_not_change_output(tmp_path):
     assert cli.main(["abstract", "--config", cfg_path, "--out", a, "--no-timestamp"]) == 0
     assert cli.main(["abstract", "--config", cfg_path, "--out", b, "--no-timestamp",
                      "--threads", "4"]) == 0
-    fa = open(os.path.join(a, "double_integrator.sts"), "rb").read()
-    fb = open(os.path.join(b, "double_integrator.sts"), "rb").read()
+    fa = Path(a, "double_integrator.sts").read_bytes()
+    fb = Path(b, "double_integrator.sts").read_bytes()
     assert fa == fb
 
 
@@ -244,7 +246,7 @@ def test_explicit_system_pipeline(tmp_path):
     assert lo.tolist() == [2, 1, 0]
     assert up.tolist() == [2, 1, 0]
     assert cli.main(["export-plot", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
-    plot = open(os.path.join(out, "chain_plot.csv")).read().strip().splitlines()
+    plot = Path(out, "chain_plot.csv").read_text().strip().splitlines()
     assert plot[0] == "state,input,value"
     assert len(plot) == 1 + 3  # header + one row per winning state
 
@@ -257,7 +259,7 @@ def test_empty_winning_set_exit_code(tmp_path):
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out,
                      "--no-timestamp"]) == cli.EXIT_EMPTY_WINNING
     assert cli.main(["export-plot", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
-    plot = open(os.path.join(out, "chain_plot.csv")).read().strip().splitlines()
+    plot = Path(out, "chain_plot.csv").read_text().strip().splitlines()
     assert plot == ["state,input,value"]  # header-only
 
 
@@ -528,6 +530,17 @@ def test_fractional_ids_and_axes_exit_2(tmp_path, capsys, key, line):
     assert f"error: key '{key}': {value} is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    pytest.param("target.free = [2]", "key 'target': free axis 2 is not an integer in 0..1",
+                 id="free-axis"),
+    pytest.param("obstacle.1.lower = [2, 2]\nobstacle.1.upper = [3]",
+                 "key 'obstacle.1': box bounds must have equal length", id="unequal-bounds"),
+])
+def test_bad_target_members_name_the_key(extra, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(DI_CONFIG + extra + "\n")
+
+
 @pytest.fixture(scope="module")
 def di_artifacts(tmp_path_factory):
     """The small double integrator abstracted and synthesized."""
@@ -576,8 +589,59 @@ def test_report_spells_a_missing_initial_cell_none(di_artifacts, tmp_path):
     cfg_path = write(tmp_path / "di.cfg", text)
     assert cli.main(["simulate", "--config", cfg_path, "--out", di_artifacts,
                      "--no-timestamp"]) == cli.EXIT_CERTIFICATION
-    rows = open(os.path.join(di_artifacts, "double_integrator_report.csv")).read().splitlines()
+    rows = Path(di_artifacts, "double_integrator_report.csv").read_text().splitlines()
     assert rows[2] == "2,left-winning-set,none,0,none,inf,0,fail"
+
+
+MARGIN_CONFIG = """
+model.id = drift
+grid.tau = 1
+grid.eta = 1
+grid.mu = 1
+grid.domain_lower = [0]
+grid.domain_upper = [4]
+grid.input_lower = [0]
+grid.input_upper = [0]
+grid.input_margin = true
+target.lower = [0]
+target.upper = [1]
+"""
+
+
+@pytest.mark.parametrize("fault", [
+    "config-is-a-directory", "system-is-a-directory", "controller-is-a-directory",
+    "bounds-is-a-directory", "out-is-a-file", "config-not-utf8", "input-margin-without-sensitivity",
+])
+def test_path_and_config_faults_exit_2_with_one_error_line(fault, di_artifacts, tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setitem(MODEL_REGISTRY, "drift", lambda: Model(
+        "drift", 1, 1, lambda x, u: u + 0 * x, contraction_matrix=[[0.0]]))
+    cfg = write(tmp_path / "di.cfg", DI_CONFIG)
+    ctl = os.path.join(di_artifacts, "double_integrator.ctl")
+    folder, out = str(tmp_path / "folder"), str(tmp_path / "out")
+    os.makedirs(folder)
+    (tmp_path / "latin1.cfg").write_bytes(DI_CONFIG.encode() + b"# caf\xe9\n")
+    argv, message = {
+        "config-is-a-directory": (["abstract", "--config", folder], "Is a directory"),
+        "system-is-a-directory": (["synthesize", "--config", cfg, "--system", folder],
+                                  "Is a directory"),
+        "controller-is-a-directory": (["simulate", "--config", cfg, "--controller", folder],
+                                      "Is a directory"),
+        "bounds-is-a-directory": (["simulate", "--config", cfg, "--controller", ctl,
+                                   "--bounds", folder], "Is a directory"),
+        "out-is-a-file": (["abstract", "--config", cfg, "--out", cfg], "File exists"),
+        "config-not-utf8": (["abstract", "--config", str(tmp_path / "latin1.cfg")],
+                            "is not UTF-8 text"),
+        "input-margin-without-sensitivity": (
+            ["abstract", "--config", write(tmp_path / "drift.cfg", MARGIN_CONFIG)],
+            "key 'grid.input_margin': model 'drift' declares no input_sensitivity"),
+    }[fault]
+    if "--out" not in argv:
+        argv += ["--out", out]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
 
 def test_unknown_model_parameter_exits_2(tmp_path, capsys):

@@ -69,6 +69,9 @@ def test_construction_validates_indices():
         FiniteSystem(2, 1, {(0, 0): [2]})
     with pytest.raises(IndexError):
         FiniteSystem(2, 1, {(2, 0): [0]})
+    # checked before the int32 cast, which would wrap it to successor 1
+    with pytest.raises(IndexError, match="successor out of range"):
+        FiniteSystem.from_csr(3, 1, [0, 1, 1, 1], np.array([2**32 + 1]))
 
 
 def pairs_matrix(s, pairs):
