@@ -42,19 +42,15 @@ _REL_TOL = 1e-9  # tolerance, in units of eta, for quantization ties and target 
 # grids of different steps shave identically. Assumes coordinates and
 # integration noise well above 1e-12 in magnitude.
 _TIE_SHAVE = 1e-9
-# A coordinate of magnitude m is rounded by up to m * 2^-53 before a periodic
-# axis wraps it; past this magnitude that rounding exceeds the tie shave, so
-# the builder rejects such endpoints on periodic axes.
+# A coordinate of magnitude m is rounded by up to m * 2^-53; past this
+# magnitude that rounding exceeds the tie shave, so a GridSpec rejects a
+# domain reaching past it, and the builder such an endpoint on a periodic axis.
 _MAX_WRAPPED = _TIE_SHAVE * 2.0 ** 53
 _MAX_IDS = 2.0 ** 31  # state and input ids are stored as int32
 # Successors the builder enumerates per block: a block's int64 work arrays
 # stay near 256 KB, so the memory of a build does not grow with the
 # successors of one input.
 _ENUM_BLOCK = 1 << 15
-
-
-class OutOfDomainError(ValueError):
-    """A concrete state fell outside the gridded region."""
 
 
 def _axis_cell(vals, lo, eta, K, period, periodic):
@@ -136,6 +132,11 @@ class GridSpec:
             if not total < _MAX_IDS:
                 raise ValueError(f"{total:.3g} {what}, but state and input ids are "
                                  f"int32: a grid needs fewer than 2^31 {what}")
+        far = np.maximum(np.abs(self.domain_lower), np.abs(self.domain_upper))
+        if (far > _MAX_WRAPPED).any():
+            raise ValueError(f"domain axis x{np.argmax(far) + 1} reaches magnitude "
+                             f"{far.max():.3g}, above {_MAX_WRAPPED:.3g}, where rounding "
+                             f"exceeds the {_TIE_SHAVE:g} tie shave")
 
     @property
     def dim(self) -> int:
@@ -238,15 +239,6 @@ class Quantizer:
         ok &= ((i >= 0) & (i < self.cells)).all(axis=1)
         flat = np.where(ok, i @ self.strides, -1)
         return int(flat[0]) if x.ndim == 1 else flat
-
-    def quantize(self, x) -> np.ndarray | int:
-        """`cell_index`, raising OutOfDomainError where it gives -1."""
-        flat = self.cell_index(x)
-        bad = np.flatnonzero(np.atleast_1d(flat) < 0)
-        if bad.size:
-            state = np.atleast_2d(np.asarray(x, dtype=float))[bad[0]]
-            raise OutOfDomainError(f"state {state.tolist()} outside gridded domain")
-        return flat
 
 
 # -- target specifications ---------------------------------------------

@@ -8,6 +8,7 @@ outputs when --no-timestamp is passed.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys as _sys
 import time
@@ -15,8 +16,7 @@ import time
 import numpy as np
 
 from . import formats
-from .abstraction import (OutOfDomainError, Quantizer, build_abstraction, target_over,
-                          target_under)
+from .abstraction import Quantizer, build_abstraction, target_over, target_under
 from .config import ConfigError, ProblemConfig, parse_config
 from .dynamics import DivergenceError
 from .fts import StateSet
@@ -122,24 +122,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
     if model.dim != grid.dim or model.input_dim != grid.input_dim:
         raise ConfigError("configured model does not match the controller's grid")
     rc = RefinedController(controller, Quantizer(grid))
-    if bounds_path is None:
-        candidate = os.path.join(out_dir, cfg.output_path("bounds"))
-        bounds_path = candidate if os.path.exists(candidate) else None
-    lower = None
-    if bounds_path is not None:
-        lower, upper = formats.parse_bounds(bounds_path)
-        if lower.size != controller.num_states:
-            raise formats.FormatError(
-                f"bounds file {bounds_path} covers {lower.size} states, "
-                f"the controller {controller.num_states}")
-        values = controller.values()
-        differ = np.flatnonzero(upper != values)
-        if differ.size:
-            x = int(differ[0])
-            raise formats.FormatError(
-                f"bounds file {bounds_path}: upper bound of state {x} is "
-                f"{formats._fmt_entry_time(upper[x])}, the controller's value "
-                f"{formats._fmt_entry_time(values[x])}")
+    lower = formats.parse_bounds(bounds_path, controller)[0] if bounds_path is not None else None
     unsafe = _unsafe_cells(cfg, controller, grid)
     rows, all_ok = [], True
     for i, x0 in cfg.initial_states.items():
@@ -154,8 +137,8 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
                      trace.upper_bound, visits, ok))
         achieved = "none" if trace.achieved is None else trace.achieved
         print(f"simulate: trace {i}: reason={trace.reason} achieved={achieved} "
-              f"bounds=[{formats._fmt_entry_time(trace.lower_bound)},"
-              f"{formats._fmt_entry_time(trace.upper_bound)}] "
+              f"bounds=[{formats.fmt_entry_time(trace.lower_bound)},"
+              f"{formats.fmt_entry_time(trace.upper_bound)}] "
               f"{'pass' if ok else 'FAIL'} -> {trace_path}")
     report_path = os.path.join(out_dir, cfg.output_path("report"))
     formats.write_report(report_path, rows, timestamp=timestamp)
@@ -174,23 +157,19 @@ def cmd_export_plot(controller_path, out_path, timestamp=True) -> int:
 
 
 def cmd_bounds(cfg: ProblemConfig, system_path) -> int:
-    """Print-only bound report for the configured initial states (or all states)."""
+    """Print the bounds table of the configured initial states' cells (or of all states)."""
     system, grid = formats.parse_system(system_path)
     controller, lower = _synthesize(cfg, system, grid)
-    lo = lower.entry_times()
-    up = controller.values()
-    print("state,lower,upper")
+    cells = None
     if grid is not None and cfg.initial_states:
-        quantizer = Quantizer(grid)
-        for k, x0 in cfg.initial_states.items():
-            try:
-                cell = int(quantizer.quantize(x0))
-            except OutOfDomainError as e:
-                raise ConfigError(f"key 'simulate.initial.{k}': {e}") from None
-            print(f"{cell},{formats._fmt_entry_time(lo[cell])},{formats._fmt_entry_time(up[cell])}")
-    else:
-        for x in range(system.num_states):
-            print(f"{x},{formats._fmt_entry_time(lo[x])},{formats._fmt_entry_time(up[x])}")
+        cells = Quantizer(grid).cell_index(np.array(list(cfg.initial_states.values())))
+        for (k, x0), cell in zip(cfg.initial_states.items(), cells):
+            if cell < 0:
+                raise ConfigError(f"key 'simulate.initial.{k}': state {x0.tolist()} "
+                                  "outside gridded domain")
+    table = io.BytesIO()
+    formats.write_bounds_table(table, lower, controller, cells)
+    print(table.getvalue().decode(), end="")
     if len(controller.domain()) == 0:
         print("bounds: warning: winning set is empty")
         return EXIT_EMPTY_WINNING
@@ -235,33 +214,39 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    named = {"--config": args.config}  # path of each option or config key; config read first
     try:
         cfg = parse_config(args.config) if args.config else None
+        named = {f"--{o}": getattr(args, o, None) for o in ("system", "controller", "bounds", "out")}
+        named.update((f"output.{kind}", os.path.join(args.out, name))
+                     for kind, name in (cfg.outputs.items() if cfg else ()))
+        # each input file: --<kind> as given, else the config's output.<kind> under --out
+        path = {kind: named[f"--{kind}"] or named.get(f"output.{kind}")
+                for kind in ("system", "controller", "bounds")}
         if args.command == "abstract":
             return cmd_abstract(cfg, out_dir=args.out, threads=args.threads,
                                 timestamp=not args.no_timestamp)
         if args.command == "synthesize":
-            system_path = args.system or os.path.join(args.out, cfg.output_path("system"))
-            return cmd_synthesize(cfg, system_path, out_dir=args.out,
+            return cmd_synthesize(cfg, path["system"], out_dir=args.out,
                                   timestamp=not args.no_timestamp)
         if args.command == "simulate":
-            ctl_path = args.controller or os.path.join(args.out, cfg.output_path("controller"))
-            return cmd_simulate(cfg, ctl_path, out_dir=args.out,
-                                bounds_path=args.bounds,
+            # without a bounds file the traces get no lower bound
+            bounds = path["bounds"] if args.bounds or os.path.exists(path["bounds"]) else None
+            return cmd_simulate(cfg, path["controller"], out_dir=args.out, bounds_path=bounds,
                                 timestamp=not args.no_timestamp)
         if args.command == "export-plot":
             if args.controller is None and cfg is None:
                 raise ConfigError("export-plot needs --controller or --config")
-            ctl_path = args.controller or os.path.join(args.out, cfg.output_path("controller"))
             plot_name = cfg.output_path("plot") if cfg else "controller_plot.csv"
-            return cmd_export_plot(ctl_path, os.path.join(args.out, plot_name),
+            return cmd_export_plot(path["controller"], os.path.join(args.out, plot_name),
                                    timestamp=not args.no_timestamp)
         if args.command == "bounds":
-            system_path = args.system or os.path.join(args.out, cfg.output_path("system"))
-            return cmd_bounds(cfg, system_path)
+            return cmd_bounds(cfg, path["system"])
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, formats.FormatError, OSError, DivergenceError) as e:
-        print(f"error: {e}", file=_sys.stderr)
+        source = next((f"{name}: " for name, given in named.items()
+                       if given and given == getattr(e, "filename", None)), "")
+        print(f"error: {source}{e}", file=_sys.stderr)
         return EXIT_CONFIG
 
 

@@ -145,7 +145,7 @@ def _write_blocks(fh, width, tokens_of, sep: bytes, words=()):
     while a < width.size:
         budget = (ends[a - 1] if a else 0) + _BLOCK_BYTES // 4  # tokens take ~4 bytes
         b = max(int(np.searchsorted(ends, budget, side="right")), a + 1)
-        _render(tokens_of(a, b), width[a:b], sep, words).tofile(fh)
+        fh.write(_render(tokens_of(a, b), width[a:b], sep, words))
         a = b
 
 
@@ -456,27 +456,38 @@ def parse_controller(path):
 
 # -- bounds CSV ------------------------------------------------------------
 
-def _fmt_entry_time(v) -> str:
+def fmt_entry_time(v) -> str:
     return "inf" if math.isinf(v) else str(int(v))
+
+
+def write_bounds_table(fh, lower: EntryTimeTable, upper: SymbolicController, states=None,
+                       timestamp: bool = False):
+    """Write the `state,lower,upper` table to the binary stream fh: the header,
+    then the row of each of `states` (default: every state, ascending)."""
+    lo, up = lower.entry_times(), upper.values()
+    states = np.arange(lo.size) if states is None else states
+    fh.write(((_timestamp_line() if timestamp else "") + "state,lower,upper\n").encode())
+
+    def tokens_of(a, b):
+        s = states[a:b]
+        cols = [s] + [np.where(np.isinf(t[s]), -1, t[s]) for t in (lo, up)]
+        return np.column_stack(cols).astype(np.int32).ravel()
+
+    _write_blocks(fh, np.full(states.size, 3), tokens_of, b",", (b"inf",))
 
 
 def write_bounds(path, lower: EntryTimeTable, upper: SymbolicController,
                  timestamp: bool = True):
-    lo, up = lower.entry_times(), upper.values()
     with open(path, "wb") as fh:
-        fh.write(((_timestamp_line() if timestamp else "") + "state,lower,upper\n").encode())
-
-        def tokens_of(a, b):
-            cols = [np.arange(a, b)] + [np.where(np.isinf(t[a:b]), -1, t[a:b]) for t in (lo, up)]
-            return np.column_stack(cols).astype(np.int32).ravel()
-
-        _write_blocks(fh, np.full(lo.size, 3), tokens_of, b",", (b"inf",))
+        write_bounds_table(fh, lower, upper, timestamp=timestamp)
 
 
-def parse_bounds(path):
+def parse_bounds(path, controller: SymbolicController | None = None):
     """Read a bounds CSV; returns (lower, upper) float arrays with inf sentinels.
 
-    Rows may come in any order, but must name each state 0..n-1 once.
+    Rows may come in any order, but must name each state 0..n-1 once. With a
+    controller, the table must cover its states and its upper column must be
+    the controller's values.
     """
     def on_line(lineno, line):
         if not (line.startswith("#") or line.startswith("state,")):
@@ -499,6 +510,16 @@ def parse_bounds(path):
     lo, up = np.empty((2, states.size))
     lo[states] = np.where(rows[:, 1] < 0, np.inf, rows[:, 1])
     up[states] = np.where(rows[:, 2] < 0, np.inf, rows[:, 2])
+    if controller is not None:
+        if states.size != controller.num_states:
+            raise FormatError(f"bounds file {path} covers {states.size} states, "
+                              f"the controller {controller.num_states}")
+        differ = np.flatnonzero(up != controller.values())
+        if differ.size:
+            x = int(differ[0])
+            raise FormatError(f"bounds file {path}: upper bound of state {x} is "
+                              f"{fmt_entry_time(up[x])}, the controller's value "
+                              f"{fmt_entry_time(controller.values()[x])}")
     return lo, up
 
 
@@ -550,7 +571,7 @@ def write_report(path, rows, timestamp: bool = True):
     cell, lower, achieved, upper, obstacle visits, certified); None reads `none`."""
     _write_csv(path, ["trace", "reason", "initial_cell", "lower", "achieved", "upper",
                       "obstacle_visits", "certified"],
-               ([i, reason, "none" if cell is None else cell, _fmt_entry_time(lower),
-                 "none" if achieved is None else achieved, _fmt_entry_time(upper), visits,
+               ([i, reason, "none" if cell is None else cell, fmt_entry_time(lower),
+                 "none" if achieved is None else achieved, fmt_entry_time(upper), visits,
                  "pass" if ok else "fail"]
                 for i, reason, cell, lower, achieved, upper, visits, ok in rows), timestamp)

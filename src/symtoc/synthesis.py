@@ -352,10 +352,12 @@ def synthesize(sys: FiniteSystem, w_under: StateSet, w_over: StateSet,
     The controller is extracted from the pessimistic game towards the inner
     target cover w_under, the lower bounds are the optimistic game towards
     the outer cover w_over. With `unsafe`, both games run on `sys` restricted
-    to the least restrictive safety controller's inputs, the pessimistic
-    target shrinks to the maximal safe set, and the reverse adjacency of
-    `sys` is released once the restricted system holds its filtered copy.
-    An empty winning set is reported through the controller, not raised.
+    to the least restrictive safety controller's inputs, and the pessimistic
+    target shrinks to the maximal safe set. The lower bounds then hold for
+    the controllers that use only those inputs, not for every controller
+    that avoids `unsafe`. The reverse adjacency of `sys` is released once
+    the restricted system holds its filtered copy. An empty winning set is
+    reported through the controller, not raised.
     """
     for given in (w_under, w_over, unsafe):
         if given is not None:

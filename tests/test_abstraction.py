@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtoc import (GridSpec, Model, OutOfDomainError, Quantizer, SampledFlow,
+from symtoc import (GridSpec, Model, Quantizer, SampledFlow,
                     TargetBox, TargetSpec, build_abstraction, double_integrator, integrate,
                     one_period, reach_radius, target_over, target_under, unicycle)
 from symtoc.config import parse_config_text
@@ -59,16 +59,29 @@ def test_grid_validation():
 
 
 def test_grid_counts_must_fit_int32_ids():
-    line = dict(tau=1, eta=1, mu=1, domain_lower=[0], input_lower=[0], input_upper=[0])
-    assert GridSpec(domain_upper=[2**31 - 2], **line).num_cells == 2**31 - 1
+    # a step of 2^-10 keeps the domain below the magnitude where rounding
+    # exceeds the tie shave
+    eta = 2.0 ** -10
+    line = dict(tau=1, eta=eta, mu=1, domain_lower=[0], input_lower=[0], input_upper=[0])
+    assert GridSpec(domain_upper=[(2**31 - 2) * eta], **line).num_cells == 2**31 - 1
     with pytest.raises(ValueError, match=r"2\.15e\+09 cells, but state and input ids are int32"):
-        GridSpec(domain_upper=[2**31 - 1], **line)
+        GridSpec(domain_upper=[(2**31 - 1) * eta], **line)
     with pytest.raises(ValueError, match=r"^inf cells"):  # finite per axis, not in product
         GridSpec(tau=1, eta=1e-300, mu=1, domain_lower=[0, 0], domain_upper=[1, 1],
                  input_lower=[0], input_upper=[0])
     with pytest.raises(ValueError, match=r"^2e\+300 inputs"):
         GridSpec(tau=1, eta=1, mu=1e-300, domain_lower=[0], domain_upper=[1],
                  input_lower=[0], input_upper=[2])
+
+
+def test_domain_must_stay_where_rounding_is_below_the_tie_shave():
+    line = dict(tau=1, eta=1, mu=1, input_lower=[0], input_upper=[0])
+    assert GridSpec(domain_lower=[-9e6, 0], domain_upper=[-9e6 + 10, 9e6], **line).dim == 2
+    for lower, upper, axis in (([1e7], [1e7 + 3], 1), ([-1e7], [-1e7 + 3], 1),
+                               ([0, -1e7], [1, 0], 2)):
+        with pytest.raises(ValueError, match=rf"^domain axis x{axis} reaches magnitude 1e\+07, "
+                                             r"above 9\.01e\+06"):
+            GridSpec(domain_lower=lower, domain_upper=upper, **line)
 
 
 def test_single_cell_domain():
@@ -82,9 +95,9 @@ def test_quantizer_roundtrip_and_relation_bound():
     q = Quantizer(di_grid())
     rng = np.random.default_rng(5)
     cells = rng.integers(0, q.num_cells, size=200)
-    assert np.array_equal(q.quantize(q.center(cells)), cells)
+    assert np.array_equal(q.cell_index(q.center(cells)), cells)
     xs = rng.uniform(-3, 3, size=(500, 2))
-    cells = q.quantize(xs)
+    cells = q.cell_index(xs)
     centers = q.center(cells)
     assert np.abs(xs - centers).max() <= 0.15 + 1e-12
 
@@ -92,14 +105,13 @@ def test_quantizer_roundtrip_and_relation_bound():
 def test_quantizer_rounds_half_up():
     q = Quantizer(di_grid())
     # midpoint between centers 0.0 and 0.3 goes to the upper cell
-    c = q.quantize(np.array([0.15, 0.15]))
+    c = q.cell_index(np.array([0.15, 0.15]))
     assert np.allclose(q.center(c), [0.3, 0.3], atol=1e-9)
 
 
-def test_quantize_outside_domain_raises():
+def test_cell_index_outside_domain_is_minus_one():
     q = Quantizer(di_grid())
-    with pytest.raises(OutOfDomainError):
-        q.quantize(np.array([3.5, 0.0]))
+    assert q.cell_index(np.array([3.5, 0.0])) == -1
 
 
 def test_cell_index_marks_off_grid_and_non_finite_states():
@@ -111,9 +123,7 @@ def test_cell_index_marks_off_grid_and_non_finite_states():
         warnings.simplefilter("error")
         cells = q.cell_index(rows)
         assert q.cell_index(rows[1]) == -1
-        with pytest.raises(OutOfDomainError, match=r"state \[0\.8, 0\.8, nan\] outside gridded domain"):
-            q.quantize(rows[1])
-    assert cells[0] == q.quantize(inside) and isinstance(q.cell_index(inside), int)
+    assert cells[0] == q.cell_index(inside) and isinstance(q.cell_index(inside), int)
     assert cells[1:5].tolist() == [-1, -1, -1, -1]
     assert cells[5] >= 0  # a finite heading wraps, however large
     assert cells[6] == -1
@@ -126,7 +136,7 @@ def test_double_integrator_nine_successor_cells():
     # radius (0.3, 0.3), box [0.2,0.8]x[0.7,1.3]
     grid = di_grid()
     system, q = build_abstraction(double_integrator(), grid)
-    cell = q.quantize(np.array([0.0, 0.0]))
+    cell = q.cell_index(np.array([0.0, 0.0]))
     u_one = 20  # inputs -1.0 .. 1.0 step 0.1
     assert grid.input_values()[u_one, 0] == pytest.approx(1.0)
     succ = system.post(int(cell), u_one)
@@ -140,7 +150,7 @@ def test_stationary_model_self_loop_successor():
     # quantizer region, so the only successor is the cell itself
     grid = di_grid(extent=1.5, eta=0.3, mu=1.0)
     system, q = build_abstraction(stationary_model(), grid)
-    interior = q.quantize(np.array([0.0, 0.0]))
+    interior = q.cell_index(np.array([0.0, 0.0]))
     succ = system.post(int(interior), 0)
     assert succ.tolist() == [int(interior)]
 
@@ -149,12 +159,12 @@ def test_boundary_cells_are_disabled():
     # any cell whose over-approximation box crosses the domain edge loses the input
     grid = di_grid(extent=1.5, eta=0.3, mu=1.0)
     system, q = build_abstraction(stationary_model(), grid)
-    edge = q.quantize(np.array([1.5, 0.0]))
+    edge = q.cell_index(np.array([1.5, 0.0]))
     assert system.enabled_inputs(int(edge)).tolist() == []
     # double integrator pushed outward at the fast edge
     grid2 = di_grid()
     system2, q2 = build_abstraction(double_integrator(), grid2)
-    corner = q2.quantize(np.array([3.0, 3.0]))
+    corner = q2.cell_index(np.array([3.0, 3.0]))
     assert system2.post(int(corner), 20).size == 0
 
 
@@ -173,8 +183,8 @@ def test_target_under_over_ball():
     W = TargetSpec.ball([0.0, 0.0], 1.0)
     under = target_under(grid, W)
     over = target_over(grid, W)
-    probe = q.quantize(np.array([0.9, 0.0]))      # box [0.75,1.05]x[-0.15,0.15]
-    inside = q.quantize(np.array([0.6, 0.6]))     # box [0.45,0.75]^2
+    probe = q.cell_index(np.array([0.9, 0.0]))      # box [0.75,1.05]x[-0.15,0.15]
+    inside = q.cell_index(np.array([0.6, 0.6]))     # box [0.45,0.75]^2
     assert probe not in under
     assert probe in over
     assert inside in under
@@ -197,7 +207,7 @@ def test_target_point_and_vanishing_under():
     point = TargetSpec.box([0.6, 0.9], [0.6, 0.9])  # a cell center
     over = target_over(grid, point)
     assert len(over) == 1
-    assert int(over.indices()[0]) == q.quantize(np.array([0.6, 0.9]))
+    assert int(over.indices()[0]) == q.cell_index(np.array([0.6, 0.9]))
     tiny = TargetSpec.ball([0.05, 0.05], 0.1)  # smaller than any cell box
     assert len(target_under(grid, tiny)) == 0
 
@@ -208,10 +218,10 @@ def test_target_union_joint_coverage():
     q = Quantizer(grid)
     W = TargetSpec.union(TargetSpec.box([0, 0], [1, 2]), TargetSpec.box([1, 0], [2, 2]))
     under = target_under(grid, W)
-    straddling = q.quantize(np.array([1.0, 1.0]))  # box [0.75,1.25] crosses x=1
+    straddling = q.cell_index(np.array([1.0, 1.0]))  # box [0.75,1.25] crosses x=1
     assert straddling in under
     W_gap = TargetSpec.union(TargetSpec.box([0, 0], [0.9, 2]), TargetSpec.box([1.1, 0], [2, 2]))
-    assert q.quantize(np.array([1.0, 1.0])) not in target_under(grid, W_gap)
+    assert q.cell_index(np.array([1.0, 1.0])) not in target_under(grid, W_gap)
 
 
 def test_target_free_dimension():
@@ -223,7 +233,7 @@ def test_target_free_dimension():
     W = TargetSpec.box([1.0, 1.0, 0.0], [1.4, 1.4, 0.0], free=[2])
     over = target_over(grid, W)
     # every theta layer of a covered (x, y) cell is included
-    xy = q.quantize(np.array([1.2, 1.2, 0.0]))
+    xy = q.cell_index(np.array([1.2, 1.2, 0.0]))
     coords = q.index_to_coords(int(xy))
     for k in range(q.cells[2]):
         c = coords.copy()
@@ -301,8 +311,8 @@ def unicycle_grid(eta=0.2):
 
 def test_periodic_quantize_wraps():
     q = Quantizer(unicycle_grid())
-    near_pi = q.quantize(np.array([0.8, 0.8, np.pi - 0.01]))
-    past_pi = q.quantize(np.array([0.8, 0.8, np.pi + 0.05]))  # wraps past the seam
+    near_pi = q.cell_index(np.array([0.8, 0.8, np.pi - 0.01]))
+    past_pi = q.cell_index(np.array([0.8, 0.8, np.pi + 0.05]))  # wraps past the seam
     assert near_pi != past_pi
     c = q.center(past_pi)
     assert c[2] == pytest.approx(-np.pi, abs=0.11)
@@ -326,7 +336,7 @@ def test_periodic_successors_wrap_across_seam():
     grid = unicycle_grid()
     system, q = build_abstraction(unicycle(), grid)
     inputs = grid.input_values()
-    cell = q.quantize(np.array([0.8, 0.8, np.pi - 0.05]))
+    cell = q.cell_index(np.array([0.8, 0.8, np.pi - 0.05]))
     # holding the heading at the seam: successor cells sit on both sides
     u_hold = int(np.argmax((inputs[:, 0] == 0.0) & (inputs[:, 1] == 0.0)))
     thetas = np.array([q.center(int(s))[2] for s in system.post(int(cell), u_hold)])
@@ -354,7 +364,7 @@ def test_monte_carlo_soundness_small_grid():
             continue
         x = q.center(cell) + rng.uniform(-0.15, 0.15, size=2)
         nxt = integrate(model, flow, x, inputs[u])
-        assert int(q.quantize(nxt)) in system.post(cell, u)
+        assert int(q.cell_index(nxt)) in system.post(cell, u)
         checked += 1
 
 
@@ -455,7 +465,7 @@ def test_successor_sets_pinched_between_independent_bounds():
         pts = rng.uniform(blo + 1e-7, bhi - 1e-7, size=(64, grid.dim))
         succ_set = set(succ.tolist())
         for p in pts:
-            assert int(q.quantize(p)) in succ_set, (cell, u, p.tolist())
+            assert int(q.cell_index(p)) in succ_set, (cell, u, p.tolist())
 
 
 def test_model_grid_dimension_mismatch():
@@ -499,7 +509,7 @@ def test_per_axis_eta_grid():
                     domain_upper=[1, 1], input_lower=[0], input_upper=[0])
     assert grid.cells_per_axis().tolist() == [3, 5]
     q = Quantizer(grid)
-    assert np.allclose(q.center(q.quantize(np.array([0.6, 0.6]))), [0.5, 0.5])
+    assert np.allclose(q.center(q.cell_index(np.array([0.6, 0.6]))), [0.5, 0.5])
 
 
 # sha256 of each abstraction's CSR, the offsets as little-endian int64 then

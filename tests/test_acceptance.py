@@ -91,7 +91,7 @@ def test_double_integrator_benchmark(di_bundle):
     for x0, sym, up, lo in zip(starts, ref_symbolic, ref_upper, ref_lower):
         trace = simulate(b.model, b.rc, np.array(x0), b.cfg.target,
                          b.cfg.max_steps, lower=b.lower.entry_times())
-        cell = int(b.quantizer.quantize(np.array(x0)))
+        cell = int(b.quantizer.cell_index(np.array(x0)))
         upper_here = b.controller.value(cell)
         lower_here = entry_time(b.lower, cell)
         assert trace.reason == "reached-target", x0
@@ -147,7 +147,7 @@ def test_grid_refinement_never_raises_upper_bound():
     violations = 0
     for cell in range(coarse_q.num_cells):
         center = coarse_q.center(cell)
-        fine_cell = int(fine_q.quantize(center))
+        fine_cell = int(fine_q.cell_index(center))
         if uppers[0.1][fine_cell] > uppers[0.3][cell]:
             violations += 1
     assert violations == 0
@@ -167,7 +167,7 @@ def test_unicycle_safe_reach_benchmark(unicycle_bundle):
     assert trace.reason == "reached-target"
     visits = sum(1 for s in trace.steps if s.cell in b.unsafe)
     assert visits == 0
-    cell = int(b.quantizer.quantize(x0))
+    cell = int(b.quantizer.cell_index(x0))
     lower_here = entry_time(b.lower, cell)
     upper_here = b.controller.value(cell)
     assert lower_here <= trace.achieved <= upper_here
@@ -195,7 +195,7 @@ def _soundness_sweep(bundle, samples, rng):
             continue
         x = q.center(cell) + rng.uniform(-half, half)
         nxt = integrate(bundle.model, bundle.flow, x, inputs[u])
-        assert int(q.quantize(nxt)) in succ, (cell, u, x.tolist())
+        assert int(q.cell_index(nxt)) in succ, (cell, u, x.tolist())
         checked += 1
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import os
 import re
 import subprocess
@@ -6,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symtoc import FiniteSystem, GridSpec, StateSet, solve_optimistic, solve_pessimistic, extract_controller
 from symtoc import cli, formats
@@ -281,7 +285,7 @@ def test_certification_failure_exit_code(tmp_path):
     with open(doctored, "w") as fh:
         fh.write("state,lower,upper\n")
         for x, u in enumerate(up):
-            fh.write(f"{x},50,{formats._fmt_entry_time(u)}\n")
+            fh.write(f"{x},50,{formats.fmt_entry_time(u)}\n")
     assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
                      "--bounds", doctored]) == cli.EXIT_CERTIFICATION
 
@@ -358,7 +362,7 @@ def test_simulate_bounds_with_other_upper_column_exits_2(tmp_path, capsys):
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     lo, up = formats.parse_bounds(os.path.join(out, "double_integrator_bounds.csv"))
     x = int(np.flatnonzero(np.isfinite(up))[3])
-    rows = [f"{s},{formats._fmt_entry_time(a)},{formats._fmt_entry_time(b + (s == x))}\n"
+    rows = [f"{s},{formats.fmt_entry_time(a)},{formats.fmt_entry_time(b + (s == x))}\n"
             for s, (a, b) in enumerate(zip(lo, up))]
     bad = write(tmp_path / "bad.csv", "state,lower,upper\n" + "".join(rows))
     assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
@@ -510,6 +514,20 @@ def test_grid_past_int32_ids_exits_2(tmp_path, capsys, old, new, what):
     assert not os.path.exists(out)
 
 
+def test_domain_past_the_tie_shave_limit_exits_2(tmp_path, capsys):
+    # at 1e7 a coordinate rounds by up to 1.9e-9, more than the 1e-9 tie shave
+    message = ("domain axis x1 reaches magnitude 1e+07, above 9.01e+06, where rounding "
+               "exceeds the 1e-09 tie shave")
+    text = DI_CONFIG.replace("grid.domain_lower = [-3, -3]", "grid.domain_lower = [1e7, -3]") \
+                    .replace("grid.domain_upper = [3, 3]", "grid.domain_upper = [10000003, 3]")
+    cfg_path = write(tmp_path / "far.cfg", text)
+    assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: grid: {message}\n"
+    for err in _run_with_grid_metadata(tmp_path, capsys, "domain_upper=[1e7]"):
+        assert err == f"error: bad grid metadata: {message}\n"
+
+
 @pytest.mark.parametrize("key, line", [
     ("target.states", "target.states = [1.5]"),
     ("unsafe.states", "unsafe.states = [0.5]"),
@@ -610,7 +628,8 @@ target.upper = [1]
 
 @pytest.mark.parametrize("fault", [
     "config-is-a-directory", "system-is-a-directory", "controller-is-a-directory",
-    "bounds-is-a-directory", "out-is-a-file", "config-not-utf8", "input-margin-without-sensitivity",
+    "bounds-is-a-directory", "out-is-a-file", "default-controller-is-a-directory",
+    "config-not-utf8", "input-margin-without-sensitivity",
 ])
 def test_path_and_config_faults_exit_2_with_one_error_line(fault, di_artifacts, tmp_path, capsys,
                                                            monkeypatch):
@@ -620,16 +639,24 @@ def test_path_and_config_faults_exit_2_with_one_error_line(fault, di_artifacts, 
     ctl = os.path.join(di_artifacts, "double_integrator.ctl")
     folder, out = str(tmp_path / "folder"), str(tmp_path / "out")
     os.makedirs(folder)
+    os.makedirs(os.path.join(folder, "double_integrator.ctl"))
     (tmp_path / "latin1.cfg").write_bytes(DI_CONFIG.encode() + b"# caf\xe9\n")
+    # a path fault names the option or config key that gave the path
+    is_dir = f"[Errno {errno.EISDIR}] Is a directory"
     argv, message = {
-        "config-is-a-directory": (["abstract", "--config", folder], "Is a directory"),
+        "config-is-a-directory": (["abstract", "--config", folder],
+                                  f"--config: {is_dir}"),
         "system-is-a-directory": (["synthesize", "--config", cfg, "--system", folder],
-                                  "Is a directory"),
+                                  f"--system: {is_dir}"),
         "controller-is-a-directory": (["simulate", "--config", cfg, "--controller", folder],
-                                      "Is a directory"),
+                                      f"--controller: {is_dir}"),
         "bounds-is-a-directory": (["simulate", "--config", cfg, "--controller", ctl,
-                                   "--bounds", folder], "Is a directory"),
-        "out-is-a-file": (["abstract", "--config", cfg, "--out", cfg], "File exists"),
+                                   "--bounds", folder], f"--bounds: {is_dir}"),
+        "out-is-a-file": (["abstract", "--config", cfg, "--out", cfg],
+                          f"--out: [Errno {errno.EEXIST}] File exists"),
+        "default-controller-is-a-directory": (
+            ["simulate", "--config", cfg, "--out", folder],
+            f"output.controller: {is_dir}"),
         "config-not-utf8": (["abstract", "--config", str(tmp_path / "latin1.cfg")],
                             "is not UTF-8 text"),
         "input-margin-without-sensitivity": (
@@ -642,6 +669,94 @@ def test_path_and_config_faults_exit_2_with_one_error_line(fault, di_artifacts, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error:") and message in err
+    if "[Errno" in message:
+        assert err.startswith(f"error: {message}")
+
+
+FUZZ_CONFIG = """
+model.id = double_integrator
+grid.tau = 1
+grid.eta = 0.6
+grid.mu = 0.5
+grid.domain_lower = [-3, -3]
+grid.domain_upper = [3, 3]
+grid.input_lower = [-1]
+grid.input_upper = [1]
+target.shape = ball
+target.center = [0, 0]
+target.radius = 1
+obstacle.1.lower = [1.5, 1.5]
+obstacle.1.upper = [2.5, 2.5]
+simulate.initial.1 = [1.5, 0]
+simulate.initial.2 = [-2.0, 1.0]
+simulate.max_steps = 20
+"""
+
+# the commands that read each file, run on a mutated copy of it (a mutated
+# config only in `bounds`, which writes nothing, since its output names and
+# step limit could point anywhere)
+FUZZ_COMMANDS = {
+    "system": [["synthesize", "--system", "{system}"]],
+    "controller": [["simulate", "--controller", "{controller}"],
+                   ["export-plot", "--controller", "{controller}"]],
+    "bounds": [["simulate", "--controller", "{controller}", "--bounds", "{bounds}"]],
+    "config": [["bounds", "--system", "{system}"]],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """A small run's config, system, controller and bounds files by kind, and a
+    working directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"config": write(root / "di.cfg", FUZZ_CONFIG)}
+    out = root / "out"
+    for command in ("abstract", "synthesize"):
+        assert cli.main([command, "--config", files["config"], "--out", str(out),
+                         "--no-timestamp"]) == 0
+    for kind, name in (("system", "double_integrator.sts"),
+                       ("controller", "double_integrator.ctl"),
+                       ("bounds", "double_integrator_bounds.csv")):
+        files[kind] = str(out / name)
+    return files, root
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for op, at, byte in edits:
+        i = at % (len(data) + 1)
+        if op == "truncate":
+            data = data[:i]
+        elif op == "insert":
+            data = data[:i] + bytes([byte]) + data[i:]
+        elif i < len(data):
+            data = data[:i] + (bytes([data[i] ^ (1 << byte % 8)]) if op == "flip" else b"") \
+                + data[i + 1:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(FUZZ_COMMANDS)),
+       edits=st.lists(st.tuples(st.sampled_from(["flip", "delete", "insert", "truncate"]),
+                                st.integers(0, 1 << 20), st.integers(0, 255)),
+                      min_size=1, max_size=3))
+def test_mutated_artifacts_and_configs_exit_2_with_one_error_line(fuzz_run, kind, edits):
+    files, root = fuzz_run
+    with open(files[kind], "rb") as fh:
+        data = _mutate(fh.read(), edits)
+    bad = root / f"mutated_{kind}"
+    bad.write_bytes(data)
+    paths = {**files, kind: str(bad)}
+    for command in FUZZ_COMMANDS[kind]:
+        argv = [arg.format(**paths) for arg in command]
+        argv += ["--config", paths["config"], "--out", str(root / f"out_{kind}")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_EMPTY_WINNING,
+                        cli.EXIT_CERTIFICATION), code
+        if code == cli.EXIT_CONFIG:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+                (argv, data, err.getvalue())
 
 
 def test_unknown_model_parameter_exits_2(tmp_path, capsys):
@@ -761,6 +876,22 @@ def test_bounds_command_prints(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "state,lower,upper" in printed
     assert "0,2,2" in printed
+
+
+def test_bounds_prints_the_rows_of_the_bounds_file(di_artifacts, tmp_path, capsys):
+    table = Path(di_artifacts, "double_integrator_bounds.csv").read_text()
+    no_starts = "".join(line + "\n" for line in DI_CONFIG.splitlines()
+                        if not line.startswith("simulate.initial."))
+    assert cli.main(["bounds", "--config", write(tmp_path / "all.cfg", no_starts),
+                     "--out", di_artifacts]) == 0
+    assert capsys.readouterr().out == table  # the bytes synthesize --no-timestamp wrote
+    # the starts' rows in config order, a repeated start repeated: [1.5, 0] lies
+    # in cell 15 * 21 + 10 and [-2, 1] in cell 3 * 21 + 13
+    starts = DI_CONFIG + "simulate.initial.3 = [1.5, 0.01]\n"
+    assert cli.main(["bounds", "--config", write(tmp_path / "starts.cfg", starts),
+                     "--out", di_artifacts]) == 0
+    rows = table.splitlines(keepends=True)
+    assert capsys.readouterr().out == rows[0] + rows[1 + 325] + rows[1 + 76] + rows[1 + 325]
 
 
 def test_shipped_configs_parse():

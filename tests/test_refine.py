@@ -219,7 +219,7 @@ def test_greedy_runs_terminate_within_initial_value(di_problem):
     rng = np.random.default_rng(2)
     for _ in range(20):
         x0 = rng.uniform(-1.8, 1.8, size=2)
-        cell = quantizer.quantize(x0)
+        cell = quantizer.cell_index(x0)
         value = controller.value(int(cell))
         if value == np.inf:
             continue
