@@ -12,9 +12,8 @@ the least restrictive safety game.
 
 from .abstraction import (GridSpec, Quantizer, TargetBox, TargetSpec, build_abstraction,
                           target_over, target_under)
-from .dynamics import (DivergenceError, Model, SampledFlow, double_integrator,
-                       growth_radius, input_deviation_radius, integrate, make_model,
-                       one_period, reach_radius, register_model, unicycle)
+from .dynamics import (DivergenceError, Model, SampledFlow, double_integrator, integrate,
+                       make_model, one_period, reach_radius, register_model, unicycle)
 from .fts import FiniteSystem, StateSet
 from .refine import RefinedController, Trace, TraceStep, simulate
 from .synthesis import (EntryTimeTable, IntegrityError, SafetyController,

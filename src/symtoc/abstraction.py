@@ -398,7 +398,7 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
 
     For every cell center and grid input the nominal endpoint after one
     period grid.tau (`one_period`: exact where the model allows, RK4
-    otherwise) is inflated by the growth radius at eta/2
+    otherwise) is inflated by `reach_radius` at eta/2, called once per input
     (input-specific when the model provides per-input contraction data);
     successors are all cells the quantizer can map a point of the resulting
     box to. The input is disabled at a cell when the box is not contained in
@@ -408,8 +408,8 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
 
     With input_margin (the config's `grid.input_margin`) the boxes also cover
     concrete inputs within mu/2 of each grid input, for plants whose
-    actuation is quantized; it requires the model to declare
-    input_sensitivity.
+    actuation is quantized: `reach_radius` gets du = mu/2 and raises
+    ValueError when the model declares no input_sensitivity.
 
     Per-input work may run on a thread pool; results are merged in input
     order, so the output is identical for any thread count.
@@ -431,9 +431,6 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     last_center = grid.domain_lower + (K - 1) * eta
     eff_hi = np.minimum(grid.domain_upper, last_center + 0.5 * eta)
     margin = 0.5 * grid.mu if input_margin else 0.0
-    if margin > 0 and model.input_sensitivity is None:
-        raise ValueError(f"model '{model.name}' declares no input_sensitivity; "
-                         "an input margin cannot be covered")
 
     # A box corner landing exactly on a cell boundary: the bottom corner
     # always resolves to the boundary's upper cell (the boundary value is the

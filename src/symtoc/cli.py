@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys as _sys
 import time
 
@@ -161,7 +162,10 @@ def cmd_bounds(cfg: ProblemConfig, system_path) -> int:
     system, grid = formats.parse_system(system_path)
     controller, lower = _synthesize(cfg, system, grid)
     cells = None
-    if grid is not None and cfg.initial_states:
+    if cfg.initial_states:
+        if grid is None:
+            raise ConfigError(f"key 'simulate.initial.{next(iter(cfg.initial_states))}': "
+                              "start states need a gridded system")
         cells = Quantizer(grid).cell_index(np.array(list(cfg.initial_states.values())))
         for (k, x0), cell in zip(cfg.initial_states.items(), cells):
             if cell < 0:
@@ -244,8 +248,10 @@ def main(argv=None) -> int:
             return cmd_bounds(cfg, path["system"])
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, formats.FormatError, OSError, DivergenceError) as e:
-        source = next((f"{name}: " for name, given in named.items()
-                       if given and given == getattr(e, "filename", None)), "")
+        # a trace file is <output.trace_prefix>_<k>.csv; every other path is given whole
+        suffix = {"output.trace_prefix": r"_\d+\.csv"}
+        source = next((f"{name}: " for name, given in named.items() if given and re.fullmatch(
+            re.escape(given) + suffix.get(name, ""), getattr(e, "filename", None) or "")), "")
         print(f"error: {source}{e}", file=_sys.stderr)
         return EXIT_CONFIG
 

@@ -192,6 +192,11 @@ def parse_config_text(text: str) -> ProblemConfig:
             periodic = tuple(k in model.angular_dims for k in range(len(dlo)))
             if model.dim != len(dlo) or model.input_dim != len(ilo):
                 raise ConfigError("grid dimensions do not match the model")
+            for k in model.angular_dims:  # an angle in radians wraps after one turn
+                if abs(dhi[k] - dlo[k] - 2 * np.pi) > 1e-9 * 2 * np.pi:
+                    raise ConfigError(f"keys 'grid.domain_lower'/'grid.domain_upper': angular "
+                                      f"axis x{k + 1} spans {dhi[k] - dlo[k]:g}, not one turn "
+                                      "(2*pi)")
             if cfg.input_margin and model.input_sensitivity is None:
                 raise ConfigError(f"key 'grid.input_margin': model '{cfg.model_id}' declares "
                                   "no input_sensitivity, so an input margin cannot be covered")

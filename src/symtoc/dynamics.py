@@ -1,14 +1,15 @@
-"""Continuous-time models, sampled-time integration, and growth-bound radii.
+"""Continuous-time models, sampled-time integration, and reachable-box radii.
 
 A Model couples a vector field with the data needed to over-approximate
 reachable sets after one sampling period: either a system matrix A (linear
 dynamics, radius scales with the infinity norm of exp(A*tau)) or a
-component-wise contraction matrix L (radius vector exp(L*tau) @ r). Every
-matrix exponential goes through `_expm`, a scaling-and-squaring Taylor
-series, so numpy is the only numerical dependency. `integrate` is fixed-step
-RK4; `one_period` is the exact one-period map where the model has one (its
-own `flow_map`, or the matrix-exponential map of a linear model) and RK4
-otherwise. All functions are pure and safe to call concurrently.
+component-wise contraction matrix L (radius vector exp(L*tau) @ r), plus
+the input_sensitivity that bounds an input error; `reach_radius` is the one
+bound on that box. Every matrix exponential goes through `_expm`, a
+scaling-and-squaring Taylor series, so numpy is the only numerical
+dependency. `integrate` is fixed-step RK4; `one_period` is the exact
+one-period map where the model has one (its own `flow_map`, or the
+matrix-exponential map of a linear model) and RK4 otherwise. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -44,17 +45,16 @@ class Model:
     and return the state derivative with shape (..., dim). Exactly one of
     linear_matrix (A) and contraction_matrix (L) must be given.
     linear_matrix declares the field affine in the state,
-    f(x, u) = A x + f(0, u); the growth radius and the exact one-period map
-    of `one_period` both rest on that.
-    angular_dims lists coordinates that live on a circle (wrapped by grids).
+    f(x, u) = A x + f(0, u); `reach_radius` and `one_period` both rest on that.
+    angular_dims lists coordinates that live on a circle: angles in radians,
+    whose grid axis spans one turn (2*pi) and wraps.
 
-    Optional refinements used by the abstraction builder:
-    input_sensitivity bounds |df/du| entrywise (dim x input_dim) and enables
-    accounting for input quantization error; contraction_for_input maps a
-    concrete input to a (usually tighter) contraction matrix valid for that
-    input alone; flow_map(x, u, tau) is the closed-form state after time tau
-    under the constant input u, with the shapes of field, which `one_period`
-    uses in place of RK4.
+    Optional refinements: input_sensitivity bounds |df/du| entrywise (dim x
+    input_dim), which `reach_radius` needs to cover an input error;
+    contraction_for_input maps a concrete input to a (usually tighter)
+    contraction matrix valid for that input alone; flow_map(x, u, tau) is
+    the closed-form state after time tau under the constant input u, with
+    the shapes of field, which `one_period` uses in place of RK4.
     """
     name: str
     dim: int
@@ -70,27 +70,16 @@ class Model:
     def __post_init__(self):
         if (self.linear_matrix is None) == (self.contraction_matrix is None):
             raise ValueError("exactly one of linear_matrix / contraction_matrix required")
-        m = self.linear_matrix if self.linear_matrix is not None else self.contraction_matrix
-        m = np.asarray(m, dtype=float)
+        given = "linear_matrix" if self.contraction_matrix is None else "contraction_matrix"
+        m = np.asarray(getattr(self, given), dtype=float)
         if m.shape != (self.dim, self.dim):
             raise ValueError("growth matrix must be dim x dim")
-        object.__setattr__(self, "linear_matrix",
-                           m if self.contraction_matrix is None else None)
-        object.__setattr__(self, "contraction_matrix",
-                           m if self.linear_matrix is None else None)
+        object.__setattr__(self, given, m)
         if self.input_sensitivity is not None:
             s = np.asarray(self.input_sensitivity, dtype=float)
             if s.shape != (self.dim, self.input_dim):
                 raise ValueError("input_sensitivity must be dim x input_dim")
             object.__setattr__(self, "input_sensitivity", np.abs(s))
-
-    def state_contraction(self, u=None) -> np.ndarray:
-        """Entrywise bound on |df/dx| valid for the given input (or any input)."""
-        if u is not None and self.contraction_for_input is not None:
-            return np.asarray(self.contraction_for_input(np.asarray(u, dtype=float)), dtype=float)
-        if self.contraction_matrix is not None:
-            return self.contraction_matrix
-        return np.abs(self.linear_matrix)
 
 
 def integrate(model: Model, flow: SampledFlow, x, u) -> np.ndarray:
@@ -193,48 +182,6 @@ def _expm(a, name: str) -> np.ndarray:
     return out
 
 
-def _radius_vector(r, dim) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    if r.ndim == 0:
-        return np.full(dim, float(r))
-    if r.shape != (dim,):
-        raise ValueError("radius vector must have one entry per coordinate")
-    return r
-
-
-def growth_radius(model: Model, flow: SampledFlow, r, u=None) -> np.ndarray:
-    """Per-coordinate radius dominating trajectory spread after time tau.
-
-    Any trajectory started within infinity-distance r of a nominal point
-    stays within the returned box around the nominal endpoint. r may be a
-    per-coordinate vector (used for grids with per-axis steps). A nonlinear
-    model uses its contraction for the input u when it provides one.
-    """
-    rv = _radius_vector(r, model.dim)
-    if model.linear_matrix is not None:
-        m = _expm(model.linear_matrix * flow.tau, model.name)
-        gain = np.abs(m).sum(axis=1).max()  # infinity norm
-        return np.full(model.dim, gain * float(rv.max()))
-    return _expm(model.state_contraction(u) * flow.tau, model.name) @ rv
-
-
-def input_deviation_radius(model: Model, flow: SampledFlow, du: float,
-                           u=None) -> np.ndarray:
-    """Per-coordinate endpoint spread caused by an input error of size du.
-
-    Bounds the divergence of trajectories from the same start whose constant
-    inputs differ by at most du in every coordinate, via the comparison
-    system d' <= L d + S du with L the state contraction and S the input
-    sensitivity. Zero when the model declares no input sensitivity.
-    """
-    if model.input_sensitivity is None or du <= 0:
-        return np.zeros(model.dim)
-    phi = _expm_and_integral(model.state_contraction(u), flow.tau, model.name)[1]
-    return phi @ (model.input_sensitivity @ np.full(model.input_dim, float(du)))
-
-
 def _expm_and_integral(a, tau: float, name: str):
     """(exp(a tau), integral of exp(a s) over [0, tau]) from one `_expm` of
     the augmented matrix [[a, I], [0, 0]] * tau (Van Loan, IEEE TAC 1978)."""
@@ -248,9 +195,45 @@ def _expm_and_integral(a, tau: float, name: str):
 
 def reach_radius(model: Model, flow: SampledFlow, r, du: float = 0.0,
                  u=None) -> np.ndarray:
-    """Radius used by the abstraction builder for one grid input u: the
-    growth radius for u plus the spread of an input error du."""
-    return growth_radius(model, flow, r, u) + input_deviation_radius(model, flow, du, u)
+    """Per-coordinate radius of the box that holds every endpoint after one period.
+
+    Any trajectory started within infinity-distance r of a nominal point,
+    under a constant input within du (in every coordinate) of the nominal
+    input u, ends in the returned box around the nominal endpoint. r is a
+    nonnegative number or one per coordinate (grids with per-axis steps).
+    The radius is the growth bound (Reissig, Weber & Rungger, IEEE TAC
+    2017): ‖e^{Aτ}‖∞·max(r) on every axis for a linear model, else
+    e^{Lτ} r with L the contraction for u (`contraction_for_input(u)` when
+    the model has it and u is given, else `contraction_matrix`, else |A|).
+    For du > 0 it adds the input deviation ∫₀^τ e^{Ls} ds · S du of the
+    comparison system d' <= L d + S du, S the `input_sensitivity`; a model
+    without one raises ValueError, as does a negative du.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0) or not du >= 0:
+        raise ValueError("radius and input error must be nonnegative")
+    if r.ndim == 0:
+        r = np.full(model.dim, float(r))
+    elif r.shape != (model.dim,):
+        raise ValueError("radius vector must have one entry per coordinate")
+    if du > 0 and model.input_sensitivity is None:
+        raise ValueError(f"model '{model.name}' declares no input_sensitivity; "
+                         f"an input error of {du:g} cannot be covered")
+    if u is not None and model.contraction_for_input is not None:
+        lip = np.asarray(model.contraction_for_input(np.asarray(u, dtype=float)), dtype=float)
+    elif model.contraction_matrix is not None:
+        lip = model.contraction_matrix
+    else:
+        lip = np.abs(model.linear_matrix)
+    if model.linear_matrix is not None:
+        gain = np.abs(_expm(model.linear_matrix * flow.tau, model.name)).sum(axis=1).max()
+        radius = np.full(model.dim, gain * float(r.max()))
+    else:
+        radius = _expm(lip * flow.tau, model.name) @ r
+    if du > 0:
+        phi = _expm_and_integral(lip, flow.tau, model.name)[1]
+        radius = radius + phi @ (model.input_sensitivity @ np.full(model.input_dim, float(du)))
+    return radius
 
 
 # -- built-in models ---------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent oracles for the solver tests: definitional value iteration with
 plain Python dicts and sets, plus random system generators, readers for the
 trace and plot CSVs that only the tests read back, per-state accessors of
-the solver results, and a Monte-Carlo check of a model's growth bound.
+the solver results, a Monte-Carlo check of a model's growth bound and an
+oracle of its reachable-box radius.
 
 These deliberately avoid the package's layered/vectorized code paths: values
 are computed straight from the fixed-point definitions so solver bugs cannot
@@ -12,7 +13,8 @@ import math
 
 import numpy as np
 
-from symtoc import FiniteSystem, StateSet, growth_radius, integrate
+from symtoc import FiniteSystem, StateSet, integrate, reach_radius
+from symtoc.dynamics import _expm, _expm_and_integral
 from symtoc.formats import FormatError
 
 
@@ -243,7 +245,7 @@ def coords_to_index(quantizer, coords):
 
 def growth_bound_dominates(model, flow, r, domain_lower, domain_upper,
                            input_lower, input_upper, samples=1000, seed=0):
-    """Monte-Carlo check that growth_radius dominates observed trajectory spread.
+    """Monte-Carlo check that reach_radius dominates observed trajectory spread.
 
     Draws random nominal states in the domain box, random inputs in the input
     box, and random perturbed starts within infinity-distance r; returns True
@@ -260,5 +262,33 @@ def growth_bound_dominates(model, flow, r, domain_lower, domain_upper,
     dx = rng.uniform(-r, r, size=(samples, model.dim))
     nominal = integrate(model, flow, x, u)
     perturbed = integrate(model, flow, x + dx, u)
-    bound = growth_radius(model, flow, r)
+    bound = reach_radius(model, flow, r)
     return bool(np.all(np.abs(perturbed - nominal) <= bound + 1e-12))
+
+
+def reach_radius_oracle(model, flow, r, du=0.0, u=None):
+    """The reachable-box radius as two separate terms, the growth radius plus
+    the input deviation, by the formulas `reach_radius` folds into one call.
+
+    Growth: ||e^{A tau}||_inf * max(r) on every axis for a linear model, else
+    e^{L tau} r. Deviation: (integral of e^{L s} over [0, tau]) S du, zero
+    when du is 0 or the model has no input sensitivity S. L is the
+    contraction for u where the model gives one, else the model's own.
+    """
+    r = np.asarray(r, dtype=float)
+    r = np.full(model.dim, float(r)) if r.ndim == 0 else r
+    if u is not None and model.contraction_for_input is not None:
+        lip = np.asarray(model.contraction_for_input(np.asarray(u, dtype=float)), dtype=float)
+    elif model.contraction_matrix is not None:
+        lip = model.contraction_matrix
+    else:
+        lip = np.abs(model.linear_matrix)
+    if model.linear_matrix is not None:
+        gain = np.abs(_expm(model.linear_matrix * flow.tau, model.name)).sum(axis=1).max()
+        growth = np.full(model.dim, gain * float(r.max()))
+    else:
+        growth = _expm(lip * flow.tau, model.name) @ r
+    if model.input_sensitivity is None or du <= 0:
+        return growth + np.zeros(model.dim)
+    phi = _expm_and_integral(lip, flow.tau, model.name)[1]
+    return growth + phi @ (model.input_sensitivity @ np.full(model.input_dim, float(du)))

@@ -450,6 +450,24 @@ def test_unicycle_nan_heading_start_exits_2(tmp_path, capsys):
         assert "non-finite number in '[1.5, 1, nan]'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lower, upper, span", [
+    ("-1", "1", "2"), ("0", "3.141592653589793", "3.14159"), ("-3.14159", "3.14159", "6.28318")])
+def test_angular_axis_must_span_one_turn(tmp_path, capsys, lower, upper, span):
+    # headings a span apart would be one state on a circle of that period
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "configs", "unicycle.cfg")) as fh:
+        text = fh.read().replace("grid.mu = 0.1", "grid.mu = 0.5") \
+                        .replace("-3.141592653589793]", f"{lower}]", 1) \
+                        .replace("3.141592653589793]", f"{upper}]", 1)
+    message = (f"keys 'grid.domain_lower'/'grid.domain_upper': angular axis x3 spans {span}, "
+               "not one turn (2*pi)")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+    cfg_path = write(tmp_path / "uni.cfg", text)
+    assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _run_with_grid_metadata(tmp_path, capsys, entry):
     """Write the chain system and controller with the `# grid:` line that
     starts like `entry` replaced by it; the errors of `synthesize` and
@@ -629,7 +647,7 @@ target.upper = [1]
 @pytest.mark.parametrize("fault", [
     "config-is-a-directory", "system-is-a-directory", "controller-is-a-directory",
     "bounds-is-a-directory", "out-is-a-file", "default-controller-is-a-directory",
-    "config-not-utf8", "input-margin-without-sensitivity",
+    "config-not-utf8", "input-margin-without-sensitivity", "trace-is-a-directory",
 ])
 def test_path_and_config_faults_exit_2_with_one_error_line(fault, di_artifacts, tmp_path, capsys,
                                                            monkeypatch):
@@ -640,6 +658,7 @@ def test_path_and_config_faults_exit_2_with_one_error_line(fault, di_artifacts, 
     folder, out = str(tmp_path / "folder"), str(tmp_path / "out")
     os.makedirs(folder)
     os.makedirs(os.path.join(folder, "double_integrator.ctl"))
+    os.makedirs(os.path.join(out, "double_integrator_trace_1.csv"))
     (tmp_path / "latin1.cfg").write_bytes(DI_CONFIG.encode() + b"# caf\xe9\n")
     # a path fault names the option or config key that gave the path
     is_dir = f"[Errno {errno.EISDIR}] Is a directory"
@@ -662,6 +681,8 @@ def test_path_and_config_faults_exit_2_with_one_error_line(fault, di_artifacts, 
         "input-margin-without-sensitivity": (
             ["abstract", "--config", write(tmp_path / "drift.cfg", MARGIN_CONFIG)],
             "key 'grid.input_margin': model 'drift' declares no input_sensitivity"),
+        "trace-is-a-directory": (["simulate", "--config", cfg, "--controller", ctl],
+                                 f"output.trace_prefix: {is_dir}"),
     }[fault]
     if "--out" not in argv:
         argv += ["--out", out]
@@ -876,6 +897,18 @@ def test_bounds_command_prints(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "state,lower,upper" in printed
     assert "0,2,2" in printed
+
+
+def test_bounds_start_states_need_a_gridded_system(tmp_path, capsys):
+    cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG + "simulate.initial.4 = [0.5]\n")
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), timestamp=False)
+    assert cli.main(["bounds", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: key 'simulate.initial.4': start states need a "
+                            "gridded system\n")
 
 
 def test_bounds_prints_the_rows_of_the_bounds_file(di_artifacts, tmp_path, capsys):

@@ -1,16 +1,16 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symtoc import (DivergenceError, Model, SampledFlow, double_integrator,
-                    growth_radius, input_deviation_radius, integrate, make_model,
-                    one_period, reach_radius, unicycle)
+from symtoc import (DivergenceError, Model, SampledFlow, double_integrator, integrate,
+                    make_model, one_period, reach_radius, unicycle)
 from symtoc.dynamics import _expm
 
-from helpers import growth_bound_dominates
+from helpers import growth_bound_dominates, reach_radius_oracle
 
 
 def rel_inf_error(got, want):
@@ -195,20 +195,20 @@ def test_one_period_raises_on_a_non_finite_state(model):
 
 def test_growth_radius_double_integrator():
     m = double_integrator()
-    r = growth_radius(m, SampledFlow(1.0), 0.15)
+    r = reach_radius(m, SampledFlow(1.0), 0.15)
     assert np.allclose(r, [0.3, 0.3], atol=1e-12)
 
 
 def test_growth_radius_zero():
     for m in (double_integrator(), unicycle()):
-        assert np.allclose(growth_radius(m, SampledFlow(1.0), 0.0), 0.0)
+        assert np.allclose(reach_radius(m, SampledFlow(1.0), 0.0), 0.0)
 
 
 def test_growth_radius_monotone():
     m = unicycle()
     flow = SampledFlow(0.5)
-    r1 = growth_radius(m, flow, 0.05)
-    r2 = growth_radius(m, flow, 0.1)
+    r1 = reach_radius(m, flow, 0.05)
+    r2 = reach_radius(m, flow, 0.1)
     assert np.all(r2 >= r1)
 
 
@@ -238,10 +238,15 @@ def test_expm_non_finite_raises_divergence_naming_the_model():
         _expm(np.array([[1000.0]]), "m")
     huge = Model(name="huge", dim=1, input_dim=1, field=lambda x, u: x,
                  contraction_matrix=[[1000.0]], input_sensitivity=[[1.0]])
-    for radius in (lambda: input_deviation_radius(huge, SampledFlow(1.0), 0.1),
+    for radius in (lambda: reach_radius(huge, SampledFlow(1.0), 0.0, du=0.1),
                    lambda: reach_radius(huge, SampledFlow(1.0), 0.1, u=[0.0])):
         with pytest.raises(DivergenceError, match="huge"):
             radius()
+    # e^{A tau} = I + A tau stays finite; the input deviation's tau^2/2 does not
+    far = SampledFlow(1e300)
+    assert np.isfinite(reach_radius(double_integrator(), far, 0.1)).all()
+    with pytest.raises(DivergenceError, match="double_integrator"):
+        reach_radius(double_integrator(), far, 0.1, du=0.1)
 
 
 def test_reach_radius_uses_the_per_input_contraction():
@@ -252,11 +257,60 @@ def test_reach_radius_uses_the_per_input_contraction():
     for v in (0.0, 0.2, 0.5):
         u = np.array([v, 0.3])
         want = r + flow.tau * v * np.array([r[2], r[2], 0.0])
-        assert np.array_equal(growth_radius(m, flow, r, u), want)
+        assert np.array_equal(reach_radius(m, flow, r, u=u), want)
         assert np.array_equal(reach_radius(m, flow, r, 0.05, u),
-                              want + input_deviation_radius(m, flow, 0.05, u))
-    assert np.array_equal(growth_radius(m, flow, r),
-                          growth_radius(m, flow, r, np.array([0.5, 0.0])))
+                              want + reach_radius(m, flow, 0.0, 0.05, u))
+    assert np.array_equal(reach_radius(m, flow, r),
+                          reach_radius(m, flow, r, u=np.array([0.5, 0.0])))
+
+
+# (model, input box) for the radius tests: a linear model, one with a
+# per-input contraction, and one with a constant contraction (the conveyor,
+# given its input sensitivity |df/du| = 1)
+RADIUS_CASES = {
+    "double_integrator": (double_integrator(), ([-1], [1])),
+    "unicycle": (unicycle(), ([0, -0.5], [0.5, 0.5])),
+    "conveyor": (replace(_conveyor(), input_sensitivity=[[1.0]]), ([-1], [2])),
+}
+
+
+@st.composite
+def radius_cases(draw):
+    name = draw(st.sampled_from(sorted(RADIUS_CASES)))
+    model, (ilo, ihi) = RADIUS_CASES[name]
+    tau = draw(st.floats(0.05, 2.0))
+    side = st.floats(0.0, 1.0)
+    r = draw(side | st.lists(side, min_size=model.dim, max_size=model.dim).map(np.array))
+    du = draw(st.just(0.0) | st.floats(1e-3, 1.0))
+    u = draw(st.none() | st.tuples(*(st.floats(lo, hi) for lo, hi in zip(ilo, ihi))).map(np.array))
+    return model, SampledFlow(tau), r, du, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(radius_cases())
+def test_reach_radius_equals_the_growth_plus_deviation_oracle_bit_for_bit(case):
+    model, flow, r, du, u = case
+    got = reach_radius(model, flow, r, du, u)
+    assert got.tobytes() == reach_radius_oracle(model, flow, r, du, u).tobytes()
+    # the growth and the input deviation add: each is the radius with the other zero
+    apart = reach_radius(model, flow, r, 0.0, u) + reach_radius(model, flow, 0.0, du, u)
+    assert got.tobytes() == apart.tobytes()
+
+
+def test_reach_radius_rejects_what_it_cannot_bound():
+    drift = Model(name="drift", dim=1, input_dim=1, field=lambda x, u: u + 0 * x,
+                  contraction_matrix=[[0.0]])
+    flow = SampledFlow(1.0)
+    assert np.array_equal(reach_radius(drift, flow, 0.1), [0.1])
+    with pytest.raises(ValueError, match="model 'drift' declares no input_sensitivity"):
+        reach_radius(drift, flow, 0.1, du=0.05)
+    for model in (drift, double_integrator()):
+        with pytest.raises(ValueError, match="nonnegative"):
+            reach_radius(model, flow, 0.1, du=-0.05)
+        with pytest.raises(ValueError, match="nonnegative"):
+            reach_radius(model, flow, -0.1)
+        with pytest.raises(ValueError, match="one entry per coordinate"):
+            reach_radius(model, flow, [0.1] * (model.dim + 1))
 
 
 def test_unicycle_growth_bound_dominates_monte_carlo():
