@@ -138,6 +138,20 @@ class GridSpec:
                              f"{far.max():.3g}, above {_MAX_WRAPPED:.3g}, where rounding "
                              f"exceeds the {_TIE_SHAVE:g} tie shave")
 
+    def check_model(self, model: Model):
+        """Raise ValueError unless the grid quantizes `model`'s state space, the one space
+        the abstraction's bounds carry over to: the same state and input dimensions, and
+        wrap-around over one turn (2*pi within 1e-9*2*pi) exactly on the angular axes."""
+        if (model.dim, model.input_dim) != (self.dim, self.input_dim):
+            raise ValueError(f"model '{model.name}' has {model.dim} state and {model.input_dim} "
+                             f"input axes, the grid {self.dim} and {self.input_dim}")
+        for k, (span, wraps) in enumerate(zip(self.periods(), self.periodic)):
+            if wraps != (k in model.angular_dims):
+                raise ValueError(f"axis x{k + 1} {'wraps' if wraps else 'does not wrap'}, but "
+                                 f"model '{model.name}' has {'no' if wraps else 'an'} angle there")
+            if wraps and abs(span - 2 * np.pi) > 1e-9 * 2 * np.pi:
+                raise ValueError(f"angular axis x{k + 1} spans {span:g}, not one turn (2*pi)")
+
     @property
     def dim(self) -> int:
         return self.domain_lower.size
@@ -403,8 +417,9 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     successors are all cells the quantizer can map a point of the resulting
     box to. The input is disabled at a cell when the box is not contained in
     the domain (non-periodic axes). Returns (FiniteSystem, Quantizer).
-    Raises DivergenceError when an endpoint on a periodic axis is too large
-    to wrap soundly (`_MAX_WRAPPED`).
+    Raises ValueError unless the grid quantizes the model's state space
+    (`GridSpec.check_model`), and DivergenceError when an endpoint on a
+    periodic axis is too large to wrap soundly (`_MAX_WRAPPED`).
 
     With input_margin (the config's `grid.input_margin`) the boxes also cover
     concrete inputs within mu/2 of each grid input, for plants whose
@@ -415,8 +430,7 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     order, so the output is identical for any thread count.
     """
     flow = SampledFlow(grid.tau)
-    if model.dim != grid.dim or model.input_dim != grid.input_dim:
-        raise ValueError("model dimensions do not match the grid")
+    grid.check_model(model)
     if grid.num_cells == 0:
         raise ValueError("grid has no cells")
     quantizer = Quantizer(grid)

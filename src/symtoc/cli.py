@@ -68,6 +68,8 @@ def _unsafe_cells(cfg: ProblemConfig, system, grid):
 
 
 def cmd_abstract(cfg: ProblemConfig, out_dir=".", threads=1, timestamp=True) -> int:
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
     if cfg.grid is None:
         raise ConfigError("abstract needs a grid section")
@@ -120,8 +122,6 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
         raise ConfigError("simulate needs at least one simulate.initial.<k> state")
     cfg.check_dimensions(grid)
     model = cfg.build_model()
-    if model.dim != grid.dim or model.input_dim != grid.input_dim:
-        raise ConfigError("configured model does not match the controller's grid")
     rc = RefinedController(controller, Quantizer(grid))
     lower = formats.parse_bounds(bounds_path, controller)[0] if bounds_path is not None else None
     unsafe = _unsafe_cells(cfg, controller, grid)

@@ -89,7 +89,13 @@ class ProblemConfig:
         return self.outputs[kind]
 
     def check_dimensions(self, grid: GridSpec):
-        """Target, obstacles and start states must have the grid's state dimension."""
+        """The grid must quantize the named model's state space (`GridSpec.check_model`),
+        and target, obstacles and start states must have the grid's state dimension."""
+        if self.model_id is not None:
+            try:
+                grid.check_model(self.build_model())
+            except ValueError as e:
+                raise ConfigError(f"grid: {e}") from None
         for spec, keys in ((self.target, "target.*"), (self.obstacles, "obstacle.<k>.*")):
             if spec is not None and spec.dim != grid.dim:
                 raise ConfigError(f"keys '{keys}' have wrong dimension {spec.dim} "
@@ -106,10 +112,9 @@ def _want(pairs, key, typ, required=False, default=None):
             raise ConfigError(f"missing required key '{key}'")
         return default
     value, lineno = pairs.pop(key)
-    names = {"number": (int, float), "int": int, "list": list, "string": str, "bool": bool}
-    if typ == "number" and isinstance(value, bool):
-        raise ConfigError(f"line {lineno}: key '{key}' expects a number")
-    if not isinstance(value, names[typ]):
+    names = {"number": (int, float), "number or list": (int, float, list), "int": int,
+             "list": list, "string": str, "bool": bool}
+    if isinstance(value, bool) != (typ == "bool") or not isinstance(value, names[typ]):
         raise ConfigError(f"line {lineno}: key '{key}' expects a {typ}")
     return value
 
@@ -159,10 +164,7 @@ def parse_config_text(text: str) -> ProblemConfig:
     if cfg.model_id is not None and cfg.model_id not in MODEL_REGISTRY:
         raise ConfigError(f"key 'model.id': unknown model '{cfg.model_id}'")
     for key in [k for k in pairs if k.startswith("model.param.")]:
-        value, lineno = pairs.pop(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"line {lineno}: key '{key}' expects a number")
-        cfg.model_params[key[len("model.param."):]] = value
+        cfg.model_params[key[len("model.param."):]] = _want(pairs, key, "number")
     if cfg.model_id is not None:
         signature = inspect.signature(MODEL_REGISTRY[cfg.model_id])
         try:
@@ -175,11 +177,7 @@ def parse_config_text(text: str) -> ProblemConfig:
     grid_keys = [k for k in pairs if k.startswith("grid.")]
     if grid_keys:
         tau = _want(pairs, "grid.tau", "number", required=True)
-        if "grid.eta" not in pairs:
-            raise ConfigError("missing required key 'grid.eta'")
-        eta, eta_line = pairs.pop("grid.eta")
-        if isinstance(eta, bool) or not isinstance(eta, (int, float, list)):
-            raise ConfigError(f"line {eta_line}: key 'grid.eta' expects a number or list")
+        eta = _want(pairs, "grid.eta", "number or list", required=True)
         mu = _want(pairs, "grid.mu", "number", required=True)
         dlo = _want(pairs, "grid.domain_lower", "list", required=True)
         dhi = _want(pairs, "grid.domain_upper", "list", required=True)
@@ -190,13 +188,6 @@ def parse_config_text(text: str) -> ProblemConfig:
         if cfg.model_id is not None:
             model = cfg.build_model()
             periodic = tuple(k in model.angular_dims for k in range(len(dlo)))
-            if model.dim != len(dlo) or model.input_dim != len(ilo):
-                raise ConfigError("grid dimensions do not match the model")
-            for k in model.angular_dims:  # an angle in radians wraps after one turn
-                if abs(dhi[k] - dlo[k] - 2 * np.pi) > 1e-9 * 2 * np.pi:
-                    raise ConfigError(f"keys 'grid.domain_lower'/'grid.domain_upper': angular "
-                                      f"axis x{k + 1} spans {dhi[k] - dlo[k]:g}, not one turn "
-                                      "(2*pi)")
             if cfg.input_margin and model.input_sensitivity is None:
                 raise ConfigError(f"key 'grid.input_margin': model '{cfg.model_id}' declares "
                                   "no input_sensitivity, so an input margin cannot be covered")
@@ -234,10 +225,9 @@ def parse_config_text(text: str) -> ProblemConfig:
         cfg.unsafe_states = _ints("unsafe.states", _want(pairs, "unsafe.states", "list"))
 
     for k, prefix in _numbered_prefixes(pairs, "simulate.initial"):
-        value, _ = pairs.pop(prefix)
-        if not isinstance(value, list):
-            raise ConfigError(f"key '{prefix}' expects a list")
-        cfg.initial_states[k] = np.asarray(value, dtype=float)
+        x0 = _want(pairs, prefix, "list")  # None if only longer keys, left unknown, exist
+        if x0 is not None:
+            cfg.initial_states[k] = np.asarray(x0, dtype=float)
     cfg.max_steps = int(_want(pairs, "simulate.max_steps", "int", default=1000))
     if cfg.max_steps < 0:
         raise ConfigError("key 'simulate.max_steps' must be nonnegative")

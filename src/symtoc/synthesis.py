@@ -82,7 +82,7 @@ class SymbolicController:
     Enabled sets are non-empty exactly on winning states outside the target
     and hold the inputs attaining V(x) = 1 + min_u max V(Post_u(x)), so the
     worst-case successor value of each is V(x) - 1: the levels are the only
-    stored fact and `worst_values` derives the rest. Stored CSR-style: inputs
+    stored fact and `worst_values_flat` derives the rest. Stored CSR-style: inputs
     of state x live at enabled_inputs_flat[offsets[x]:offsets[x+1]].
     """
     num_states: int
@@ -101,13 +101,9 @@ class SymbolicController:
     def enabled(self, x: int) -> np.ndarray:
         return self.enabled_inputs_flat[self.offsets[x]:self.offsets[x + 1]]
 
-    def worst_values(self, x: int) -> np.ndarray:
-        return np.full(self.offsets[x + 1] - self.offsets[x], self.levels[x] - 2)
-
     @property
     def worst_values_flat(self) -> np.ndarray:  # aligned with enabled_inputs_flat
         return np.repeat(self.levels - 2, np.diff(self.offsets))
-
 
 
 def reach_step(sys: FiniteSystem, W: StateSet, Z: StateSet) -> StateSet:

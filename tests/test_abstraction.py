@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import warnings
 from pathlib import Path
 
@@ -471,6 +472,24 @@ def test_successor_sets_pinched_between_independent_bounds():
 def test_model_grid_dimension_mismatch():
     with pytest.raises(ValueError):
         build_abstraction(unicycle(), di_grid())
+
+
+@pytest.mark.parametrize("model, lower, upper, periodic, message", [
+    # a heading circle of period 2 would be quantized as if it were one turn
+    (unicycle, [0, 0, -1], [2, 2, 1], (False, False, True),
+     "angular axis x3 spans 2, not one turn (2*pi)"),
+    (unicycle, [0, 0, -np.pi], [2, 2, np.pi], (False, False, False),
+     "axis x3 does not wrap, but model 'unicycle' has an angle there"),
+    (double_integrator, [-1, -1], [1, 1], (True, False),
+     "axis x1 wraps, but model 'double_integrator' has no angle there"),
+])
+def test_grid_must_wrap_exactly_the_model_angles(model, lower, upper, periodic, message):
+    m = model()
+    grid = GridSpec(tau=0.5, eta=0.5, mu=0.5, domain_lower=lower, domain_upper=upper,
+                    input_lower=[-0.5] * m.input_dim, input_upper=[0.5] * m.input_dim,
+                    periodic=periodic)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_abstraction(m, grid)
 
 
 def test_one_cell_domain_builds_one_state_system():

@@ -459,13 +459,92 @@ def test_angular_axis_must_span_one_turn(tmp_path, capsys, lower, upper, span):
         text = fh.read().replace("grid.mu = 0.1", "grid.mu = 0.5") \
                         .replace("-3.141592653589793]", f"{lower}]", 1) \
                         .replace("3.141592653589793]", f"{upper}]", 1)
-    message = (f"keys 'grid.domain_lower'/'grid.domain_upper': angular axis x3 spans {span}, "
-               "not one turn (2*pi)")
+    message = f"grid: angular axis x3 spans {span}, not one turn (2*pi)"
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config_text(text)
     cfg_path = write(tmp_path / "uni.cfg", text)
     assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _shipped_config(name):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "configs", f"{name}.cfg")) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", ["double_integrator", "unicycle"])
+def test_config_keys_and_values_of_the_wrong_kind_are_config_errors(tmp_path, capsys, name):
+    # every key with a suffix, and every value swapped for one of the wrong
+    # kind, parses or raises ConfigError: never another exception
+    lines = _shipped_config(name).splitlines()
+    variants = []
+    for i, line in enumerate(lines):
+        if "=" in line and not line.startswith("#"):
+            key, _, value = line.partition(" = ")
+            variants += [(i, f"{key}{suffix} = {value}") for suffix in (".x", ".1")]
+            variants += [(i, f"{key} = {wrong}")
+                         for wrong in ("abc", "true", "[]", "[1]", "[1, 2, 3, 4]", "1e400")]
+    def mutated(i, new):
+        return "\n".join(lines[:i] + [new] + lines[i + 1:]) + "\n"
+
+    faults = []
+    for i, new in variants:
+        try:
+            parse_config_text(mutated(i, new))
+        except ConfigError:
+            pass
+        except Exception as e:  # any other exception is the fault sought
+            faults.append(f"{new}: {e!r}")
+    assert faults == []
+    # a start key with a suffix, and a domain bound too short for the model
+    start = next(i for i, line in enumerate(lines) if line.startswith("simulate.initial."))
+    upper = next(i for i, line in enumerate(lines) if line.startswith("grid.domain_upper"))
+    for i, new in [(start, lines[start].replace(" =", ".x =", 1)),
+                   (upper, "grid.domain_upper = [1]")]:
+        cfg_path = write(tmp_path / "bad.cfg", mutated(i, new))
+        assert cli.main(["abstract", "--config", cfg_path, "--out", str(tmp_path)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
+    out = str(tmp_path / "out")
+    assert cli.main(["abstract", "--config", cfg_path, "--out", out,
+                     "--threads", threads]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("wrap, codes", [("1", (cli.EXIT_EMPTY_WINNING, cli.EXIT_CERTIFICATION)),
+                                         ("0", (cli.EXIT_CONFIG, cli.EXIT_CONFIG))])
+def test_artifact_grid_must_wrap_the_model_heading(tmp_path, capsys, wrap, codes):
+    # artifacts on a small unicycle grid, its heading axis wrapping or not (4
+    # heading cells either way): the unicycle config rejects the unwrapped one
+    grid = GridSpec(tau=0.5, eta=[1, 1, 2], mu=0.5,
+                    domain_lower=[0, 0, -np.pi], domain_upper=[1, 1, np.pi],
+                    input_lower=[0, -0.5], input_upper=[0.5, 0.5],
+                    periodic=(False, False, True))
+    s = FiniteSystem(grid.num_cells, grid.num_inputs, {})
+    W = StateSet(grid.num_cells, [0])
+    sts, ctl = tmp_path / "uni.sts", tmp_path / "uni.ctl"
+    formats.write_system(sts, s, grid=grid, timestamp=False)
+    formats.write_controller(ctl, extract_controller(s, W, solve_pessimistic(s, W)),
+                             grid=grid, timestamp=False)
+    for path in (sts, ctl):
+        path.write_text(path.read_text().replace("periodic=[0,0,1]", f"periodic=[0,0,{wrap}]"))
+    cfg_path = write(tmp_path / "uni.cfg", _shipped_config("unicycle"))
+    for (command, option, path), code in zip((("synthesize", "--system", sts),
+                                              ("simulate", "--controller", ctl)), codes):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", cfg_path, "--out", out, option, str(path)]) == code
+        err = capsys.readouterr().err
+        if code == cli.EXIT_CONFIG:
+            assert err == ("error: grid: axis x3 does not wrap, but model 'unicycle' "
+                           "has an angle there\n")
 
 
 def _run_with_grid_metadata(tmp_path, capsys, entry):

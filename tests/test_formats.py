@@ -96,7 +96,8 @@ def _assert_controllers_equal(parsed, ctrl):
     for x in np.flatnonzero(winning):
         assert np.array_equal(parsed.enabled(x), ctrl.enabled(x))
         # CTL1 stores the state's value; each input's worst value reads back as value - 1
-        assert np.all(parsed.worst_values(x) == ctrl.levels[x] - 2)
+        worst = parsed.worst_values_flat[parsed.offsets[x]:parsed.offsets[x + 1]]
+        assert np.all(worst == ctrl.levels[x] - 2)
 
 
 def _write_and_check(tmp_path, name):

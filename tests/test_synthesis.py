@@ -337,17 +337,17 @@ def games(draw):
 @given(game=games())
 def test_enabled_inputs_lead_exactly_one_level_down(game):
     # the controller stores only levels: every enabled input's worst successor
-    # is exactly one level below its state, which worst_values derives
+    # is exactly one level below its state, which worst_values_flat derives
     s, W, safe = game
     unsafe = None if safe is None else ~StateSet(s.num_states, safe)
     system = s if safe is None else s.restrict(solve_safety(s, ~unsafe).allowed)
     ctrl, _ = synthesize(s, W, W, unsafe)
+    flat, offsets = ctrl.worst_values_flat, ctrl.offsets
     for x in range(s.num_states):
         worst = [max(ctrl.levels[t] for t in system.post(x, int(u))) for u in ctrl.enabled(x)]
         assert worst == [ctrl.levels[x] - 1] * len(worst)
-        assert ctrl.worst_values(x).tolist() == [w - 1 for w in worst]
-    assert ctrl.worst_values_flat.tolist() == [
-        v for x in range(s.num_states) for v in ctrl.worst_values(x).tolist()]
+        assert flat[offsets[x]:offsets[x + 1]].tolist() == [w - 1 for w in worst]
+    assert flat.size == ctrl.enabled_inputs_flat.size
 
 
 def test_controller_adversarially_sound():
