@@ -426,9 +426,12 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     actuation is quantized: `reach_radius` gets du = mu/2 and raises
     ValueError when the model declares no input_sensitivity.
 
-    Per-input work may run on a thread pool; results are merged in input
-    order, so the output is identical for any thread count.
+    `threads` threads build the inputs, the calling one included; results
+    are merged in input order, so the output is identical for any thread
+    count. Raises ValueError when threads is below 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     flow = SampledFlow(grid.tau)
     grid.check_model(model)
     if grid.num_cells == 0:
@@ -514,11 +517,15 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
                 succ[first[rows][:, None] + np.arange(flat.shape[1])] = flat
         return sel, tot, succ
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(M)))
-    else:
-        results = [job(u) for u in range(M)]
+    # the calling thread builds every input u with u % threads == 0 and
+    # threads - 1 helpers the rest; reading in input order raises the lowest
+    # failing input's error, and one thread submits nothing and starts none
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        helped = {u: pool.submit(job, u) for u in range(M) if u % threads}
+        try:
+            results = [helped[u].result() if u in helped else job(u) for u in range(M)]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     counts_mat = np.zeros((N, M), dtype=np.int64)
     for u, (sel, tot, _) in enumerate(results):

@@ -195,7 +195,9 @@ def _build_parser():
 
     p = sub.add_parser("abstract", help="build the finite abstraction")
     common(p)
-    p.add_argument("--threads", type=int, default=1, help="parallel builder threads")
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads that build the abstraction, the calling one included; "
+                        "the output is the same for every count")
 
     p = sub.add_parser("synthesize", help="solve the games and extract the controller")
     common(p)

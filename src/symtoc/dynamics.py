@@ -75,6 +75,11 @@ class Model:
         if m.shape != (self.dim, self.dim):
             raise ValueError("growth matrix must be dim x dim")
         object.__setattr__(self, given, m)
+        dims = tuple(self.angular_dims)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                   and 0 <= d < self.dim for d in dims) or len(set(dims)) != len(dims):
+            raise ValueError(f"model '{self.name}': angular_dims {dims!r} must be distinct "
+                             f"integers in 0..{self.dim - 1}")
         if self.input_sensitivity is not None:
             s = np.asarray(self.input_sensitivity, dtype=float)
             if s.shape != (self.dim, self.input_dim):

@@ -196,14 +196,18 @@ class FiniteSystem:
             pair_type = np.int32 if n_pairs <= np.iinfo(np.int32).max else np.int64
             # one in-place sort of the keys target*n_pairs + pair orders the
             # entries by target and, within a target, by ascending pair; the
-            # keys reach N*N*M, so widen to int64 before multiplying (NumPy
-            # 1.x would keep int32 * np.int64 scalar in int32 and wrap)
-            key = self._targets.astype(np.int64)
-            key *= n_pairs
-            key += np.repeat(np.arange(n_pairs, dtype=pair_type), self.pair_counts)
+            # keys stay below N*N*M, so they are uint32 while that fits (and
+            # pair ids are int32), else int64
+            narrow = pair_type is np.int32 and self.num_states * n_pairs <= 2 ** 32
+            key_type = np.uint32 if narrow else np.int64
+            key = self._targets.astype(key_type)
+            key *= key_type(n_pairs)
+            key += np.repeat(np.arange(n_pairs, dtype=np.uint32 if narrow else pair_type),
+                             self.pair_counts)
             key.sort()
-            key %= max(n_pairs, 1)
-            self._reverse_cache = (self._reverse_offsets(), key.astype(pair_type))
+            key %= key_type(max(n_pairs, 1))
+            pairs = key.view(np.int32) if narrow else key.astype(pair_type)
+            self._reverse_cache = (self._reverse_offsets(), pairs)
         return self._reverse_cache
 
     def _reverse_offsets(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtoc import (GridSpec, Model, Quantizer, SampledFlow,
+from symtoc import (DivergenceError, GridSpec, Model, Quantizer, SampledFlow,
                     TargetBox, TargetSpec, build_abstraction, double_integrator, integrate,
                     one_period, reach_radius, target_over, target_under, unicycle)
 from symtoc.config import parse_config_text
@@ -170,12 +171,57 @@ def test_boundary_cells_are_disabled():
 
 
 def test_build_deterministic_and_thread_invariant():
-    grid = di_grid(extent=1.5)
+    # M = 5 is a multiple of neither 2 nor 3, so the calling thread and the
+    # helpers get unequal shares, and 7 threads are more than there are inputs
+    grid = di_grid(extent=1.5, mu=0.5)
+    assert grid.num_inputs == 5
     a, _ = build_abstraction(double_integrator(), grid)
-    b, _ = build_abstraction(double_integrator(), grid)
-    c, _ = build_abstraction(double_integrator(), grid, threads=4)
-    assert a == b
-    assert a == c
+    assert a.num_transitions > 0
+    for threads in (1, 2, 3, 5, 7):
+        assert build_abstraction(double_integrator(), grid, threads=threads)[0] == a
+
+
+def drift_grid():
+    """A 1-D grid with M = 5 inputs, -0.5 to 0.5 in steps of 0.25."""
+    return GridSpec(tau=1.0, eta=0.1, mu=0.25, domain_lower=[-1], domain_upper=[1],
+                    input_lower=[-0.5], input_upper=[0.5])
+
+
+def recording_drift(calls, diverge=()):
+    """x' = u, integrated by RK4; each field call adds (u, thread id) to
+    `calls`, and the field is infinite for the inputs in `diverge`."""
+    def field(x, u):
+        calls.add((float(u[0]), threading.get_ident()))
+        return np.full_like(x, np.inf) if float(u[0]) in diverge else 0 * x + u
+    return Model(name="drift", dim=1, input_dim=1, field=field, contraction_matrix=[[0.0]])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_calling_thread_builds_every_threads_th_input(threads):
+    calls = set()
+    grid = drift_grid()
+    build_abstraction(recording_drift(calls), grid, threads=threads)
+    me = threading.get_ident()
+    ran_on = {float(v): {t for w, t in calls if w == v} for v in grid.input_values()[:, 0]}
+    for u, where in enumerate(ran_on.values()):
+        assert len(where) == 1
+        assert (where == {me}) == (u % threads == 0), (u, threads)
+    assert len(set().union(*ran_on.values()) - {me}) <= threads - 1
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+def test_lowest_diverging_input_is_reported_for_every_thread_count(threads):
+    # inputs 3 and 4 diverge: with 2 threads a helper builds 3 and the
+    # calling thread 4, with 3 threads the other way round
+    with pytest.raises(DivergenceError, match=re.escape("input [0.25]")):
+        build_abstraction(recording_drift(set(), diverge=(0.25, 0.5)), drift_grid(),
+                          threads=threads)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_raise(threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        build_abstraction(double_integrator(), di_grid(extent=1.5), threads=threads)
 
 
 def test_target_under_over_ball():

@@ -111,6 +111,20 @@ def test_integrate_raises_when_the_field_turns_non_finite_at_any_substep(j, batc
         integrate(model, SampledFlow(1.0), x, np.array([0.5]))
 
 
+@pytest.mark.parametrize("dims", [(3,), (1,), (-1,), (True,), (0.0,), (0, 0), ("0",)],
+                         ids=["past-dim", "at-dim", "negative", "bool", "float", "repeated", "str"])
+def test_angular_dims_are_distinct_axes_of_the_model(dims):
+    # (3,) on a 1-D model used to pass the grid check, whose k in angular_dims
+    # never meets 3, and build 4 states on a grid that wraps nothing; True
+    # compares equal to axis 1
+    with pytest.raises(ValueError, match=r"model 'm': angular_dims .* must be distinct "
+                                         r"integers in 0\.\.0"):
+        Model(name="m", dim=1, input_dim=1, field=lambda x, u: 0 * x + u,
+              linear_matrix=np.zeros((1, 1)), angular_dims=dims)
+    Model(name="m", dim=1, input_dim=1, field=lambda x, u: 0 * x + u,
+          linear_matrix=np.zeros((1, 1)), angular_dims=(np.int64(0),))
+
+
 def test_rk4_order_on_smooth_model():
     # halving the step should cut the error roughly 16x (4th order)
     m = unicycle()

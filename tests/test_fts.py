@@ -192,6 +192,19 @@ def test_reverse_sort_keys_on_both_sides_of_int32(n):
     assert_reverse_equal(s.reverse(), reference_reverse(s))
 
 
+@pytest.mark.parametrize("n", [65536, 65537, 70000])
+def test_reverse_sort_keys_on_both_sides_of_uint32(n):
+    # with M=1 and state n-1 an enabled source and a target, the largest key
+    # n*n - 1 is 2^32 - 1 for n=65536, the last that reverse() sorts as
+    # uint32; past it the keys are int64, and both give int32 pair ids
+    rng = np.random.default_rng(n)
+    trans = {(int(x), 0): rng.choice(n, size=3, replace=False).tolist() + [n - 1]
+             for x in rng.integers(0, n, 300)}
+    trans[(n - 1, 0)] = [0, n - 1]
+    s = FiniteSystem(n, 1, trans)
+    assert_reverse_equal(s.reverse(), reference_reverse(s))
+
+
 @settings(max_examples=100, deadline=None)
 @given(ranges=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 4)), max_size=8))
 def test_segment_indices_concatenates_ranges(ranges):
