@@ -25,6 +25,7 @@ of a concrete point (`TargetSpec.contains`) is the same test with 1e-12.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -216,6 +217,10 @@ class Quantizer:
         # distance from the lower edge past which a point is off the grid
         self._reach = np.where(self._periodic, np.inf, (self.cells + 1) * grid.eta)
         self._centers = None
+        # the per-axis constants of a one-state lookup, as Python scalars
+        self._axes = list(zip(grid.domain_lower.tolist(), grid.eta.tolist(), self.cells.tolist(),
+                              self._periods.tolist(), grid.periodic, self._reach.tolist(),
+                              strides.tolist()))
 
     def index_to_coords(self, idx) -> np.ndarray:
         return np.stack(np.unravel_index(idx, self.cells), axis=-1)
@@ -240,10 +245,16 @@ class Quantizer:
         """Flat index of the cell whose center is nearest to x (ties round
         half-up), or -1 where x is non-finite or outside the region covered
         by cells on a non-periodic axis. A 1-D x is one state and gives an
-        int; otherwise each row is a state."""
+        int, looked up by `_one_cell_index` with the same result as its row
+        in a batch; otherwise each row is a state. Raises ValueError when a
+        state's length is not the grid's dimension."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         g = self.grid
+        if pts.shape[-1] != g.dim:
+            raise ValueError(f"a state has {pts.shape[-1]} coordinates, the grid {g.dim}")
+        if x.ndim == 1:
+            return self._one_cell_index(x.tolist())
         # non-finite and far off-grid points are replaced before their
         # index could overflow the int64 cast
         ok = (np.abs(pts - g.domain_lower) < self._reach).all(axis=1)
@@ -251,8 +262,31 @@ class Quantizer:
         # periodic columns always come out in range
         i = _axis_cell(pts, g.domain_lower, g.eta, self.cells, self._periods, self._periodic)
         ok &= ((i >= 0) & (i < self.cells)).all(axis=1)
-        flat = np.where(ok, i @ self.strides, -1)
-        return int(flat[0]) if x.ndim == 1 else flat
+        return np.where(ok, i @ self.strides, -1)
+
+    def _one_cell_index(self, x) -> int:
+        """`cell_index` of one state (a list of floats), axis by axis on Python
+        scalars by `_axis_cell`'s rules: `%` on a periodic axis takes the
+        value on the circle as np.mod does, and Python floats round each
+        operation to nearest as float64 ufuncs do, so the cell is the batch
+        path's."""
+        flat = 0
+        for v, (lo, eta, K, period, periodic, reach, stride) in zip(x, self._axes):
+            d = v - lo
+            if not abs(d) < reach:  # off the grid, or not finite
+                return -1
+            if periodic:
+                d %= period
+            v = d / eta + 0.5
+            i = math.floor(v + _REL_TOL)
+            if periodic and i >= K:  # the seam gap: the closer of the last and first center
+                i = 0 if period - d <= d - (K - 1) * eta else K - 1
+            elif i == K and v <= K + _REL_TOL:  # the closed top edge
+                i = K - 1
+            if not 0 <= i < K:
+                return -1
+            flat += i * stride
+        return flat
 
 
 # -- target specifications ---------------------------------------------
@@ -321,8 +355,11 @@ class TargetSpec:
 
     def contains(self, x, grid: GridSpec | None = None) -> bool:
         """Closed membership of a concrete point, 1e-12 on both sides of every
-        bound, wrapping the periodic axes of `grid`."""
+        bound, wrapping the periodic axes of `grid`. Raises ValueError unless
+        x has one coordinate per axis of the target."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"a point has {x.size} coordinates, the target {self.dim}")
         return any(all(_axis_in(grid, m, k, x[k], 0.0, 1e-12) for k in range(self.dim))
                    for m in self.members)
 

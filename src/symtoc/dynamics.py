@@ -9,11 +9,15 @@ bound on that box. Every matrix exponential goes through `_expm`, a
 scaling-and-squaring Taylor series, so numpy is the only numerical
 dependency. `integrate` is fixed-step RK4; `one_period` is the exact
 one-period map where the model has one (its own `flow_map`, or the
-matrix-exponential map of a linear model) and RK4 otherwise. All functions are pure and safe to call concurrently.
+matrix-exponential map of a linear model) and RK4 otherwise. The matrix
+exponentials that do not depend on the input are computed once per tau and
+kept on the model. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,19 +35,23 @@ class SampledFlow:
     substeps: int = 10  # default keeps the internal step at tau/10 or below
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("sampling period tau must be positive")
-        if self.substeps < 1:
-            raise ValueError("substep count must be >= 1")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"sampling period tau must be positive and finite, got {self.tau!r}")
+        if (not isinstance(self.substeps, (int, np.integer)) or isinstance(self.substeps, bool)
+                or self.substeps < 1):
+            raise ValueError(f"substep count must be an integer >= 1, got {self.substeps!r}")
 
 
 @dataclass(frozen=True)
 class Model:
     """Control system dynamics plus reachable-set growth data.
 
-    field(x, u) must accept arrays of shape (..., dim) and (..., input_dim)
-    and return the state derivative with shape (..., dim). Exactly one of
-    linear_matrix (A) and contraction_matrix (L) must be given.
+    field(x, u) must accept float64 arrays of shape (..., dim) and
+    (..., input_dim) and return the state derivative as a float64 array of
+    the shape of x; on that contract a one-state `integrate`, which runs its
+    RK4 combination on Python floats, is bit-identical to a row of the batch
+    path. Exactly one of linear_matrix (A) and contraction_matrix (L) must
+    be given.
     linear_matrix declares the field affine in the state,
     f(x, u) = A x + f(0, u); `reach_radius` and `one_period` both rest on that.
     angular_dims lists coordinates that live on a circle: angles in radians,
@@ -66,6 +74,9 @@ class Model:
     input_sensitivity: np.ndarray | None = None
     contraction_for_input: Callable[[np.ndarray], np.ndarray] | None = None
     flow_map: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
+    # input-independent matrix exponentials by (kind, tau), filled by `_per_tau`
+    _per_tau: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if (self.linear_matrix is None) == (self.contraction_matrix is None):
@@ -91,7 +102,9 @@ def integrate(model: Model, flow: SampledFlow, x, u) -> np.ndarray:
     """Classic fixed-step RK4 approximation of the state after one period tau.
 
     The input is held constant over the period. x may be a single state
-    (dim,) or a batch (..., dim); u broadcasts likewise. Raises
+    (dim,) or a batch (..., dim); u broadcasts likewise. One state with one
+    input (both 1-D) takes `_rk4_one`, bit-identical to its row of a batch
+    and without the 13 NumPy calls a substep of the batch path. Raises
     DivergenceError if the endpoint is non-finite. That is checked once, at
     the end: a coordinate that turns non-finite at some substep stays so,
     since each substep adds its increment to it (inf + finite is inf, and
@@ -104,14 +117,36 @@ def integrate(model: Model, flow: SampledFlow, x, u) -> np.ndarray:
     y = x
     f = model.field
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(flow.substeps):
-            k1 = f(y, u)
-            k2 = f(y + 0.5 * h * k1, u)
-            k3 = f(y + 0.5 * h * k2, u)
-            k4 = f(y + h * k3, u)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if x.ndim == 1 and u.ndim == 1:
+            y = _rk4_one(f, x, u, float(h), flow.substeps)
+        else:
+            for _ in range(flow.substeps):
+                k1 = f(y, u)
+                k2 = f(y + 0.5 * h * k1, u)
+                k3 = f(y + 0.5 * h * k2, u)
+                k4 = f(y + h * k3, u)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     _require_finite(model, y, u)
     return y
+
+
+def _rk4_one(f, x, u, h: float, substeps: int) -> np.ndarray:
+    """`integrate`'s RK4 loop for one state x, combined coordinate by coordinate
+    on Python floats. Each stage point and the update are the batch loop's
+    operations in its order, ((k1 + 2 k2) + 2 k3) + k4 included, and Python
+    floats round every one to nearest as float64 ufuncs do, so the bits match;
+    overflow gives inf and inf - inf gives nan, as there, without a warning."""
+    a = 0.5 * h
+    b = h / 6.0
+    y = x.tolist()
+    for _ in range(substeps):
+        k1 = f(np.array(y), u).tolist()
+        k2 = f(np.array([p + a * q for p, q in zip(y, k1)]), u).tolist()
+        k3 = f(np.array([p + a * q for p, q in zip(y, k2)]), u).tolist()
+        k4 = f(np.array([p + h * q for p, q in zip(y, k3)]), u).tolist()
+        y = [p + b * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+             for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
+    return np.array(y)
 
 
 def one_period(model: Model, flow: SampledFlow, x, u) -> np.ndarray:
@@ -120,8 +155,8 @@ def one_period(model: Model, flow: SampledFlow, x, u) -> np.ndarray:
     Takes the model's own flow_map when it has one; for a linear model
     (f(x, u) = A x + f(0, u)) the exact map e^{A tau} x + G f(0, u), where
     [e^{A tau} | G] comes from one augmented matrix exponential (Van Loan,
-    IEEE TAC 1978); otherwise `integrate`. Shapes as for `integrate`.
-    Raises DivergenceError on a non-finite endpoint.
+    IEEE TAC 1978), computed once per tau; otherwise `integrate`. Shapes as
+    for `integrate`. Raises DivergenceError on a non-finite endpoint.
     """
     if model.flow_map is None and model.linear_matrix is None:
         return integrate(model, flow, x, u)
@@ -131,7 +166,8 @@ def one_period(model: Model, flow: SampledFlow, x, u) -> np.ndarray:
         if model.flow_map is not None:
             y = model.flow_map(x, u, flow.tau)
         else:
-            e, g = _expm_and_integral(model.linear_matrix, flow.tau, model.name)
+            e, g = _per_tau(model, "flow", flow.tau, lambda: _expm_and_integral(
+                model.linear_matrix, flow.tau, model.name))
             y = x @ e.T + model.field(np.zeros_like(x), u) @ g.T
     _require_finite(model, y, u)
     return y
@@ -145,6 +181,22 @@ def _require_finite(model: Model, y, u):
             f"integration of model '{model.name}' diverged "
             f"(first bad batch entry {bad}, "
             f"input {np.atleast_1d(u).ravel()[:model.input_dim].tolist()})")
+
+
+def _per_tau(model: Model, kind: str, tau: float, compute):
+    """compute(), once per (kind, tau) for `model`; kept arrays are read-only.
+
+    Threads that race on a first call each compute the same value, and the
+    first one stored is kept.
+    """
+    got = model._per_tau.get((kind, tau))
+    if got is None:
+        got = compute()
+        for a in got if isinstance(got, tuple) else (got,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        got = model._per_tau.setdefault((kind, tau), got)
+    return got
 
 
 def _expm(a, name: str) -> np.ndarray:
@@ -212,7 +264,8 @@ def reach_radius(model: Model, flow: SampledFlow, r, du: float = 0.0,
     the model has it and u is given, else `contraction_matrix`, else |A|).
     For du > 0 it adds the input deviation ∫₀^τ e^{Ls} ds · S du of the
     comparison system d' <= L d + S du, S the `input_sensitivity`; a model
-    without one raises ValueError, as does a negative du.
+    without one raises ValueError, as does a negative du. The exponentials
+    that do not depend on u are computed once per tau.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or not du >= 0:
@@ -224,19 +277,26 @@ def reach_radius(model: Model, flow: SampledFlow, r, du: float = 0.0,
     if du > 0 and model.input_sensitivity is None:
         raise ValueError(f"model '{model.name}' declares no input_sensitivity; "
                          f"an input error of {du:g} cannot be covered")
-    if u is not None and model.contraction_for_input is not None:
+    tau, name = flow.tau, model.name
+    per_input = u is not None and model.contraction_for_input is not None
+    if per_input:
         lip = np.asarray(model.contraction_for_input(np.asarray(u, dtype=float)), dtype=float)
     elif model.contraction_matrix is not None:
         lip = model.contraction_matrix
     else:
         lip = np.abs(model.linear_matrix)
+
+    def of_lip(kind, compute):
+        return compute() if per_input else _per_tau(model, kind, tau, compute)
+
     if model.linear_matrix is not None:
-        gain = np.abs(_expm(model.linear_matrix * flow.tau, model.name)).sum(axis=1).max()
+        gain = _per_tau(model, "gain", tau, lambda: float(
+            np.abs(_expm(model.linear_matrix * tau, name)).sum(axis=1).max()))
         radius = np.full(model.dim, gain * float(r.max()))
     else:
-        radius = _expm(lip * flow.tau, model.name) @ r
+        radius = of_lip("growth", lambda: _expm(lip * tau, name)) @ r
     if du > 0:
-        phi = _expm_and_integral(lip, flow.tau, model.name)[1]
+        phi = of_lip("deviation", lambda: _expm_and_integral(lip, tau, name)[1])
         radius = radius + phi @ (model.input_sensitivity @ np.full(model.input_dim, float(du)))
     return radius
 

@@ -536,7 +536,8 @@ def _write_csv(path, header, rows, timestamp: bool):
 
 
 def write_trace(path, trace, dim: int, input_dim: int, timestamp: bool = True):
-    rows = [[s.k, *map(_fmt_num, s.state), *map(_fmt_num, s.input), s.cell, s.value]
+    # tolist gives Python floats, whose repr is `_fmt_num`'s, in one call a row
+    rows = [[s.k, *map(repr, s.state.tolist()), *map(repr, s.input.tolist()), s.cell, s.value]
             for s in trace.steps]
     achieved = "none" if trace.achieved is None else trace.achieved
     rows.append([f"# reason={trace.reason} achieved={achieved}"])

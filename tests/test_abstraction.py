@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symtoc import (DivergenceError, GridSpec, Model, Quantizer, SampledFlow,
                     TargetBox, TargetSpec, build_abstraction, double_integrator, integrate,
@@ -131,6 +131,88 @@ def test_cell_index_marks_off_grid_and_non_finite_states():
     assert cells[6] == -1
     assert q.cell_index([1e300, 0.8, 0.0]) == q.cell_index([-1e300, 0.8, 0.0]) == -1
     assert q.cell_index([1e308, 0.8, 0.0]) == -1
+
+
+@st.composite
+def lookup_cases(draw):
+    """A grid with per-axis steps, some axes periodic (with a seam gap when the
+    step does not divide the period), and points at its hard places: cell
+    faces and 1 ulp either side, the seam gap, past the top edge, far off the
+    grid, and non-finite."""
+    dim = draw(st.integers(1, 3))
+    periodic = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    lower = draw(st.lists(st.floats(-10, 10), min_size=dim, max_size=dim))
+    eta = draw(st.lists(st.floats(0.05, 2.0), min_size=dim, max_size=dim))
+    cells = draw(st.lists(st.integers(1, 12), min_size=dim, max_size=dim))
+    gap = draw(st.lists(st.floats(0.0, 0.99), min_size=dim, max_size=dim))
+    upper = [lo + ((K - 1 + g) * e if not p else (K - 1 + max(g, 0.01)) * e)
+             for lo, e, K, g, p in zip(lower, eta, cells, gap, periodic)]
+    grid = GridSpec(tau=1, eta=eta, mu=1, domain_lower=lower, domain_upper=upper,
+                    input_lower=[0], input_upper=[0], periodic=periodic)
+    K = grid.cells_per_axis()
+
+    def coordinate(k):
+        lo, e, span = lower[k], eta[k], upper[k] - lower[k]
+        j = draw(st.integers(-2, int(K[k]) + 1))
+        face = lo + (j + 0.5) * e
+        kind = draw(st.sampled_from(["face", "center", "top", "gap", "far", "nonfinite",
+                                     "uniform"]))
+        if kind == "face":
+            return float(np.nextafter(face, draw(st.sampled_from([-np.inf, face, np.inf]))))
+        if kind == "center":
+            return lo + j * e
+        if kind == "top":  # the closed top edge, 1 ulp either side, and past it
+            edge = lo + (K[k] - 0.5) * e
+            return draw(st.sampled_from([float(np.nextafter(edge, -np.inf)), edge,
+                                         float(np.nextafter(edge, np.inf)), upper[k] + 1e-3]))
+        if kind == "gap":  # between the last center and one period on, and its midpoint
+            last = (K[k] - 1) * e
+            tie = lo + 0.5 * (last + span)
+            return draw(st.sampled_from([float(np.nextafter(tie, -np.inf)), tie,
+                                         float(np.nextafter(tie, np.inf))])
+                        | st.floats(0, 1).map(lambda t: lo + last + t * (span - last)))
+        if kind == "far":
+            return draw(st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308]))
+        if kind == "nonfinite":
+            return draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return draw(st.floats(lo - 2 * span - 1, lo + 3 * span + 1))
+
+    rows = [[coordinate(k) for k in range(dim)] for _ in range(draw(st.integers(1, 6)))]
+    return Quantizer(grid), np.array(rows)
+
+
+# centers 0, 0.375 and 0.75 on a circle of period 1: 0.875 is an exact seam tie
+SEAM_TIE = (Quantizer(GridSpec(tau=1, eta=0.375, mu=1, domain_lower=[0], domain_upper=[1],
+                               input_lower=[0], input_upper=[0], periodic=[True])),
+            np.array([[0.875], [np.nextafter(0.875, 0)], [np.nextafter(0.875, 1)], [-0.125]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lookup_cases())
+@example(SEAM_TIE)
+def test_one_state_cell_index_equals_its_batch_row(case):
+    # a 1-D state goes through the per-axis loop on Python floats, a 2-D
+    # array through `_axis_cell`; both must pick the same cell
+    q, rows = case
+    batch = q.cell_index(rows)
+    for x, cell in zip(rows, batch.tolist()):
+        one = q.cell_index(x)
+        assert isinstance(one, int) and one == cell == int(q.cell_index(x[None])[0]), x.tolist()
+
+
+@pytest.mark.parametrize("point", [[1.0], [0.5, 0.5, 9.0], []], ids=["short", "long", "empty"])
+def test_point_lookups_check_the_point_length(point):
+    # a short point used to broadcast to a cell (cell_index([1.0]) gave 12),
+    # and contains read only the axes it was given
+    grid = di_grid()
+    q = Quantizer(grid)
+    want = rf"{len(point)} coordinates, the grid 2"
+    with pytest.raises(ValueError, match=want):
+        q.cell_index(point)
+    with pytest.raises(ValueError, match=want):
+        q.cell_index([point, point])
+    with pytest.raises(ValueError, match=rf"{len(point)} coordinates, the target 2"):
+        TargetSpec.box([0, 0], [1, 1]).contains(point, grid)
 
 
 def test_double_integrator_nine_successor_cells():

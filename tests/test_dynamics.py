@@ -1,4 +1,7 @@
 import importlib.util
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from symtoc import (DivergenceError, Model, SampledFlow, double_integrator, integrate,
                     make_model, one_period, reach_radius, unicycle)
+from symtoc import dynamics
 from symtoc.dynamics import _expm
 
 from helpers import growth_bound_dominates, reach_radius_oracle
@@ -378,3 +382,126 @@ def test_flow_validation():
         SampledFlow(0.0)
     with pytest.raises(ValueError):
         SampledFlow(1.0, substeps=0)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, -1.0])
+def test_flow_rejects_a_period_that_is_not_positive_and_finite(tau):
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        SampledFlow(tau)
+
+
+@pytest.mark.parametrize("substeps", [2.5, 3.0, True, np.bool_(True), "3", None, -2])
+def test_flow_rejects_a_substep_count_that_is_not_an_integer_of_at_least_one(substeps):
+    # 2.5 used to pass and fail later inside range(); True counted as one substep
+    with pytest.raises(ValueError, match="substep count must be an integer >= 1"):
+        SampledFlow(1.0, substeps)
+
+
+def test_flow_takes_numpy_integer_substeps():
+    assert SampledFlow(np.float64(0.5), np.int64(3)).substeps == 3
+
+
+magnitudes = st.sampled_from([1.0, 1e3, 1e8, 1e150, 1e300, 1.7e308])
+
+
+@st.composite
+def one_state_cases(draw):
+    """A model, a flow, and one state with one input, from everyday values to
+    magnitudes that overflow inside the RK4 stages, and non-finite ones."""
+    name = draw(st.sampled_from(sorted(INTEGRATE_CASES)))
+    model = INTEGRATE_CASES[name][0]
+    value = st.floats(-1.0, 1.0) | st.floats(allow_nan=True, allow_infinity=True)
+    scaled = st.tuples(value, magnitudes).map(lambda p: p[0] * p[1])
+    x = draw(st.lists(scaled, min_size=model.dim, max_size=model.dim))
+    u = draw(st.lists(scaled, min_size=model.input_dim, max_size=model.input_dim))
+    flow = SampledFlow(draw(st.floats(0.05, 4.0)), draw(st.integers(1, 12)))
+    return model, flow, np.array(x), np.array(u)
+
+
+def _outcome(run):
+    """The endpoint's bytes, or the DivergenceError's message."""
+    try:
+        return run().tobytes()
+    except DivergenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_state_cases())
+@example((double_integrator(), SampledFlow(1.0), np.array([1e308, 1e308]), np.array([0.0])))
+@example((INTEGRATE_CASES["conveyor"][0], SampledFlow(2.0), np.array([1500.0]),
+          np.array([1.7e308])))
+@example((unicycle(), SampledFlow(0.5), np.array([0.0, 0.0, 1e300]), np.array([1e300, 1e300])))
+def test_one_state_integrate_equals_its_batch_row_bit_for_bit(case):
+    # the one-state path runs RK4 on Python floats, the batch path on arrays:
+    # they must give the same bits, or raise the same DivergenceError
+    model, flow, x, u = case
+    one = _outcome(lambda: integrate(model, flow, x, u))
+    row = _outcome(lambda: integrate(model, flow, x[None], u[None])[0])
+    assert one == row
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    orig = getattr(dynamics, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+def test_linear_exponentials_are_computed_once_per_tau(monkeypatch):
+    m = double_integrator()
+    flow, other = SampledFlow(1.0), SampledFlow(0.5)
+    cold = [one_period(m, flow, [1.0, 2.0], [0.5]), reach_radius(m, flow, 0.15, 0.05)]
+    augmented = _count_calls(monkeypatch, "_expm_and_integral")
+    plain = _count_calls(monkeypatch, "_expm")
+    for _ in range(3):
+        assert one_period(m, flow, [1.0, 2.0], [0.5]).tobytes() == cold[0].tobytes()
+        assert reach_radius(m, flow, 0.15, 0.05).tobytes() == cold[1].tobytes()
+    assert augmented == [] and plain == []
+    one_period(m, other, [1.0, 2.0], [0.5])
+    reach_radius(m, other, 0.15, 0.05)
+    assert len(augmented) == 2  # the flow map's and the input deviation's, at the new tau
+    # a model made by replace() starts without the old model's exponentials
+    faster = replace(m, linear_matrix=2 * m.linear_matrix)
+    assert reach_radius(faster, flow, 0.15)[0] > reach_radius(m, flow, 0.15)[0]
+
+
+def test_kept_exponentials_are_read_only():
+    m = double_integrator()
+    one_period(m, SampledFlow(1.0), [1.0, 2.0], [0.5])
+    (e, g), = m._per_tau.values()
+    with pytest.raises(ValueError, match="read-only"):
+        e[0, 0] = 2.0
+
+
+def test_a_duplicate_first_computation_keeps_equal_arrays(monkeypatch):
+    # builder threads may all miss the memo; each computes the exponentials
+    # (the barrier holds every thread until all have missed), and every
+    # result is the same bits as a one-thread computation
+    threads = 4
+    barrier = threading.Barrier(threads, timeout=10)
+    orig = dynamics._expm_and_integral
+
+    def all_compute(*args):
+        barrier.wait()
+        return orig(*args)
+    monkeypatch.setattr(dynamics, "_expm_and_integral", all_compute)
+    m = double_integrator()
+    flow = SampledFlow(1.0)
+    x = np.random.default_rng(3).uniform(-5, 5, size=(50, 2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            got = list(pool.map(lambda u: one_period(m, flow, x, [u]), [0.5] * threads,
+                                timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(dynamics, "_expm_and_integral", orig)
+    want = one_period(double_integrator(), flow, x, [0.5]).tobytes()
+    assert [g.tobytes() for g in got] == [want] * threads
+    assert len(m._per_tau) == 1

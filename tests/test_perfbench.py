@@ -68,6 +68,8 @@ def test_traced_worker_counts_every_layer(tmp_path):
     assert [run["rc"] for run in result["runs"]] == [0, 0, 0]
     layers = result["layers"]
     assert layers["refine.steps"] > 0 and layers["refine.certified"] == 2
+    # every simulated step advances exactly one state through the hooked integrate
+    assert layers["dynamics.points"] == layers["refine.steps"]
     # the timed spans too: a bound or target cover routed through another
     # function would read 0 here rather than vanish from the report
     for key in ("synthesis.safe_states", "synthesis.pessimistic_levels",
