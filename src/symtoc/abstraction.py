@@ -71,7 +71,7 @@ def _axis_cell(vals, lo, eta, K, period, periodic):
     d = np.asarray(vals, dtype=float) - lo
     if wrap:
         np.mod(d, period, out=d, where=periodic)
-    v = d / eta + 0.5
+    v = np.clip(d / eta + 0.5, -1, K + 1)  # off the grid either way, and inside int64
     i = np.floor(v + _REL_TOL).astype(np.int64)
     if wrap:
         seam = (i >= K) & periodic
@@ -486,14 +486,6 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     eff_hi = np.minimum(grid.domain_upper, last_center + 0.5 * eta)
     margin = 0.5 * grid.mu if input_margin else 0.0
 
-    # A box corner landing exactly on a cell boundary: the bottom corner
-    # always resolves to the boundary's upper cell (the boundary value is the
-    # closed lower edge of that cell's region). The top corner resolves down
-    # without a margin (the boundary value is only produced by states outside
-    # the half-open source region) but stays inclusive with one (the covered
-    # input cell is closed, so margin-induced extremes are attained).
-    top_shave = -_TIE_SHAVE if margin > 0 else _TIE_SHAVE
-
     def job(u):
         radius = reach_radius(model, flow, grid.eps, du=margin, u=inputs[u])
         nominal = one_period(model, flow, centers, inputs[u])
@@ -506,26 +498,32 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
                     f"exceeds the {_TIE_SHAVE:g} tie shave")
         blo = nominal - radius
         bhi = nominal + radius
+        # A box corner landing exactly on a cell boundary: the bottom corner
+        # always resolves to the boundary's upper cell (the boundary value is
+        # the closed lower edge of that cell's region). The top corner
+        # resolves down without a margin (the boundary value is only produced
+        # by states outside the half-open source region) but stays inclusive
+        # with one (the covered input cell is closed, so margin-induced
+        # extremes are attained). No corner is pulled past the nominal point,
+        # so a box narrower than two shaves keeps its bottom cell at or below
+        # its top cell.
+        shave = np.minimum(_TIE_SHAVE, radius)
+        top_shave = shave if margin == 0 else np.full(n, -_TIE_SHAVE)
         enabled = np.ones(N, dtype=bool)
         starts = np.zeros((N, n), dtype=np.int64)
         counts = np.ones((N, n), dtype=np.int64)
         for k in range(n):
-            axis = (grid.domain_lower[k], eta[k], int(K[k]), periods[k], grid.periodic[k])
-            if grid.periodic[k]:
-                if 2.0 * radius[k] >= periods[k] - abs_tol[k]:
-                    starts[:, k] = 0
-                    counts[:, k] = K[k]
-                    continue
-                s = _axis_cell(blo[:, k] + _TIE_SHAVE, *axis)
-                e = _axis_cell(bhi[:, k] - top_shave, *axis)
-                starts[:, k] = s
-                counts[:, k] = np.mod(e - s, K[k]) + 1
-            else:
+            if not grid.periodic[k]:
                 enabled &= (blo[:, k] >= eff_lo[k] - abs_tol[k]) & (bhi[:, k] <= eff_hi[k] + abs_tol[k])
-                s = np.clip(_axis_cell(blo[:, k] + _TIE_SHAVE, *axis), 0, K[k] - 1)
-                e = np.clip(_axis_cell(bhi[:, k] - top_shave, *axis), 0, K[k] - 1)
-                starts[:, k] = s
-                counts[:, k] = np.maximum(e - s + 1, 1)
+            elif 2.0 * radius[k] >= periods[k] - abs_tol[k]:  # the box covers the circle
+                counts[:, k] = K[k]
+                continue
+            # cells s up to e, on a periodic axis possibly across the seam
+            axis = (grid.domain_lower[k], eta[k], int(K[k]), periods[k], grid.periodic[k])
+            s = np.clip(_axis_cell(blo[:, k] + shave[k], *axis), 0, K[k] - 1)
+            e = np.clip(_axis_cell(bhi[:, k] - top_shave[k], *axis), 0, K[k] - 1)
+            starts[:, k] = s
+            counts[:, k] = np.mod(e - s, K[k]) + 1
         sel = np.flatnonzero(enabled)
         starts = starts[sel]
         counts = counts[sel]
@@ -534,8 +532,8 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
         succ = np.empty(int(tot.sum()), dtype=np.int32)
         # all boxes of one input have the same size, so they span one of a
         # few cell counts per axis; the cells of one such shape are
-        # enumerated together, at most _ENUM_BLOCK successors per block. A
-        # box that wraps a periodic axis comes out unsorted, hence the sort.
+        # enumerated together, at most _ENUM_BLOCK successors per block. C-order
+        # ids ascend with each axis's coordinates, which a wrapped axis sorts.
         shape_id = np.ravel_multi_index((counts - 1).T, K)
         ids = np.sort(shape_id)
         for sid in ids[np.diff(ids, prepend=-1) != 0]:  # np.unique would import numpy.ma
@@ -548,9 +546,8 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
                 for k in range(n):
                     coord = starts[rows, k][:, None] + np.arange(shape[k])
                     if grid.periodic[k]:
-                        coord %= K[k]
+                        coord = np.sort(coord % K[k], axis=1)
                     flat = (flat[:, :, None] + coord[:, None, :] * quantizer.strides[k]).reshape(rows.size, -1)
-                flat.sort(axis=1)
                 succ[first[rows][:, None] + np.arange(flat.shape[1])] = flat
         return sel, tot, succ
 

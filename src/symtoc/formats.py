@@ -71,20 +71,20 @@ _LIST = (lambda values: "[" + ",".join(map(_fmt_num, values)) + "]",
          lambda text: np.array(_parse_list(text)))
 _FLAGS = (lambda flags: "[" + ",".join("1" if f else "0" for f in flags) + "]",
           lambda text: tuple(int(v) != 0 for v in _parse_list(text)))
-_GRID_META = (("tau", _NUM), ("mu", _NUM), ("eta", _LIST), ("periodic", _FLAGS),
-              ("domain_lower", _LIST), ("domain_upper", _LIST),
-              ("input_lower", _LIST), ("input_upper", _LIST))
+_GRID_META = {"tau": _NUM, "mu": _NUM, "eta": _LIST, "periodic": _FLAGS,
+              "domain_lower": _LIST, "domain_upper": _LIST,
+              "input_lower": _LIST, "input_upper": _LIST}
 
 
 def _parse_grid(entries: dict) -> GridSpec | None:
     """The GridSpec of the `key=value` grid metadata; None when there is none."""
     if not entries:
         return None
-    missing = {key for key, _ in _GRID_META} - entries.keys()
+    missing = _GRID_META.keys() - entries.keys()
     if missing:
         raise FormatError(f"grid metadata missing keys: {sorted(missing)}")
     try:
-        return GridSpec(**{key: kind[1](entries[key]) for key, kind in _GRID_META})
+        return GridSpec(**{key: kind[1](entries[key]) for key, kind in _GRID_META.items()})
     except (ValueError, OverflowError) as e:  # int() of an infinite flag overflows
         raise FormatError(f"bad grid metadata: {e}") from None
 
@@ -292,6 +292,16 @@ def _check_tail(lines, tail_len, tail, limit, message):
         raise FormatError(f"line {line}: {message} {tail[i]} out of range")
 
 
+def _check_ascending(lines, tail_len, tail, what):
+    """Reject the first record whose tail does not strictly ascend, naming its line."""
+    ascending = np.ones(tail.size, dtype=bool)
+    ascending[1:] = tail[1:] > tail[:-1]
+    ascending[(np.cumsum(tail_len) - tail_len)[tail_len > 0]] = True
+    if not ascending.all():
+        line = _tail_line(lines, tail_len, int(np.argmin(ascending)))
+        raise FormatError(f"line {line}: {what} not strictly ascending")
+
+
 def _key_order(key, lines, what):
     """Order that sorts the records by key, None when they already ascend;
     a duplicate key is rejected, naming its second line."""
@@ -324,7 +334,7 @@ def _write_tagged(path, magic, tag: bytes, n, m, grid, timestamp, rows, heads, o
     per row r of `rows`; heads(rows) gives the h0 and h1 columns of a block."""
     text = magic + "\n" + (_timestamp_line() if timestamp else "")
     if grid is not None:
-        entries = [f"{key}={kind[0](getattr(grid, key))}" for key, kind in _GRID_META]
+        entries = [f"{key}={kind[0](getattr(grid, key))}" for key, kind in _GRID_META.items()]
         entries[:2] = [" ".join(entries[:2])]  # tau and mu share a line
         text += "".join(f"# grid: {entry}\n" for entry in entries)
     with open(path, "wb") as fh:
@@ -348,8 +358,12 @@ def _read_tagged(path, magic, tag: bytes, what):
         if line.startswith("# grid:"):
             for token in line[len("# grid:"):].split():
                 if "=" not in token:
-                    raise FormatError(f"bad grid metadata token '{token}'")
+                    raise FormatError(f"line {lineno}: bad grid metadata token '{token}'")
                 key, value = token.split("=", 1)
+                if key not in _GRID_META:
+                    raise FormatError(f"line {lineno}: unknown grid key '{key}'")
+                if key in grid_entries:
+                    raise FormatError(f"line {lineno}: repeated grid key '{key}'")
                 grid_entries[key] = value
             return
         if line.startswith("#"):
@@ -411,6 +425,7 @@ def parse_system(path):
     if bad.any():
         raise FormatError(f"line {lines[np.argmax(bad)]}: state or input out of range")
     _check_tail(lines, tail_len, succ, n, "successor")
+    _check_ascending(lines, tail_len, succ, "successors")
     pair = x.astype(np.int64) * m + u
     offsets, targets = _keyed_csr(pair, n * m, lines, tail_len, succ, "(state,input) " + what)
     return FiniteSystem.from_csr(n, m, offsets, targets), grid
@@ -440,12 +455,7 @@ def parse_controller(path):
         raise FormatError(f"line {lines[np.argmax(on_target)]}: target state with inputs")
     _check_tail(lines, tail_len, inputs, m, "input")
     # refine.applied_inputs takes a row's first input to be its lowest
-    ascending = np.ones(inputs.size, dtype=bool)
-    ascending[1:] = inputs[1:] > inputs[:-1]
-    ascending[(np.cumsum(tail_len) - tail_len)[tail_len > 0]] = True
-    if not ascending.all():
-        line = _tail_line(lines, tail_len, int(np.argmin(ascending)))
-        raise FormatError(f"line {line}: inputs not strictly ascending")
+    _check_ascending(lines, tail_len, inputs, "inputs")
     offsets, enabled = _keyed_csr(x, n, lines, tail_len, inputs, "controller state")
     levels = np.full(n, n + 1, dtype=np.int64)
     levels[x] = value + 1

@@ -2,14 +2,13 @@
 
 A FiniteSystem stores, for every (state, input) pair, the sorted set of
 successor states. A pair with no stored successors means the input is
-disabled at that state; blocking is encoded by absence, never by an empty
-list. Systems are immutable after construction and safe to share between
-threads.
+disabled at that state. Systems are immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -78,28 +77,9 @@ class FiniteSystem:
     Successor sets are stored in one flat compressed layout: `offsets` has
     length num_states*num_inputs+1 and `targets[offsets[k]:offsets[k+1]]` is
     the sorted successor list of pair k = state*num_inputs + input. Empty
-    ranges encode disabled inputs.
+    ranges encode disabled inputs. `from_csr`, the one constructor, takes
+    the lists as given: its callers keep them strictly ascending.
     """
-
-    def __init__(self, num_states, num_inputs,
-                 transitions: Mapping[tuple, Iterable[int]] | None = None):
-        num_states = int(num_states)
-        num_inputs = int(num_inputs)
-        if num_states < 0 or num_inputs < 0:
-            raise ValueError("num_states and num_inputs must be nonnegative")
-        pairs = {}
-        for (x, u), succ in (transitions or {}).items():
-            x, u = int(x), int(u)
-            if not (0 <= x < num_states and 0 <= u < num_inputs):
-                raise IndexError(f"transition key ({x},{u}) out of range")
-            # an empty list means disabled, same as absent
-            pairs[x * num_inputs + u] = np.unique(np.asarray(list(succ), dtype=np.int64))
-        counts = np.zeros(num_states * num_inputs, dtype=np.int64)
-        counts[list(pairs)] = [a.size for a in pairs.values()]
-        targets = np.concatenate([np.zeros(0, dtype=np.int64), *(pairs[k] for k in sorted(pairs))])
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        # the layout constructor owns the checks and the fields
-        vars(self).update(vars(FiniteSystem.from_csr(num_states, num_inputs, offsets, targets)))
 
     @classmethod
     def from_csr(cls, num_states, num_inputs, offsets, targets) -> "FiniteSystem":
@@ -134,29 +114,6 @@ class FiniteSystem:
     @property
     def num_transitions(self) -> int:
         return int(self._targets.size)
-
-    def post(self, x: int, u: int) -> np.ndarray:
-        """Sorted successors of x under u; empty array if u is disabled at x."""
-        if not (0 <= x < self.num_states):
-            raise IndexError(f"state index {x} out of range")
-        if not (0 <= u < self.num_inputs):
-            raise IndexError(f"input index {u} out of range")
-        k = x * self.num_inputs + u
-        return self._targets[self._offsets[k]:self._offsets[k + 1]]
-
-    def enabled_inputs(self, x: int) -> np.ndarray:
-        """Inputs with a non-empty successor set at x, ascending."""
-        if not (0 <= x < self.num_states):
-            raise IndexError(f"state index {x} out of range")
-        k0 = x * self.num_inputs
-        counts = np.diff(self._offsets[k0:k0 + self.num_inputs + 1])
-        return np.flatnonzero(counts > 0)
-
-    def transitions(self):
-        """Iterate (x, u, successor_array) over all present pairs, in pair order."""
-        for k in np.flatnonzero(self.pair_counts > 0):
-            x, u = divmod(int(k), self.num_inputs)
-            yield x, u, self._targets[self._offsets[k]:self._offsets[k + 1]]
 
     # -- restriction ---------------------------------------------------
 

@@ -28,7 +28,6 @@ independent solver calls may run concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +90,8 @@ class SymbolicController:
     offsets: np.ndarray
     enabled_inputs_flat: np.ndarray
 
-    def value(self, x: int):
-        lvl = int(self.levels[x])
-        return lvl - 1 if lvl <= self.num_states else math.inf
-
     values = EntryTimeTable.entry_times  # the levels mean the same in both
     domain = EntryTimeTable.winning
-
-    def enabled(self, x: int) -> np.ndarray:
-        return self.enabled_inputs_flat[self.offsets[x]:self.offsets[x + 1]]
 
     @property
     def worst_values_flat(self) -> np.ndarray:  # aligned with enabled_inputs_flat

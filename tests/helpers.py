@@ -1,8 +1,9 @@
 """Independent oracles for the solver tests: definitional value iteration with
 plain Python dicts and sets, plus random system generators, readers for the
-trace and plot CSVs that only the tests read back, per-state accessors of
-the solver results, a Monte-Carlo check of a model's growth bound and an
-oracle of its reachable-box radius.
+trace and plot CSVs that only the tests read back, a system built from a
+mapping, per-pair and per-state accessors of systems and solver results, a
+Monte-Carlo check of a model's growth bound and an oracle of its
+reachable-box radius.
 
 These deliberately avoid the package's layered/vectorized code paths: values
 are computed straight from the fixed-point definitions so solver bugs cannot
@@ -18,6 +19,38 @@ from symtoc.dynamics import _expm, _expm_and_integral
 from symtoc.formats import FormatError
 
 
+def make_system(num_states, num_inputs, transitions=()):
+    """A FiniteSystem from a {(state, input): successors} mapping: each list is
+    sorted with repeats dropped, and an empty list leaves the pair disabled,
+    as an absent one."""
+    pairs = {int(x) * num_inputs + int(u): np.unique(np.asarray(list(succ), dtype=np.int64))
+             for (x, u), succ in dict(transitions).items()}
+    counts = np.zeros(num_states * num_inputs, dtype=np.int64)
+    counts[list(pairs)] = [a.size for a in pairs.values()]
+    targets = np.concatenate([np.zeros(0, dtype=np.int64), *(pairs[k] for k in sorted(pairs))])
+    return FiniteSystem.from_csr(num_states, num_inputs,
+                                 np.concatenate([[0], np.cumsum(counts)]), targets)
+
+
+def post(sys, x, u):
+    """Sorted successors of state x under input u; empty when u is disabled at x."""
+    k = int(x) * sys.num_inputs + int(u)
+    return sys._targets[sys._offsets[k]:sys._offsets[k + 1]]
+
+
+def enabled_inputs(sys, x):
+    """Inputs with a non-empty successor set at state x, ascending."""
+    k = int(x) * sys.num_inputs
+    return np.flatnonzero(np.diff(sys._offsets[k:k + sys.num_inputs + 1]) > 0)
+
+
+def transitions(sys):
+    """(x, u, successors) of every enabled pair, in pair order."""
+    for k in np.flatnonzero(sys.pair_counts > 0):
+        x, u = divmod(int(k), sys.num_inputs)
+        yield x, u, post(sys, x, u)
+
+
 def brute_force_pessimistic(sys, w_indices):
     """Min-max game values: worst-case steps to W under the best strategy."""
     W = set(int(x) for x in w_indices)
@@ -30,8 +63,8 @@ def brute_force_pessimistic(sys, w_indices):
                 newV[x] = 0
                 continue
             best = math.inf
-            for u in sys.enabled_inputs(x):
-                worst = max(V[int(t)] for t in sys.post(x, int(u)))
+            for u in enabled_inputs(sys, x):
+                worst = max(V[int(t)] for t in post(sys, x, u))
                 best = min(best, 1 + worst)
             newV[x] = best
         if newV == V:
@@ -52,8 +85,8 @@ def brute_force_optimistic(sys, w_indices):
                 newV[x] = 0
                 continue
             best = math.inf
-            for u in sys.enabled_inputs(x):
-                for t in sys.post(x, int(u)):
+            for u in enabled_inputs(sys, x):
+                for t in post(sys, x, u):
                     best = min(best, 1 + V[int(t)])
             newV[x] = best
         if newV == V:
@@ -68,15 +101,15 @@ def brute_force_safety(sys, safe_indices):
     while True:
         keep = set()
         for x in Z:
-            for u in sys.enabled_inputs(x):
-                if all(int(t) in Z for t in sys.post(x, int(u))):
+            for u in enabled_inputs(sys, x):
+                if all(int(t) in Z for t in post(sys, x, u)):
                     keep.add(x)
                     break
         if keep == Z:
             break
         Z = keep
-    allowed = {x: [int(u) for u in sys.enabled_inputs(x)
-                   if all(int(t) in Z for t in sys.post(x, int(u)))]
+    allowed = {x: [int(u) for u in enabled_inputs(sys, x)
+                   if all(int(t) in Z for t in post(sys, x, u))]
                for x in Z}
     return Z, allowed
 
@@ -91,7 +124,7 @@ def random_system(rng, max_states=12, max_inputs=3, density=0.5):
                 size = int(rng.integers(1, min(3, n) + 1))
                 succ = rng.choice(n, size=size, replace=False)
                 trans[(x, u)] = succ.tolist()
-    return FiniteSystem(n, m, trans)
+    return make_system(n, m, trans)
 
 
 def random_target(rng, n):
@@ -128,8 +161,8 @@ def aggregated_pair(rng, max_concrete=60, max_groups=15, max_inputs=3,
         for u in enabled[group_of[s]]:
             key = (int(group_of[s]), u)
             abstract.setdefault(key, set()).update(int(group_of[t]) for t in concrete[(s, u)])
-    sys_b = FiniteSystem(n_b, m, concrete)
-    sys_a = FiniteSystem(n_a, m, {k: sorted(v) for k, v in abstract.items()})
+    sys_b = make_system(n_b, m, concrete)
+    sys_a = make_system(n_a, m, abstract)
     w_size = int(rng.integers(1, n_b + 1))
     w_b = sorted(int(x) for x in rng.choice(n_b, size=w_size, replace=False))
     return sys_a, sys_b, group_of, w_b
@@ -157,8 +190,8 @@ def adversarial_worst_case(sys, controller, x, memo=None):
         memo[x] = 0
         return 0
     worst = 0
-    for u in controller.enabled(x):
-        for t in sys.post(x, int(u)):
+    for u in enabled(controller, x):
+        for t in post(sys, x, u):
             worst = max(worst, 1 + adversarial_worst_case(sys, controller, int(t), memo))
     memo[x] = worst
     return worst
@@ -227,10 +260,16 @@ def parse_plot(path):
 
 
 def entry_time(table, x):
-    """Entry time of state x in an EntryTimeTable: its level minus one, or
-    infinity at the sentinel level."""
+    """Entry time of state x in an EntryTimeTable, or value of x under a
+    SymbolicController: its level minus one, or infinity at the sentinel
+    level."""
     lvl = int(table.levels[x])
     return lvl - 1 if lvl <= table.num_states else math.inf
+
+
+def enabled(ctrl, x):
+    """Inputs a SymbolicController enables at state x, ascending."""
+    return ctrl.enabled_inputs_flat[ctrl.offsets[x]:ctrl.offsets[x + 1]]
 
 
 def allowed_inputs(safety, x):

@@ -15,7 +15,7 @@ from symtoc import (DivergenceError, GridSpec, Model, Quantizer, SampledFlow,
 from symtoc.config import parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY
 
-from helpers import coords_to_index
+from helpers import coords_to_index, enabled_inputs, post, transitions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -223,7 +223,7 @@ def test_double_integrator_nine_successor_cells():
     cell = q.cell_index(np.array([0.0, 0.0]))
     u_one = 20  # inputs -1.0 .. 1.0 step 0.1
     assert grid.input_values()[u_one, 0] == pytest.approx(1.0)
-    succ = system.post(int(cell), u_one)
+    succ = post(system, int(cell), u_one)
     centers = {tuple(np.round(q.center(int(s)), 6)) for s in succ}
     expected = {(x, y) for x in (0.3, 0.6, 0.9) for y in (0.6, 0.9, 1.2)}
     assert centers == expected
@@ -235,7 +235,7 @@ def test_stationary_model_self_loop_successor():
     grid = di_grid(extent=1.5, eta=0.3, mu=1.0)
     system, q = build_abstraction(stationary_model(), grid)
     interior = q.cell_index(np.array([0.0, 0.0]))
-    succ = system.post(int(interior), 0)
+    succ = post(system, int(interior), 0)
     assert succ.tolist() == [int(interior)]
 
 
@@ -244,12 +244,12 @@ def test_boundary_cells_are_disabled():
     grid = di_grid(extent=1.5, eta=0.3, mu=1.0)
     system, q = build_abstraction(stationary_model(), grid)
     edge = q.cell_index(np.array([1.5, 0.0]))
-    assert system.enabled_inputs(int(edge)).tolist() == []
+    assert enabled_inputs(system, int(edge)).tolist() == []
     # double integrator pushed outward at the fast edge
     grid2 = di_grid()
     system2, q2 = build_abstraction(double_integrator(), grid2)
     corner = q2.cell_index(np.array([3.0, 3.0]))
-    assert system2.post(int(corner), 20).size == 0
+    assert post(system2, int(corner), 20).size == 0
 
 
 def test_build_deterministic_and_thread_invariant():
@@ -468,12 +468,12 @@ def test_periodic_successors_wrap_across_seam():
     cell = q.cell_index(np.array([0.8, 0.8, np.pi - 0.05]))
     # holding the heading at the seam: successor cells sit on both sides
     u_hold = int(np.argmax((inputs[:, 0] == 0.0) & (inputs[:, 1] == 0.0)))
-    thetas = np.array([q.center(int(s))[2] for s in system.post(int(cell), u_hold)])
+    thetas = np.array([q.center(int(s))[2] for s in post(system, int(cell), u_hold)])
     assert thetas.size > 0
     assert thetas.min() < -2.5 and thetas.max() > 2.5
     # turning left from just below pi: every successor heading has wrapped
     u_left = int(np.argmax((inputs[:, 0] == 0.0) & (inputs[:, 1] == 0.5)))
-    thetas = np.array([q.center(int(s))[2] for s in system.post(int(cell), u_left)])
+    thetas = np.array([q.center(int(s))[2] for s in post(system, int(cell), u_left)])
     assert thetas.size > 0
     assert np.all(thetas < -2.5)
 
@@ -489,11 +489,11 @@ def test_monte_carlo_soundness_small_grid():
     while checked < 1000:
         cell = int(rng.integers(0, q.num_cells))
         u = int(rng.integers(0, grid.num_inputs))
-        if system.post(cell, u).size == 0:
+        if post(system, cell, u).size == 0:
             continue
         x = q.center(cell) + rng.uniform(-0.15, 0.15, size=2)
         nxt = integrate(model, flow, x, inputs[u])
-        assert int(q.cell_index(nxt)) in system.post(cell, u)
+        assert int(q.cell_index(nxt)) in post(system, cell, u)
         checked += 1
 
 
@@ -574,7 +574,7 @@ def test_successor_sets_pinched_between_independent_bounds():
     for _ in range(200):
         cell = int(rng.integers(0, q.num_cells))
         u = int(rng.integers(0, grid.num_inputs))
-        succ = system.post(cell, u)
+        succ = post(system, cell, u)
         if succ.size == 0:
             continue
         radius = reach_radius(model, flow, grid.eps, u=inputs[u])
@@ -640,8 +640,8 @@ def test_input_margin_widens_successors_and_shrinks_enabled_pairs():
     plain, q = build_abstraction(double_integrator(), grid)
     wide, _ = build_abstraction(double_integrator(), grid, input_margin=True)
     widened = False
-    for x, u, succ in wide.transitions():
-        plain_succ = plain.post(x, u)
+    for x, u, succ in transitions(wide):
+        plain_succ = post(plain, x, u)
         # a pair the bigger box keeps is also present without the margin,
         # with no fewer successors
         assert plain_succ.size > 0
@@ -649,6 +649,65 @@ def test_input_margin_widens_successors_and_shrinks_enabled_pairs():
         widened |= succ.size > plain_succ.size
     assert widened
     assert wide.num_transitions > 0
+
+
+@pytest.mark.parametrize("case", ["growing", "huge-input-step"])
+def test_boxes_far_off_the_domain_raise_no_numeric_warning(case):
+    # endpoints near 1e304 (growing) and input deviations near 1e300 make
+    # boxes whose cell index once overflowed the int64 cast
+    if case == "growing":
+        model = Model(name="grow", dim=1, input_dim=1, field=lambda x, u: 700.0 * x + u,
+                      linear_matrix=[[700.0]])
+        grid = GridSpec(tau=1, eta=0.5, mu=1, domain_lower=[-3], domain_upper=[3],
+                        input_lower=[0], input_upper=[0])
+    else:
+        model = double_integrator()
+        grid = di_grid(extent=3.0, eta=0.3, mu=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system, _ = build_abstraction(model, grid, input_margin=case != "growing")
+    assert (system.num_states, system.num_transitions) == ({"growing": 13}.get(case, 441), 0)
+
+
+def heading_model():
+    """One angle driven by its input at rate u."""
+    return Model(name="heading", dim=1, input_dim=1, field=lambda x, u: u.copy(),
+                 linear_matrix=[[0.0]], angular_dims=(0,), input_sensitivity=[[1.0]])
+
+
+def heading_grid(**kw):
+    return GridSpec(**{"tau": 1.0, "eta": 2 * np.pi / 8, "mu": 6.0, "domain_lower": [-np.pi],
+                       "domain_upper": [np.pi], "input_lower": [-3.0], "input_upper": [3.0],
+                       "periodic": (True,), **kw})
+
+
+def test_box_covering_the_circle_reaches_every_heading_cell():
+    # with the margin the box radius is pi/8 + 3 >= pi, so every pair
+    # reaches all 8 heading cells; without it the box spans 2 cells
+    grid = heading_grid()
+    wide, _ = build_abstraction(heading_model(), grid, input_margin=True)
+    assert wide.pair_counts.tolist() == [8] * (8 * 2)
+    assert wide._targets.tolist() == list(range(8)) * (8 * 2)
+    plain, _ = build_abstraction(heading_model(), grid)
+    assert set(plain.pair_counts.tolist()) == {2}
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["line", "circle"])
+@pytest.mark.parametrize("below", [0.0, 1.2e-9], ids=["on-boundary", "just-below"])
+def test_box_narrower_than_the_tie_shave_keeps_its_nominal_cell(periodic, below):
+    # x' = -40 (x - c) shrinks a cell to a box about 1e-18 wide around c, so
+    # the tie shave would pull its corners past each other; they stop at the
+    # nominal point, whose cell is then the one successor on either axis kind
+    # a cell boundary, or below it by more than the quantizer's tie
+    # tolerance (1e-9 eta) but less than one shave
+    c = -np.pi + 4.5 * 2 * np.pi / 8 - below
+    model = Model(name="settle", dim=1, input_dim=1, field=lambda x, u: -40.0 * x + u,
+                  linear_matrix=[[-40.0]], angular_dims=(0,) if periodic else ())
+    grid = heading_grid(input_lower=[40 * c], input_upper=[40 * c], periodic=(periodic,))
+    system, q = build_abstraction(model, grid)
+    nominal = one_period(model, SampledFlow(grid.tau), q.centers(), grid.input_values()[0])
+    assert system.pair_counts.tolist() == [1] * q.num_cells
+    assert system._targets.tolist() == q.cell_index(nominal).tolist()
 
 
 def test_per_axis_eta_grid():

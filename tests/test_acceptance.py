@@ -18,7 +18,7 @@ from symtoc import formats
 
 from helpers import (aggregated_pair, brute_force_optimistic,
                      brute_force_pessimistic, entry_time, lift_targets,
-                     parse_trace, random_system, random_target)
+                     parse_trace, post, random_system, random_target)
 
 
 def _report(name):
@@ -92,7 +92,7 @@ def test_double_integrator_benchmark(di_bundle):
         trace = simulate(b.model, b.rc, np.array(x0), b.cfg.target,
                          b.cfg.max_steps, lower=b.lower.entry_times())
         cell = int(b.quantizer.cell_index(np.array(x0)))
-        upper_here = b.controller.value(cell)
+        upper_here = entry_time(b.controller, cell)
         lower_here = entry_time(b.lower, cell)
         assert trace.reason == "reached-target", x0
         assert trace.certified, x0
@@ -169,7 +169,7 @@ def test_unicycle_safe_reach_benchmark(unicycle_bundle):
     assert visits == 0
     cell = int(b.quantizer.cell_index(x0))
     lower_here = entry_time(b.lower, cell)
-    upper_here = b.controller.value(cell)
+    upper_here = entry_time(b.controller, cell)
     assert lower_here <= trace.achieved <= upper_here
     assert trace.certified
     seconds = trace.achieved * b.cfg.grid.tau
@@ -190,7 +190,7 @@ def _soundness_sweep(bundle, samples, rng):
     while checked < samples:
         cell = int(rng.integers(0, q.num_cells))
         u = int(rng.integers(0, system.num_inputs))
-        succ = system.post(cell, u)
+        succ = post(system, cell, u)
         if succ.size == 0:
             continue
         x = q.center(cell) + rng.uniform(-half, half)

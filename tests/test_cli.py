@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtoc import FiniteSystem, GridSpec, StateSet, solve_optimistic, solve_pessimistic, extract_controller
+from symtoc import GridSpec, StateSet, solve_optimistic, solve_pessimistic, extract_controller
 from symtoc import cli, formats
 from symtoc.config import ConfigError, parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY, Model
 
-from helpers import parse_plot, parse_trace, random_system
+from helpers import enabled, make_system, parse_plot, parse_trace, random_system
 
 DI_CONFIG = """
 model.id = double_integrator
@@ -46,7 +46,7 @@ output.plot = chain_plot.csv
 
 
 def chain_system():
-    return FiniteSystem(3, 1, {(0, 0): [1], (1, 0): [2]})
+    return make_system(3, 1, {(0, 0): [1], (1, 0): [2]})
 
 
 # -- config parsing -------------------------------------------------------
@@ -116,7 +116,7 @@ def test_system_round_trip_with_grid(tmp_path):
                     domain_lower=[0, 0, -np.pi], domain_upper=[1, 1, np.pi],
                     input_lower=[0, -0.5], input_upper=[0.5, 0.5],
                     periodic=(False, False, True))
-    s = FiniteSystem(grid.num_cells, grid.num_inputs, {(0, 0): [1, 2]})
+    s = make_system(grid.num_cells, grid.num_inputs, {(0, 0): [1, 2]})
     path = tmp_path / "gridded.sts"
     formats.write_system(path, s, grid=grid, timestamp=False)
     parsed, grid2 = formats.parse_system(path)
@@ -528,7 +528,7 @@ def test_artifact_grid_must_wrap_the_model_heading(tmp_path, capsys, wrap, codes
                     domain_lower=[0, 0, -np.pi], domain_upper=[1, 1, np.pi],
                     input_lower=[0, -0.5], input_upper=[0.5, 0.5],
                     periodic=(False, False, True))
-    s = FiniteSystem(grid.num_cells, grid.num_inputs, {})
+    s = make_system(grid.num_cells, grid.num_inputs, {})
     W = StateSet(grid.num_cells, [0])
     sts, ctl = tmp_path / "uni.sts", tmp_path / "uni.ctl"
     formats.write_system(sts, s, grid=grid, timestamp=False)
@@ -588,6 +588,16 @@ def test_non_finite_grid_metadata_exits_2(tmp_path, capsys, entry):
 def test_grid_metadata_past_int32_ids_exits_2(tmp_path, capsys, entry, what):
     for err in _run_with_grid_metadata(tmp_path, capsys, entry):
         assert f"error: bad grid metadata: {what}, but state and input ids are int32" in err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("tau=1.0 mu=1.0 tau=5.0", "repeated grid key 'tau'"),  # simulate would step 5.0
+    ("tau=1.0 mu=1.0 bogus=7", "unknown grid key 'bogus'"),
+    ("tau=1.0 mu=1.0 bogus", "bad grid metadata token 'bogus'"),
+])
+def test_repeated_unknown_or_bad_grid_keys_exit_2(tmp_path, capsys, entry, message):
+    for err in _run_with_grid_metadata(tmp_path, capsys, entry):
+        assert err == f"error: line 2: {message}\n"
 
 
 def test_grid_metadata_input_count_must_match_the_header(tmp_path, capsys):
@@ -928,8 +938,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_unsafe_states_restrict_explicit_system(tmp_path):
     # detour example: safety pushes the entry time from 2 to 3
-    sys5 = FiniteSystem(5, 2, {(0, 0): [1], (0, 1): [2], (1, 0): [3],
-                               (2, 1): [4], (4, 1): [3], (3, 0): [3]})
+    sys5 = make_system(5, 2, {(0, 0): [1], (0, 1): [2], (1, 0): [3],
+                              (2, 1): [4], (4, 1): [3], (3, 0): [3]})
     cfg_path = write(tmp_path / "detour.cfg", """
 target.shape = states
 target.states = [3]
@@ -948,7 +958,7 @@ output.bounds = detour_bounds.csv
 
 def test_explicit_branching_bounds(tmp_path):
     # lower and upper bounds disagree exactly where nondeterminism bites
-    branching = FiniteSystem(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
+    branching = make_system(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
     cfg_path = write(tmp_path / "branch.cfg", """
 target.shape = states
 target.states = [2]
@@ -964,7 +974,7 @@ output.bounds = branch_bounds.csv
     assert lo.tolist() == [1, 1, 0]
     assert up.tolist() == [2, 1, 0]
     ctrl, _ = formats.parse_controller(os.path.join(out, "branch.ctl"))
-    assert ctrl.enabled(0).tolist() == [0, 1]
+    assert enabled(ctrl, 0).tolist() == [0, 1]
 
 
 def test_bounds_command_prints(tmp_path, capsys):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtoc import (EntryTimeTable, FiniteSystem, GridSpec, StateSet, SymbolicController,
+from symtoc import (EntryTimeTable, GridSpec, StateSet, SymbolicController,
                     extract_controller, formats, solve_optimistic, solve_pessimistic)
+
+from helpers import enabled, make_system
 
 
 # -- pinned bytes ---------------------------------------------------------------
@@ -24,14 +26,14 @@ def _disabled_pairs():
                 continue
             succ = {max(x - 1 - u, 0), (x * 7 + u) % 12 if u == 2 else max(x - 1, 0)}
             trans[(x, u)] = sorted(succ)
-    return FiniteSystem(12, 3, trans), None
+    return make_system(12, 3, trans), None
 
 
 def _large_ids():
     trans = {(0, 0): [1], (7, 1): [0, 99999], (99, 0): [7, 123456],
              (1000, 1): [0], (99999, 0): [0, 1000], (123456, 1): [0, 9, 10, 99, 100000],
              (1, 1): [0]}
-    return FiniteSystem(123457, 2, trans), None
+    return make_system(123457, 2, trans), None
 
 
 def _gridded():
@@ -40,7 +42,7 @@ def _gridded():
                     input_lower=[0, -0.5], input_upper=[0.5, 0.5],
                     periodic=(False, False, True))
     trans = {(1, 0): [0, 2], (2, 3): [1], (3, 5): [2, 1], (0, 1): [0]}
-    return FiniteSystem(grid.num_cells, grid.num_inputs, trans), grid
+    return make_system(grid.num_cells, grid.num_inputs, trans), grid
 
 
 def _case(name):
@@ -48,10 +50,10 @@ def _case(name):
     if name == "empty":
         ctrl = SymbolicController(0, 0, np.zeros(0, np.int64), np.zeros(1, np.int64),
                                   np.zeros(0, np.int32))
-        return (FiniteSystem(0, 0), None, ctrl,
+        return (make_system(0, 0), None, ctrl,
                 EntryTimeTable(np.zeros(0, np.int64), "optimistic", 0, 0))
     if name == "no_transitions":
-        system, grid, target = FiniteSystem(3, 2), None, []
+        system, grid, target = make_system(3, 2), None, []
     else:
         system, grid = {"disabled_pairs": _disabled_pairs, "large_ids": _large_ids,
                         "gridded": _gridded}[name]()
@@ -94,7 +96,7 @@ def _assert_controllers_equal(parsed, ctrl):
     counts = np.where(winning, np.diff(ctrl.offsets), 0)
     assert np.array_equal(np.diff(parsed.offsets), counts)
     for x in np.flatnonzero(winning):
-        assert np.array_equal(parsed.enabled(x), ctrl.enabled(x))
+        assert np.array_equal(enabled(parsed, x), enabled(ctrl, x))
         # CTL1 stores the state's value; each input's worst value reads back as value - 1
         worst = parsed.worst_values_flat[parsed.offsets[x]:parsed.offsets[x + 1]]
         assert np.all(worst == ctrl.levels[x] - 2)
@@ -133,7 +135,7 @@ def test_missing_final_newline_and_comment_after_records(tmp_path):
     path = tmp_path / "a.sts"
     path.write_bytes(b"STS1\nstates 3\ninputs 1\nt 0 0 : 1 2\n# end\nt 1 0 : 2")
     system, _ = formats.parse_system(path)
-    assert system == FiniteSystem(3, 1, {(0, 0): [1, 2], (1, 0): [2]})
+    assert system == make_system(3, 1, {(0, 0): [1, 2], (1, 0): [2]})
 
 
 # -- round trips ------------------------------------------------------------------
@@ -145,7 +147,7 @@ def systems(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
                           max_size=25, unique=True)) if n and m else []
     trans = {p: draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)) for p in pairs}
-    return FiniteSystem(n, m, trans)
+    return make_system(n, m, trans)
 
 
 @st.composite
@@ -207,7 +209,7 @@ def _reference_parse_system(text):
             trans[(x, u)] = [int(v) for v in tail.split()]
         else:
             header[words[0]] = [int(v) for v in words[1:]]
-    return FiniteSystem(header["states"][0], header["inputs"][0], trans)
+    return make_system(header["states"][0], header["inputs"][0], trans)
 
 
 def _reformat(text, rng):
@@ -251,8 +253,8 @@ def test_sts1_accepts_whitespace_comments_and_any_pair_order(tmp_path):
                      b"t 3 1 : 0   \r\n")
     system, grid = formats.parse_system(path)
     assert grid is None
-    assert system == FiniteSystem(4, 2, {(1, 0): [2, 3], (0, 1): [1, 2], (0, 0): [0],
-                                         (3, 1): [0]})
+    assert system == make_system(4, 2, {(1, 0): [2, 3], (0, 1): [1, 2], (0, 0): [0],
+                                        (3, 1): [0]})
 
 
 def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
@@ -262,8 +264,8 @@ def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
                     b"c 2 1 : 0 1\r\nc 1 2 : 1\r\n\r\n# target\r\n  c 0 0 :\r\n")
     ctrl, _ = formats.parse_controller(ctl)
     assert ctrl.levels.tolist() == [1, 3, 2]
-    assert ctrl.enabled(2).tolist() == [0, 1] and ctrl.enabled(1).tolist() == [1]
-    assert ctrl.enabled(0).size == 0
+    assert enabled(ctrl, 2).tolist() == [0, 1] and enabled(ctrl, 1).tolist() == [1]
+    assert enabled(ctrl, 0).size == 0
     csv = tmp_path / "b.csv"
     csv.write_bytes(b"# written: then\r\nstate,lower,upper\r\n2,inf,inf\r\n 0, 0 ,0\r\n1,1,\tinf\r\n")
     lo, up = formats.parse_bounds(csv)
@@ -288,6 +290,10 @@ GRID = ("# grid: tau=1 mu=1 eta=[1] periodic=[0] domain_lower=[0] domain_upper=[
                  id="missing-inputs"),
     pytest.param(HEAD + "t 0 0 : 5\n", r"line 4: successor 5 out of range",
                  id="successor-out-of-range"),
+    pytest.param(HEAD + "t 0 0 : 1 1\n", r"line 4: successors not strictly ascending",
+                 id="repeated-successor"),
+    pytest.param(HEAD + "t 1 0 : 0\nt 0 0 : 1 0\n", r"line 5: successors not strictly ascending",
+                 id="descending-successors"),
     pytest.param(HEAD + "t 0 0 : a\n", r"line 4: unexpected character 'a'", id="letter"),
     pytest.param(HEAD + "t 0 0 : -1\n", r"line 4: unexpected character '-'", id="minus-sign"),
     pytest.param(HEAD + "t 0 0 : +1\n", r"line 4: unexpected character '\+'", id="plus-sign"),
@@ -307,6 +313,12 @@ GRID = ("# grid: tau=1 mu=1 eta=[1] periodic=[0] domain_lower=[0] domain_upper=[
                  id="grid-bad-number"),
     pytest.param("STS1\n" + GRID.replace("periodic=[0]", "periodic=[inf]") + HEAD[5:],
                  r"bad grid metadata: cannot convert float infinity", id="grid-infinite-flag"),
+    pytest.param("STS1\n" + GRID + "# grid: tau=5.0\n" + HEAD[5:],
+                 r"line 3: repeated grid key 'tau'", id="grid-repeated-key"),
+    pytest.param("STS1\n# grid: bogus=7\n" + GRID + HEAD[5:], r"line 2: unknown grid key 'bogus'",
+                 id="grid-unknown-key"),
+    pytest.param("STS1\n" + GRID + "# grid: tau\n" + HEAD[5:],
+                 r"line 3: bad grid metadata token 'tau'", id="grid-bad-token"),
     pytest.param("nope\n", r"not an STS1 file", id="wrong-magic"),
     pytest.param("", r"not an STS1 file", id="empty-file"),
     pytest.param("STS1" + " " * 60 + "\n" + HEAD[5:], r"not an STS1 file \(header 'STS1'\)",

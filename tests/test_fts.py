@@ -5,42 +5,32 @@ from hypothesis import given, settings, strategies as st
 from symtoc import FiniteSystem, StateSet
 from symtoc.fts import segment_indices
 
-from helpers import random_system
+from helpers import enabled_inputs, make_system, post, random_system, transitions
 
 
 def chain():
-    return FiniteSystem(3, 1, {(0, 0): [1], (1, 0): [2]})
+    return make_system(3, 1, {(0, 0): [1], (1, 0): [2]})
 
 
 def branching():
     # inputs: a=0, b=1
-    return FiniteSystem(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
+    return make_system(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
 
 
 def test_post_reads_back_inserted_transitions():
     s = chain()
-    assert s.post(0, 0).tolist() == [1]
-    assert s.post(2, 0).tolist() == []
+    assert post(s, 0, 0).tolist() == [1]
+    assert post(s, 2, 0).tolist() == []
     b = branching()
-    assert b.post(0, 0).tolist() == [1, 2]
-
-
-def test_post_index_errors():
-    s = chain()
-    with pytest.raises(IndexError):
-        s.post(3, 0)
-    with pytest.raises(IndexError):
-        s.post(0, 1)
+    assert post(b, 0, 0).tolist() == [1, 2]
 
 
 def test_enabled_inputs():
     s = chain()
-    assert s.enabled_inputs(2).tolist() == []
+    assert enabled_inputs(s, 2).tolist() == []
     b = branching()
-    assert b.enabled_inputs(0).tolist() == [0, 1]
-    assert b.enabled_inputs(1).tolist() == [0]
-    with pytest.raises(IndexError):
-        s.enabled_inputs(5)
+    assert enabled_inputs(b, 0).tolist() == [0, 1]
+    assert enabled_inputs(b, 1).tolist() == [0]
 
 
 def test_post_enabled_round_trip_random():
@@ -48,27 +38,23 @@ def test_post_enabled_round_trip_random():
     for _ in range(50):
         s = random_system(rng)
         for x in range(s.num_states):
-            enabled = set(s.enabled_inputs(x).tolist())
+            enabled = set(enabled_inputs(s, x).tolist())
             for u in range(s.num_inputs):
-                assert (u in enabled) == (s.post(x, u).size > 0)
+                assert (u in enabled) == (post(s, x, u).size > 0)
 
 
-def test_successor_lists_sorted_unique():
-    s = FiniteSystem(4, 1, {(0, 0): [3, 1, 3, 2]})
-    assert s.post(0, 0).tolist() == [1, 2, 3]
-
-
-def test_empty_successor_list_means_disabled():
-    s = FiniteSystem(2, 1, {(0, 0): []})
-    assert s.num_transitions == 0
-    assert s.enabled_inputs(0).tolist() == []
+def test_from_csr_is_the_one_constructor():
+    with pytest.raises(TypeError):
+        FiniteSystem(3, 1, {(0, 0): [1]})
+    s = FiniteSystem.from_csr(3, 1, [0, 1, 2, 2], [1, 2])
+    assert s == chain() and s.pair_counts.tolist() == [1, 1, 0]
 
 
 def test_construction_validates_indices():
-    with pytest.raises(IndexError):
-        FiniteSystem(2, 1, {(0, 0): [2]})
-    with pytest.raises(IndexError):
-        FiniteSystem(2, 1, {(2, 0): [0]})
+    with pytest.raises(IndexError, match="successor out of range"):
+        FiniteSystem.from_csr(2, 1, [0, 1, 1], [2])
+    with pytest.raises(ValueError, match="wrong length"):
+        FiniteSystem.from_csr(2, 1, [0, 1, 1, 1], [0])
     # checked before the int32 cast, which would wrap it to successor 1
     with pytest.raises(IndexError, match="successor out of range"):
         FiniteSystem.from_csr(3, 1, [0, 1, 1, 1], np.array([2**32 + 1]))
@@ -92,9 +78,9 @@ def test_restrict_identity():
 def test_restrict_keeps_only_allowed():
     b = branching()
     r = b.restrict(pairs_matrix(b, [(0, 1)]))
-    assert r.post(0, 0).tolist() == []
-    assert r.post(0, 1).tolist() == [1]
-    assert r.post(1, 0).tolist() == []
+    assert post(r, 0, 0).tolist() == []
+    assert post(r, 0, 1).tolist() == [1]
+    assert post(r, 1, 0).tolist() == []
 
 
 def test_restrict_empty_blocks_everything():
@@ -109,8 +95,8 @@ def test_restrict_never_adds_transitions():
         s = random_system(rng)
         mat = rng.random((s.num_states, s.num_inputs)) < 0.5
         r = s.restrict(mat)
-        orig = {(x, u, tuple(t)) for x, u, t in s.transitions()}
-        for x, u, t in r.transitions():
+        orig = {(x, u, tuple(t)) for x, u, t in transitions(s)}
+        for x, u, t in transitions(r):
             assert (x, u, tuple(t)) in orig
             assert mat[x, u]
 
@@ -137,7 +123,7 @@ def test_structural_equality():
 
 def test_transitions_iterates_in_pair_order():
     b = branching()
-    listed = [(x, u) for x, u, _ in b.transitions()]
+    listed = [(x, u) for x, u, _ in transitions(b)]
     assert listed == [(0, 0), (0, 1), (1, 0)]
 
 
@@ -188,7 +174,7 @@ def test_reverse_sort_keys_on_both_sides_of_int32(n):
     rng = np.random.default_rng(n)
     trans = {(int(x), int(u)): rng.choice(n, size=3, replace=False).tolist() + [n - 1]
              for x, u in zip(rng.integers(0, n, 300), rng.integers(0, 2, 300))}
-    s = FiniteSystem(n, 2, trans)
+    s = make_system(n, 2, trans)
     assert_reverse_equal(s.reverse(), reference_reverse(s))
 
 
@@ -201,7 +187,7 @@ def test_reverse_sort_keys_on_both_sides_of_uint32(n):
     trans = {(int(x), 0): rng.choice(n, size=3, replace=False).tolist() + [n - 1]
              for x in rng.integers(0, n, 300)}
     trans[(n - 1, 0)] = [0, n - 1]
-    s = FiniteSystem(n, 1, trans)
+    s = make_system(n, 1, trans)
     assert_reverse_equal(s.reverse(), reference_reverse(s))
 
 

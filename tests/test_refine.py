@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symtoc import (FiniteSystem, GridSpec, Quantizer, RefinedController,
+from symtoc import (GridSpec, Quantizer, RefinedController,
                     SampledFlow, StateSet, TargetSpec, build_abstraction,
                     double_integrator, extract_controller, formats, integrate,
                     simulate, solve_pessimistic, synthesize, target_over,
@@ -14,7 +14,7 @@ from symtoc.config import parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY, Model
 from symtoc.refine import OUTSIDE, TARGET
 
-from helpers import parse_plot
+from helpers import enabled, entry_time, make_system, parse_plot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,7 +26,7 @@ def line_grid():
 
 
 def branching_controller():
-    s = FiniteSystem(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
+    s = make_system(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
     W = StateSet(3, [2])
     table = solve_pessimistic(s, W)
     return extract_controller(s, W, table)
@@ -55,7 +55,7 @@ def test_target_cell_has_no_input():
 
 
 def test_outside_winning_set_has_no_input():
-    s = FiniteSystem(3, 2, {(0, 0): [1], (1, 0): [1]})  # state 2 unreachable target
+    s = make_system(3, 2, {(0, 0): [1], (1, 0): [1]})  # state 2 unreachable target
     W = StateSet(3, [2])
     ctrl = extract_controller(s, W, solve_pessimistic(s, W))
     rc = RefinedController(ctrl, Quantizer(line_grid()))
@@ -68,7 +68,7 @@ def drift():
 
 
 def hand_built(transitions, target):
-    s = FiniteSystem(3, 2, transitions)
+    s = make_system(3, 2, transitions)
     W = StateSet(3, [target])
     return RefinedController(extract_controller(s, W, solve_pessimistic(s, W)),
                              Quantizer(line_grid()))
@@ -166,7 +166,7 @@ def test_first_enabled_policy_keeps_certificate(di_problem):
         trace = simulate(model, rc, np.array(x0), W, 100, lower=lower)
         assert trace.reason == "reached-target"
         assert trace.certified
-        assert all(s.input_index == controller.enabled(s.cell)[0] for s in trace.steps)
+        assert all(s.input_index == enabled(controller, s.cell)[0] for s in trace.steps)
 
 
 def test_plot_input_column_is_the_applied_input(di_problem, tmp_path):
@@ -220,7 +220,7 @@ def test_greedy_runs_terminate_within_initial_value(di_problem):
     for _ in range(20):
         x0 = rng.uniform(-1.8, 1.8, size=2)
         cell = quantizer.cell_index(x0)
-        value = controller.value(int(cell))
+        value = entry_time(controller, int(cell))
         if value == np.inf:
             continue
         trace = simulate(model, rc, x0, W, 200, lower=lower)

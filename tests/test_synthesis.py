@@ -10,8 +10,8 @@ from symtoc import (FiniteSystem, IntegrityError, StateSet, extract_controller,
                     solve_safety, synthesis, synthesize)
 
 from helpers import (adversarial_worst_case, allowed_inputs, brute_force_optimistic,
-                     brute_force_pessimistic, brute_force_safety, entry_time,
-                     random_system, random_target)
+                     brute_force_pessimistic, brute_force_safety, enabled, entry_time,
+                     make_system, post, random_system, random_target, transitions)
 
 
 @pytest.fixture(params=[0, 10**9], ids=["vectorized", "narrow"])
@@ -22,11 +22,11 @@ def wave_path(request, monkeypatch):
 
 
 def chain():
-    return FiniteSystem(3, 1, {(0, 0): [1], (1, 0): [2]})
+    return make_system(3, 1, {(0, 0): [1], (1, 0): [2]})
 
 
 def branching():
-    return FiniteSystem(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
+    return make_system(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
 
 
 def test_pessimistic_chain():
@@ -74,10 +74,10 @@ def test_optimistic_matches_materialized_determinization(wave_path):
         s = random_system(rng, max_states=10)
         n, m = s.num_states, s.num_inputs
         det = {}
-        for x, u, succ in s.transitions():
+        for x, u, succ in transitions(s):
             for t in succ:
                 det[(x, u * n + int(t))] = [int(t)]
-        det_sys = FiniteSystem(n, m * n, det)
+        det_sys = make_system(n, m * n, det)
         W = random_target(rng, n)
         a = solve_pessimistic(det_sys, W).levels
         b = solve_optimistic(s, W).levels
@@ -150,7 +150,7 @@ def test_optimistic_levels_never_exceed_pessimistic():
 
 
 def test_safety_all_safe_nonblocking():
-    s = FiniteSystem(2, 2, {(0, 0): [1], (0, 1): [0], (1, 0): [0], (1, 1): [1]})
+    s = make_system(2, 2, {(0, 0): [1], (0, 1): [0], (1, 0): [0], (1, 1): [1]})
     ctrl = solve_safety(s, StateSet(2, range(2)))
     assert len(ctrl.domain) == 2
     for x in range(2):
@@ -159,7 +159,7 @@ def test_safety_all_safe_nonblocking():
 
 def test_safety_hand_example():
     # Safe={0,1}: staying put at 0 with input a is the only safe behaviour
-    s = FiniteSystem(3, 2, {(0, 0): [0], (0, 1): [1], (1, 0): [2]})
+    s = make_system(3, 2, {(0, 0): [0], (0, 1): [1], (1, 0): [2]})
     ctrl = solve_safety(s, StateSet(3, [0, 1]))
     assert ctrl.domain.indices().tolist() == [0]
     assert allowed_inputs(ctrl, 0).tolist() == [0]
@@ -177,10 +177,10 @@ def with_loops_and_dead_state(rng, s):
     """Copy of s with self-loops added to some pairs and every pair of one state disabled."""
     dead = int(rng.integers(s.num_states))
     trans = {}
-    for x, u, succ in s.transitions():
+    for x, u, succ in transitions(s):
         if x != dead:
             trans[(x, u)] = succ.tolist() + ([x] if rng.random() < 0.4 else [])
-    return FiniteSystem(s.num_states, s.num_inputs, trans)
+    return make_system(s.num_states, s.num_inputs, trans)
 
 
 def test_safety_matches_brute_force(wave_path):
@@ -253,7 +253,7 @@ def test_narrow_and_vectorized_waves_agree(monkeypatch):
                                                          density=0.2 + 0.6 * (i % 5) / 4))
         n, m = s.num_states, s.num_inputs
         W, safe = random_target(rng, n), random_target(rng, n)
-        forked = [succ for _, _, succ in s.transitions() if succ.size > 1]
+        forked = [succ for _, _, succ in transitions(s) if succ.size > 1]
         if forked:
             W = W | StateSet(n, forked[0].tolist())
         pair_need = rng.integers(0, 3, n * m)
@@ -272,18 +272,18 @@ def test_extract_controller_branching():
     W = StateSet(3, [2])
     table = solve_pessimistic(s, W)
     ctrl = extract_controller(s, W, table)
-    assert ctrl.enabled(0).tolist() == [0, 1]  # both inputs reach level 2
-    assert ctrl.enabled(1).tolist() == [0]
-    assert ctrl.enabled(2).tolist() == []      # target cell needs no move
-    assert ctrl.value(0) == 2 and ctrl.value(2) == 0
+    assert enabled(ctrl, 0).tolist() == [0, 1]  # both inputs reach level 2
+    assert enabled(ctrl, 1).tolist() == [0]
+    assert enabled(ctrl, 2).tolist() == []      # target cell needs no move
+    assert entry_time(ctrl, 0) == 2 and entry_time(ctrl, 2) == 0
 
 
 def test_extract_controller_chain():
     s = chain()
     W = StateSet(3, [2])
     ctrl = extract_controller(s, W, solve_pessimistic(s, W))
-    assert ctrl.enabled(0).tolist() == [0]
-    assert ctrl.enabled(1).tolist() == [0]
+    assert enabled(ctrl, 0).tolist() == [0]
+    assert enabled(ctrl, 1).tolist() == [0]
 
 
 def test_extract_controller_integrity_checks():
@@ -295,7 +295,7 @@ def test_extract_controller_integrity_checks():
     pes = solve_pessimistic(s, W)
     with pytest.raises(IntegrityError):
         extract_controller(s, StateSet(3, [1]), pes)  # wrong target
-    other = FiniteSystem(4, 1, {(0, 0): [1]})
+    other = make_system(4, 1, {(0, 0): [1]})
     with pytest.raises(IntegrityError):
         extract_controller(other, StateSet(4, [1]), pes)
 
@@ -310,9 +310,9 @@ def test_controller_every_enabled_input_makes_progress():
         for x in range(s.num_states):
             lvl = table.levels[x]
             if 1 < lvl <= s.num_states:
-                assert ctrl.enabled(x).size > 0
-                for u in ctrl.enabled(x):
-                    worst = max(table.levels[int(t)] for t in s.post(x, int(u)))
+                assert enabled(ctrl, x).size > 0
+                for u in enabled(ctrl, x):
+                    worst = max(table.levels[int(t)] for t in post(s, x, int(u)))
                     assert worst == lvl - 1
 
 
@@ -330,7 +330,7 @@ def games(draw):
             trans[(x, u)] = succ
     target = draw(st.sets(st.integers(0, n - 1)))
     safe = draw(st.none() | st.sets(st.integers(0, n - 1)))
-    return FiniteSystem(n, m, trans), StateSet(n, target), safe
+    return make_system(n, m, trans), StateSet(n, target), safe
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,7 +344,7 @@ def test_enabled_inputs_lead_exactly_one_level_down(game):
     ctrl, _ = synthesize(s, W, W, unsafe)
     flat, offsets = ctrl.worst_values_flat, ctrl.offsets
     for x in range(s.num_states):
-        worst = [max(ctrl.levels[t] for t in system.post(x, int(u))) for u in ctrl.enabled(x)]
+        worst = [max(ctrl.levels[t] for t in post(system, x, int(u))) for u in enabled(ctrl, x)]
         assert worst == [ctrl.levels[x] - 1] * len(worst)
         assert flat[offsets[x]:offsets[x + 1]].tolist() == [w - 1 for w in worst]
     assert flat.size == ctrl.enabled_inputs_flat.size
@@ -361,12 +361,12 @@ def test_controller_adversarially_sound():
         memo = {}
         for x in range(s.num_states):
             if table.levels[x] <= s.num_states:
-                assert adversarial_worst_case(s, ctrl, x, memo) <= ctrl.value(x)
+                assert adversarial_worst_case(s, ctrl, x, memo) <= entry_time(ctrl, x)
 
 
 def test_safe_reach_trivial_safety_equals_plain():
     # non-blocking variant of the branching system: target state self-loops
-    s = FiniteSystem(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2], (2, 0): [2]})
+    s = make_system(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2], (2, 0): [2]})
     W = StateSet(3, [2])
     ctrl, lower = synthesize(s, W, W, StateSet(3, []))
     plain, plain_lower = synthesize(s, W, W)
@@ -422,7 +422,7 @@ def test_safety_excludes_blocking_states():
 
 def test_safe_reach_detour_is_strictly_slower():
     # fast route 0-1-3 crosses unsafe state 1; safe route 0-2-4-3 needs one more step
-    s = FiniteSystem(5, 2, {
+    s = make_system(5, 2, {
         (0, 0): [1], (0, 1): [2],
         (1, 0): [3],
         (2, 1): [4],
@@ -434,7 +434,7 @@ def test_safe_reach_detour_is_strictly_slower():
     assert entry_time(unconstrained, 0) == 2
     unsafe = StateSet(5, [1])
     ctrl, lower = synthesize(s, W, W, unsafe)
-    assert ctrl.value(0) == 3
+    assert entry_time(ctrl, 0) == 3
     assert entry_time(lower, 0) == 3  # the optimistic game avoids state 1 too
     safety = solve_safety(s, ~unsafe)
     assert safety.domain.indices().tolist() == [0, 2, 3, 4]
@@ -443,7 +443,7 @@ def test_safe_reach_detour_is_strictly_slower():
 
 
 def test_safe_reach_unreachable_target_reports_empty():
-    s = FiniteSystem(3, 1, {(0, 0): [1], (1, 0): [1], (2, 0): [2]})
+    s = make_system(3, 1, {(0, 0): [1], (1, 0): [1], (2, 0): [2]})
     ctrl, lower = synthesize(s, StateSet(3, []), StateSet(3, []), StateSet(3, []))
     assert len(ctrl.domain()) == 0
     assert len(lower.winning()) == 0
