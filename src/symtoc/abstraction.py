@@ -26,13 +26,12 @@ of a concrete point (`TargetSpec.contains`) is the same test with 1e-12.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import DivergenceError, Model, SampledFlow, one_period, reach_radius
-from .fts import FiniteSystem, StateSet, segment_indices
+from .fts import FiniteSystem, StateSet
 
 _REL_TOL = 1e-9  # tolerance, in units of eta, for quantization ties and target covers
 # Reachable-box corners are pulled inward by this absolute amount before
@@ -255,8 +254,8 @@ class Quantizer:
             raise ValueError(f"a state has {pts.shape[-1]} coordinates, the grid {g.dim}")
         if x.ndim == 1:
             return self._one_cell_index(x.tolist())
-        # non-finite and far off-grid points are replaced before their
-        # index could overflow the int64 cast
+        # non-finite and far off-grid points are replaced: `_axis_cell` clips only
+        # after d / eta, which overflows near +-1.7e308 on an axis with eta < 1
         ok = (np.abs(pts - g.domain_lower) < self._reach).all(axis=1)
         pts = np.where(ok[:, None], pts, g.domain_lower)
         # periodic columns always come out in range
@@ -463,9 +462,9 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     actuation is quantized: `reach_radius` gets du = mu/2 and raises
     ValueError when the model declares no input_sensitivity.
 
-    `threads` threads build the inputs, the calling one included; results
-    are merged in input order, so the output is identical for any thread
-    count. Raises ValueError when threads is below 1.
+    `threads` threads build the inputs, the calling one included; each
+    successor goes to the CSR slot its input and cell fix, so the output is
+    identical for any thread count. Raises ValueError when threads is below 1.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -510,8 +509,8 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
         shave = np.minimum(_TIE_SHAVE, radius)
         top_shave = shave if margin == 0 else np.full(n, -_TIE_SHAVE)
         enabled = np.ones(N, dtype=bool)
-        starts = np.zeros((N, n), dtype=np.int64)
-        counts = np.ones((N, n), dtype=np.int64)
+        starts = np.zeros((N, n), dtype=np.int32)
+        counts = np.ones((N, n), dtype=np.int32)
         for k in range(n):
             if not grid.periodic[k]:
                 enabled &= (blo[:, k] >= eff_lo[k] - abs_tol[k]) & (bhi[:, k] <= eff_hi[k] + abs_tol[k])
@@ -525,11 +524,11 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
             starts[:, k] = s
             counts[:, k] = np.mod(e - s, K[k]) + 1
         sel = np.flatnonzero(enabled)
-        starts = starts[sel]
-        counts = counts[sel]
-        tot = counts.prod(axis=1)
-        first = np.cumsum(tot) - tot
-        succ = np.empty(int(tot.sum()), dtype=np.int32)
+        return sel, starts[sel], counts[sel]
+
+    def fill(u):
+        sel, starts, counts = boxes[u]
+        first = offsets[sel * M + u]
         # all boxes of one input have the same size, so they span one of a
         # few cell counts per axis; the cells of one such shape are
         # enumerated together, at most _ENUM_BLOCK successors per block. C-order
@@ -538,8 +537,8 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
         ids = np.sort(shape_id)
         for sid in ids[np.diff(ids, prepend=-1) != 0]:  # np.unique would import numpy.ma
             cells = np.flatnonzero(shape_id == sid)
-            shape = counts[cells[0]]
-            step = max(1, _ENUM_BLOCK // int(tot[cells[0]]))
+            shape = counts[cells[0]].tolist()
+            step = max(1, _ENUM_BLOCK // math.prod(shape))
             for b in range(0, cells.size, step):
                 rows = cells[b:b + step]
                 flat = np.zeros((rows.size, 1), dtype=np.int64)
@@ -548,25 +547,26 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
                     if grid.periodic[k]:
                         coord = np.sort(coord % K[k], axis=1)
                     flat = (flat[:, :, None] + coord[:, None, :] * quantizer.strides[k]).reshape(rows.size, -1)
-                succ[first[rows][:, None] + np.arange(flat.shape[1])] = flat
-        return sel, tot, succ
+                targets[first[rows][:, None] + np.arange(flat.shape[1])] = flat
 
-    # the calling thread builds every input u with u % threads == 0 and
-    # threads - 1 helpers the rest; reading in input order raises the lowest
-    # failing input's error, and one thread submits nothing and starts none
-    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
-        helped = {u: pool.submit(job, u) for u in range(M) if u % threads}
-        try:
-            results = [helped[u].result() if u in helped else job(u) for u in range(M)]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    def each_input(work):
+        # the calling thread runs every input u with u % threads == 0 and
+        # threads - 1 helpers the rest; reading in input order raises the lowest
+        # failing input's error, and one thread submits nothing and starts none
+        from concurrent.futures import ThreadPoolExecutor  # loaded by a build only
+        with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+            helped = {u: pool.submit(work, u) for u in range(M) if u % threads}
+            try:
+                return [helped[u].result() if u in helped else work(u) for u in range(M)]
+            finally:
+                pool.shutdown(cancel_futures=True)
 
-    counts_mat = np.zeros((N, M), dtype=np.int64)
-    for u, (sel, tot, _) in enumerate(results):
-        counts_mat[sel, u] = tot
+    # pass 1 sizes every pair, so pass 2 writes each successor into the one CSR
+    boxes = each_input(job)
     offsets = np.zeros(N * M + 1, dtype=np.int64)
-    np.cumsum(counts_mat.ravel(), out=offsets[1:])
-    targets = np.zeros(offsets[-1], dtype=np.int32)
-    for u, (sel, tot, tgt) in enumerate(results):
-        targets[segment_indices(offsets[sel * M + u], tot)] = tgt
+    for u, (sel, _, counts) in enumerate(boxes):
+        offsets[sel * M + u + 1] = counts.prod(axis=1)
+    np.cumsum(offsets, out=offsets)
+    targets = np.empty(offsets[-1], dtype=np.int32)
+    each_input(fill)
     return FiniteSystem.from_csr(N, M, offsets, targets), quantizer

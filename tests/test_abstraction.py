@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import re
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -187,9 +188,23 @@ SEAM_TIE = (Quantizer(GridSpec(tau=1, eta=0.375, mu=1, domain_lower=[0], domain_
             np.array([[0.875], [np.nextafter(0.875, 0)], [np.nextafter(0.875, 1)], [-0.125]]))
 
 
+# finite coordinates near the float maximum on axes with eta < 1, where the
+# batch path's d / eta would overflow unless it replaced them first
+FAR_FINITE = [
+    (Quantizer(GridSpec(tau=1, eta=0.25, mu=1, domain_lower=[0], domain_upper=[1],
+                        input_lower=[0], input_upper=[0])),
+     np.array([[1.7e308], [-1.7e308]])),
+    (Quantizer(GridSpec(tau=1, eta=[0.25, 0.5], mu=1, domain_lower=[0, 0], domain_upper=[1, 2],
+                        input_lower=[0], input_upper=[0], periodic=[False, True])),
+     np.array([[1.7e308, 0.3], [-1.7e308, 0.3], [0.3, 1.7e308], [0.3, -1.7e308]])),
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(lookup_cases())
 @example(SEAM_TIE)
+@example(FAR_FINITE[0])
+@example(FAR_FINITE[1])
 def test_one_state_cell_index_equals_its_batch_row(case):
     # a 1-D state goes through the per-axis loop on Python floats, a 2-D
     # array through `_axis_cell`; both must pick the same cell
@@ -752,3 +767,20 @@ def test_csr_is_pinned_on_the_shipped_configs_and_benchmark_workloads(
                                       input_margin=cfg.input_margin)
         got[w.name] = _csr_sha256(system)
     assert got == CSR_SHA256
+
+
+def test_build_holds_one_copy_of_the_transitions(monkeypatch):
+    # the builder sizes every pair before it allocates the CSR and writes each
+    # successor into it once (2.1x the CSR here); one that keeps every input's
+    # successor array until a merge holds the transitions twice and peaks at 2.6x
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    cfg = parse_config_text(workloads.base_config(ROOT, workloads.WORKLOADS["di_pipeline"]))
+    model = cfg.build_model()
+    tracemalloc.start()
+    try:
+        system, _ = build_abstraction(model, cfg.grid, threads=1, input_margin=cfg.input_margin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * (system._offsets.nbytes + system._targets.nbytes)

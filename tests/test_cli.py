@@ -925,15 +925,26 @@ def test_huge_sampling_period_never_raises_a_traceback(name, code, tmp_path, cap
         assert message in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
+def loaded_by_cli_import(*packages):
+    """The modules of `packages` that `import symtoc.cli` loads in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", "import symtoc.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # only a build starts threads, so only `abstract` pays for the pool's
+    # import (concurrent.futures, which loads logging)
+    assert loaded_by_cli_import("concurrent", "logging") == "[]"
 
 
 def test_unsafe_states_restrict_explicit_system(tmp_path):
