@@ -352,7 +352,7 @@ class TargetSpec:
             members.extend(s.members)
         return cls(members)
 
-    def contains(self, x, grid: GridSpec | None = None) -> bool:
+    def contains(self, x, grid: GridSpec) -> bool:
         """Closed membership of a concrete point, 1e-12 on both sides of every
         bound, wrapping the periodic axes of `grid`. Raises ValueError unless
         x has one coordinate per axis of the target."""
@@ -366,12 +366,12 @@ class TargetSpec:
 def _axis_in(grid, member, k, v, grow, tol):
     """Whether coordinate(s) v lie in the member's closed interval on axis k
     widened by grow + tol on both sides: true on free axes, tested on the
-    circle on periodic axes of `grid` (None: no axis wraps)."""
+    circle on periodic axes of `grid`."""
     if member.free[k]:
         return True
     lo = member.lower[k] - grow - tol
     hi = member.upper[k] + grow + tol
-    if grid is None or not grid.periodic[k]:
+    if not grid.periodic[k]:
         return (lo <= v) & (v <= hi)
     period = grid.domain_upper[k] - grid.domain_lower[k]
     return (hi - lo >= period) | (np.mod(v - lo, period) <= hi - lo)
@@ -523,12 +523,12 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
             e = np.clip(_axis_cell(bhi[:, k] - top_shave[k], *axis), 0, K[k] - 1)
             starts[:, k] = s
             counts[:, k] = np.mod(e - s, K[k]) + 1
-        sel = np.flatnonzero(enabled)
+        sel = np.flatnonzero(enabled).astype(np.int32)  # ids < 2^31 (_MAX_IDS)
         return sel, starts[sel], counts[sel]
 
     def fill(u):
         sel, starts, counts = boxes[u]
-        first = offsets[sel * M + u]
+        first = offsets[sel.astype(np.int64) * M + u]
         # all boxes of one input have the same size, so they span one of a
         # few cell counts per axis; the cells of one such shape are
         # enumerated together, at most _ENUM_BLOCK successors per block. C-order
@@ -565,7 +565,7 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     boxes = each_input(job)
     offsets = np.zeros(N * M + 1, dtype=np.int64)
     for u, (sel, _, counts) in enumerate(boxes):
-        offsets[sel * M + u + 1] = counts.prod(axis=1)
+        offsets[sel.astype(np.int64) * M + u + 1] = counts.prod(axis=1)  # N*M may pass 2^31
     np.cumsum(offsets, out=offsets)
     targets = np.empty(offsets[-1], dtype=np.int32)
     each_input(fill)

@@ -20,7 +20,6 @@ from . import formats
 from .abstraction import Quantizer, build_abstraction, target_over, target_under
 from .config import ConfigError, ProblemConfig, parse_config
 from .dynamics import DivergenceError
-from .fts import StateSet
 from .refine import RefinedController, simulate
 from .synthesis import synthesize
 
@@ -30,48 +29,24 @@ EXIT_EMPTY_WINNING = 3
 EXIT_CERTIFICATION = 4
 
 
-def _state_ids(key, states, num_states):
-    """Explicit state ids from the config key `key`, each checked against the system."""
-    bad = [s for s in states if not 0 <= s < num_states]
-    if bad:
-        raise ConfigError(f"key '{key}': state {bad[0]} outside the "
-                          f"{num_states} states of the system")
-    return np.asarray(states, dtype=np.int64)
-
-
-def _target_cell_sets(cfg: ProblemConfig, system, grid):
+def _target_cell_sets(cfg: ProblemConfig, grid):
     """Inner and outer cell covers of the configured target."""
-    if grid is not None:
-        cfg.check_dimensions(grid)
-        if cfg.target is not None:
-            return target_under(grid, cfg.target), target_over(grid, cfg.target)
-    if cfg.target_states is not None:
-        w = StateSet(system.num_states,
-                     _state_ids("target.states", cfg.target_states, system.num_states))
-        return w, w
-    raise ConfigError("config needs a target (spatial for gridded systems, "
-                      "target.states for explicit systems)")
+    cfg.check_dimensions(grid)
+    if cfg.target is None:
+        raise ConfigError("config needs a target")
+    return target_under(grid, cfg.target), target_over(grid, cfg.target)
 
 
-def _unsafe_cells(cfg: ProblemConfig, system, grid):
-    """Cells touching any obstacle, plus explicitly unsafe states; None if no constraint."""
-    if cfg.obstacles is None and cfg.unsafe_states is None:
-        return None
-    mask = np.zeros(system.num_states, dtype=bool)
-    if cfg.obstacles is not None:
-        if grid is None:
-            raise ConfigError("obstacle boxes need a gridded system")
-        mask |= target_over(grid, cfg.obstacles).mask
-    if cfg.unsafe_states is not None:
-        mask[_state_ids("unsafe.states", cfg.unsafe_states, system.num_states)] = True
-    return StateSet.from_mask(mask)
+def _unsafe_cells(cfg: ProblemConfig, grid):
+    """Cells touching any obstacle; None if there is none."""
+    return target_over(grid, cfg.obstacles) if cfg.obstacles is not None else None
 
 
 def cmd_abstract(cfg: ProblemConfig, out_dir=".", threads=1, timestamp=True) -> int:
     if threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.grid is None:
+    if not cfg.grid:
         raise ConfigError("abstract needs a grid section")
     model = cfg.build_model()
     t0 = time.perf_counter()
@@ -87,8 +62,7 @@ def cmd_abstract(cfg: ProblemConfig, out_dir=".", threads=1, timestamp=True) -> 
 
 def _synthesize(cfg: ProblemConfig, system, grid):
     """The configured problem's (controller, lower-bound table)."""
-    return synthesize(system, *_target_cell_sets(cfg, system, grid),
-                      _unsafe_cells(cfg, system, grid))
+    return synthesize(system, *_target_cell_sets(cfg, grid), _unsafe_cells(cfg, grid))
 
 
 def cmd_synthesize(cfg: ProblemConfig, system_path, out_dir=".", timestamp=True) -> int:
@@ -114,17 +88,15 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
                  bounds_path=None, timestamp=True) -> int:
     os.makedirs(out_dir, exist_ok=True)
     controller, grid = formats.parse_controller(controller_path)
-    if grid is None:
-        raise ConfigError("simulate needs a controller with grid metadata")
     if cfg.target is None:
-        raise ConfigError("simulate needs a spatial target")
+        raise ConfigError("simulate needs a target")
     if not cfg.initial_states:
         raise ConfigError("simulate needs at least one simulate.initial.<k> state")
     cfg.check_dimensions(grid)
     model = cfg.build_model()
     rc = RefinedController(controller, Quantizer(grid))
     lower = formats.parse_bounds(bounds_path, controller)[0] if bounds_path is not None else None
-    unsafe = _unsafe_cells(cfg, controller, grid)
+    unsafe = _unsafe_cells(cfg, grid)
     rows, all_ok = [], True
     for i, x0 in cfg.initial_states.items():
         trace = simulate(model, rc, x0, cfg.target, cfg.max_steps, lower=lower)
@@ -150,8 +122,7 @@ def cmd_simulate(cfg: ProblemConfig, controller_path, out_dir=".",
 def cmd_export_plot(controller_path, out_path, timestamp=True) -> int:
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     controller, grid = formats.parse_controller(controller_path)
-    quantizer = Quantizer(grid) if grid is not None else None
-    formats.write_plot(out_path, controller, quantizer, timestamp=timestamp)
+    formats.write_plot(out_path, controller, Quantizer(grid), timestamp=timestamp)
     rows = len(controller.domain())
     print(f"export-plot: {rows} rows -> {out_path}")
     return EXIT_OK
@@ -163,9 +134,6 @@ def cmd_bounds(cfg: ProblemConfig, system_path) -> int:
     controller, lower = _synthesize(cfg, system, grid)
     cells = None
     if cfg.initial_states:
-        if grid is None:
-            raise ConfigError(f"key 'simulate.initial.{next(iter(cfg.initial_states))}': "
-                              "start states need a gridded system")
         cells = Quantizer(grid).cell_index(np.array(list(cfg.initial_states.values())))
         for (k, x0), cell in zip(cfg.initial_states.items(), cells):
             if cell < 0:

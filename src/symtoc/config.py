@@ -73,9 +73,7 @@ class ProblemConfig:
     grid: GridSpec | None = None
     input_margin: bool = False
     target: TargetSpec | None = None
-    target_states: list | None = None
     obstacles: TargetSpec | None = None
-    unsafe_states: list | None = None
     initial_states: dict = field(default_factory=dict)  # k of simulate.initial.<k> -> state
     max_steps: int = 1000
     outputs: dict = field(default_factory=dict)
@@ -199,14 +197,9 @@ def parse_config_text(text: str) -> ProblemConfig:
         except ValueError as e:
             raise ConfigError(f"grid: {e}") from None
 
-    if "target.shape" in pairs or any(k.startswith("target.") for k in pairs):
-        shape = pairs.get("target.shape", ("box", 0))[0]
-        if shape == "states":
-            pairs.pop("target.shape", None)
-            cfg.target_states = _ints("target.states",
-                                      _want(pairs, "target.states", "list", required=True))
-        elif shape == "union":
-            pairs.pop("target.shape", None)
+    if any(k.startswith("target.") for k in pairs):
+        if pairs.get("target.shape", ("box", 0))[0] == "union":
+            pairs.pop("target.shape")
             members = []
             for _, prefix in _numbered_prefixes(pairs, "target"):
                 members.append(_member_from_pairs(pairs, prefix))
@@ -221,8 +214,6 @@ def parse_config_text(text: str) -> ProblemConfig:
         obstacle_members.append(_member_from_pairs(pairs, prefix))
     if obstacle_members:
         cfg.obstacles = TargetSpec.union(*obstacle_members)
-    if "unsafe.states" in pairs:
-        cfg.unsafe_states = _ints("unsafe.states", _want(pairs, "unsafe.states", "list"))
 
     for k, prefix in _numbered_prefixes(pairs, "simulate.initial"):
         x0 = _want(pairs, prefix, "list")  # None if only longer keys, left unknown, exist
@@ -243,7 +234,7 @@ def parse_config_text(text: str) -> ProblemConfig:
         key, (_, lineno) = next(iter(pairs.items()))
         raise ConfigError(f"line {lineno}: unknown key '{key}'")
 
-    if cfg.grid is not None:
+    if cfg.grid:
         cfg.check_dimensions(cfg.grid)
     return cfg
 

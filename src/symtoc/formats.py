@@ -76,10 +76,10 @@ _GRID_META = {"tau": _NUM, "mu": _NUM, "eta": _LIST, "periodic": _FLAGS,
               "input_lower": _LIST, "input_upper": _LIST}
 
 
-def _parse_grid(entries: dict) -> GridSpec | None:
-    """The GridSpec of the `key=value` grid metadata; None when there is none."""
+def _parse_grid(entries: dict) -> GridSpec:
+    """The GridSpec of the `key=value` grid metadata, which every file must carry."""
     if not entries:
-        return None
+        raise FormatError("no '# grid:' metadata: symtoc reads gridded systems only")
     missing = _GRID_META.keys() - entries.keys()
     if missing:
         raise FormatError(f"grid metadata missing keys: {sorted(missing)}")
@@ -333,10 +333,9 @@ def _write_tagged(path, magic, tag: bytes, n, m, grid, timestamp, rows, heads, o
     """Write the header, then one line `tag h0 h1 : flat[offsets[r]:offsets[r+1]]`
     per row r of `rows`; heads(rows) gives the h0 and h1 columns of a block."""
     text = magic + "\n" + (_timestamp_line() if timestamp else "")
-    if grid is not None:
-        entries = [f"{key}={kind[0](getattr(grid, key))}" for key, kind in _GRID_META.items()]
-        entries[:2] = [" ".join(entries[:2])]  # tau and mu share a line
-        text += "".join(f"# grid: {entry}\n" for entry in entries)
+    entries = [f"{key}={kind[0](getattr(grid, key))}" for key, kind in _GRID_META.items()]
+    entries[:2] = [" ".join(entries[:2])]  # tau and mu share a line
+    text += "".join(f"# grid: {entry}\n" for entry in entries)
     with open(path, "wb") as fh:
         fh.write(f"{text}states {n}\ninputs {m}\n".encode())
         _write_blocks(fh, np.diff(offsets)[rows] + 4,
@@ -347,7 +346,7 @@ def _write_tagged(path, magic, tag: bytes, n, m, grid, timestamp, rows, heads, o
 def _read_tagged(path, magic, tag: bytes, what):
     """Read the header and the `tag a b : tail ...` records of a file.
 
-    Returns the states and inputs counts, the grid (or None), the record line
+    Returns the states and inputs counts, the grid, the record line
     numbers, the a and b columns, the tail lengths and values, and the scanned
     tokens, which a caller holds until its CSR is built (freed first, their
     heap hole takes the CSR offsets and a later synthesis peaks higher in RSS).
@@ -392,9 +391,9 @@ def _read_tagged(path, magic, tag: bytes, what):
     if lines.size and lines[0] < max(states_line, inputs_line):
         raise FormatError(f"line {lines[0]}: {what} before states/inputs header")
     grid = _parse_grid(grid_entries)
-    if grid is not None and grid.num_cells != n:
+    if grid.num_cells != n:
         raise FormatError("grid metadata cell count does not match the state count")
-    if grid is not None and grid.num_inputs != m:
+    if grid.num_inputs != m:
         raise FormatError("grid metadata input count does not match the input count")
     if (counts[:, 0] != 2).any():
         raise FormatError(f"line {lines[np.argmax(counts[:, 0] != 2)]}: malformed {what}")
@@ -408,15 +407,14 @@ def _read_tagged(path, magic, tag: bytes, what):
 
 # -- STS1 system files ---------------------------------------------------
 
-def write_system(path, sys: FiniteSystem, grid: GridSpec | None = None,
-                 timestamp: bool = True):
+def write_system(path, sys: FiniteSystem, grid: GridSpec, timestamp: bool = True):
     _write_tagged(path, "STS1", b"t", sys.num_states, sys.num_inputs, grid, timestamp,
                   np.flatnonzero(np.diff(sys._offsets) > 0),
                   lambda pairs: np.divmod(pairs, sys.num_inputs), sys._offsets, sys._targets)
 
 
 def parse_system(path):
-    """Read an STS1 file; returns (FiniteSystem, GridSpec or None)."""
+    """Read an STS1 file; returns (FiniteSystem, GridSpec)."""
     what = "transition line"
     n, m, grid, lines, x, u, tail_len, succ, _tokens = _read_tagged(path, "STS1", b"t", what)
     if (tail_len == 0).any():
@@ -433,15 +431,14 @@ def parse_system(path):
 
 # -- CTL1 controller files ------------------------------------------------
 
-def write_controller(path, ctrl: SymbolicController, grid: GridSpec | None = None,
-                     timestamp: bool = True):
+def write_controller(path, ctrl: SymbolicController, grid: GridSpec, timestamp: bool = True):
     _write_tagged(path, "CTL1", b"c", ctrl.num_states, ctrl.num_inputs, grid, timestamp,
                   np.flatnonzero(ctrl.levels <= ctrl.num_states),
                   lambda x: (x, ctrl.levels[x] - 1), ctrl.offsets, ctrl.enabled_inputs_flat)
 
 
 def parse_controller(path):
-    """Read a CTL1 file; returns (SymbolicController, GridSpec or None)."""
+    """Read a CTL1 file; returns (SymbolicController, GridSpec)."""
     what = "controller line"
     n, m, grid, lines, x, value, tail_len, inputs, _ = _read_tagged(path, "CTL1", b"c", what)
     bad = (x >= n) | (value >= n)
@@ -555,25 +552,20 @@ def write_trace(path, trace, dim: int, input_dim: int, timestamp: bool = True):
                       *(f"u{i+1}" for i in range(input_dim)), "cell", "value"], rows, timestamp)
 
 
-def write_plot(path, ctrl: SymbolicController, quantizer: Quantizer | None = None,
-               timestamp: bool = True):
-    """One row per winning cell: center (or state id), the input the refined
-    controller applies (`refine.applied_inputs`, empty on target cells), value."""
+def write_plot(path, ctrl: SymbolicController, quantizer: Quantizer, timestamp: bool = True):
+    """One row per winning cell: center, the input value the refined controller
+    applies (`refine.applied_inputs`, empty on target cells), value."""
     winning = np.flatnonzero(ctrl.levels <= ctrl.num_states)
     applied = applied_inputs(ctrl)
-    if quantizer is None:  # one column each: the state id and the input id
-        header, fmt = ["state", "input"], str
-        cells, inputs = winning[:, None], np.arange(ctrl.num_inputs)[:, None]
-    else:
-        grid = quantizer.grid
-        header = ([f"x{i+1}" for i in range(grid.dim)]
-                  + [f"u{i+1}" for i in range(grid.input_dim)])
-        fmt, cells, inputs = _fmt_num, quantizer.centers()[winning], grid.input_values()
+    grid = quantizer.grid
+    header = [f"x{i+1}" for i in range(grid.dim)] + [f"u{i+1}" for i in range(grid.input_dim)]
+    inputs = grid.input_values()
 
     def row(x, cell):
-        us = [""] * inputs.shape[1] if applied[x] == TARGET else map(fmt, inputs[applied[x]])
-        return [*map(fmt, cell), *us, ctrl.levels[x] - 1]
+        us = [""] * grid.input_dim if applied[x] == TARGET else map(_fmt_num, inputs[applied[x]])
+        return [*map(_fmt_num, cell), *us, ctrl.levels[x] - 1]
 
+    cells = quantizer.centers()[winning]
     _write_csv(path, header + ["value"], (row(x, c) for x, c in zip(winning, cells)), timestamp)
 
 

@@ -1,9 +1,9 @@
 """Independent oracles for the solver tests: definitional value iteration with
 plain Python dicts and sets, plus random system generators, readers for the
 trace and plot CSVs that only the tests read back, a system built from a
-mapping, per-pair and per-state accessors of systems and solver results, a
-Monte-Carlo check of a model's growth bound and an oracle of its
-reachable-box radius.
+mapping, a line grid with one cell per state for hand-built systems, per-pair
+and per-state accessors of systems and solver results, a Monte-Carlo check of
+a model's growth bound and an oracle of its reachable-box radius.
 
 These deliberately avoid the package's layered/vectorized code paths: values
 are computed straight from the fixed-point definitions so solver bugs cannot
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from symtoc import FiniteSystem, StateSet, integrate, reach_radius
+from symtoc import FiniteSystem, GridSpec, StateSet, integrate, reach_radius
 from symtoc.dynamics import _expm, _expm_and_integral
 from symtoc.formats import FormatError
 
@@ -30,6 +30,20 @@ def make_system(num_states, num_inputs, transitions=()):
     targets = np.concatenate([np.zeros(0, dtype=np.int64), *(pairs[k] for k in sorted(pairs))])
     return FiniteSystem.from_csr(num_states, num_inputs,
                                  np.concatenate([[0], np.cumsum(counts)]), targets)
+
+
+def line_grid(n, m):
+    """A 1-D grid of n cells and m inputs (n, m >= 1), tau = eta = mu = 1 on
+    [0, n-1] x [0, m-1]: cell x is centered at x and input u is the value u."""
+    return GridSpec(tau=1.0, eta=1.0, mu=1.0, domain_lower=[0.0], domain_upper=[n - 1.0],
+                    input_lower=[0.0], input_upper=[m - 1.0])
+
+
+def line_grid_meta(n, m):
+    """The `# grid:` metadata of line_grid(n, m) on one line, for hand-written
+    STS1 and CTL1 texts."""
+    return (f"# grid: tau=1 mu=1 eta=[1] periodic=[0] domain_lower=[0] domain_upper=[{n - 1}]"
+            f" input_lower=[0] input_upper=[{m - 1}]\n")
 
 
 def post(sys, x, u):
@@ -236,7 +250,7 @@ def parse_trace(path):
 
 def parse_plot(path):
     """Read a plot CSV back; returns (header_fields, rows) with rows as lists of
-    floats (empty input fields become nan) or ints for the gridless format."""
+    floats (empty input fields become nan)."""
     header = None
     rows = []
     with open(path) as fh:
@@ -247,13 +261,7 @@ def parse_plot(path):
             if header is None:
                 header = line.split(",")
                 continue
-            parts = line.split(",")
-            if header[0] == "state":
-                rows.append((int(parts[0]),
-                             None if parts[1] == "" else int(parts[1]),
-                             int(parts[2])))
-            else:
-                rows.append([float("nan") if p == "" else float(p) for p in parts])
+            rows.append([float("nan") if p == "" else float(p) for p in line.split(",")])
     if header is None:
         raise FormatError("plot file has no header")
     return header, rows

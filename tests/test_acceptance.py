@@ -17,7 +17,7 @@ from symtoc import (GridSpec, SampledFlow, StateSet,
 from symtoc import formats
 
 from helpers import (aggregated_pair, brute_force_optimistic,
-                     brute_force_pessimistic, entry_time, lift_targets,
+                     brute_force_pessimistic, entry_time, lift_targets, line_grid,
                      parse_trace, post, random_system, random_target)
 
 
@@ -225,7 +225,7 @@ def test_property_suites(tmp_path):
     for i in range(25):
         s = random_system(rng)
         path = tmp_path / f"rt_{i}.sts"
-        formats.write_system(path, s, timestamp=False)
+        formats.write_system(path, s, line_grid(s.num_states, s.num_inputs), timestamp=False)
         parsed, _ = formats.parse_system(path)
         assert parsed == s
     model = unicycle()

@@ -16,7 +16,8 @@ from symtoc import cli, formats
 from symtoc.config import ConfigError, parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY, Model
 
-from helpers import enabled, make_system, parse_plot, parse_trace, random_system
+from helpers import (enabled, line_grid, line_grid_meta, make_system, parse_plot, parse_trace,
+                     random_system)
 
 DI_CONFIG = """
 model.id = double_integrator
@@ -35,14 +36,19 @@ simulate.initial.2 = [-2.0, 1.0]
 simulate.max_steps = 50
 """
 
+# the target box is cell 2's closed box: its inner cover is cell 2, its outer
+# cover also cell 1, whose box touches it
 CHAIN_CONFIG = """
-target.shape = states
-target.states = [2]
+target.lower = [1.5]
+target.upper = [2.5]
 output.system = chain.sts
 output.controller = chain.ctl
 output.bounds = chain_bounds.csv
 output.plot = chain_plot.csv
 """
+
+
+CHAIN_GRID = line_grid(3, 1)
 
 
 def chain_system():
@@ -105,9 +111,9 @@ def test_system_round_trip_random(tmp_path):
     for i in range(20):
         s = random_system(rng)
         path = tmp_path / f"sys_{i}.sts"
-        formats.write_system(path, s, timestamp=False)
+        formats.write_system(path, s, line_grid(s.num_states, s.num_inputs), timestamp=False)
         parsed, grid = formats.parse_system(path)
-        assert grid is None
+        assert (grid.num_cells, grid.num_inputs) == (s.num_states, s.num_inputs)
         assert parsed == s
 
 
@@ -132,7 +138,7 @@ def test_controller_round_trip(tmp_path):
     W = StateSet(3, [2])
     ctrl = extract_controller(s, W, solve_pessimistic(s, W))
     path = tmp_path / "chain.ctl"
-    formats.write_controller(path, ctrl, timestamp=False)
+    formats.write_controller(path, ctrl, CHAIN_GRID, timestamp=False)
     parsed, _ = formats.parse_controller(path)
     assert np.array_equal(parsed.levels, ctrl.levels)
     assert np.array_equal(parsed.offsets, ctrl.offsets)
@@ -182,7 +188,7 @@ def test_trace_and_plot_round_trip(tmp_path):
 
 def test_parse_rejects_malformed(tmp_path):
     path = tmp_path / "bad.sts"
-    path.write_text("STS1\nstates 2\ninputs 1\nt 0 0 :\n")
+    path.write_text(f"STS1\n{line_grid_meta(2, 1)}states 2\ninputs 1\nt 0 0 :\n")
     with pytest.raises(formats.FormatError, match="empty successor"):
         formats.parse_system(path)
     path.write_text("nope\n")
@@ -244,27 +250,31 @@ def test_explicit_system_pipeline(tmp_path):
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), timestamp=False)
+    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), CHAIN_GRID,
+                         timestamp=False)
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     lo, up = formats.parse_bounds(os.path.join(out, "chain_bounds.csv"))
-    assert lo.tolist() == [2, 1, 0]
+    assert lo.tolist() == [1, 0, 0]  # the lower bound's target is the outer cover
     assert up.tolist() == [2, 1, 0]
     assert cli.main(["export-plot", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     plot = Path(out, "chain_plot.csv").read_text().strip().splitlines()
-    assert plot[0] == "state,input,value"
-    assert len(plot) == 1 + 3  # header + one row per winning state
+    # one row per winning cell: its center, the applied input's value, its value
+    assert plot == ["x1,u1,value", "0.0,0.0,2", "1.0,0.0,1", "2.0,,0"]
 
 
 def test_empty_winning_set_exit_code(tmp_path):
-    cfg_path = write(tmp_path / "empty.cfg", CHAIN_CONFIG.replace("[2]", "[]"))
+    # a target inside cell 2 holds no whole cell, so its inner cover is empty
+    cfg_path = write(tmp_path / "empty.cfg",
+                     CHAIN_CONFIG.replace("[1.5]", "[1.9]").replace("[2.5]", "[2.1]"))
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), timestamp=False)
+    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), CHAIN_GRID,
+                         timestamp=False)
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out,
                      "--no-timestamp"]) == cli.EXIT_EMPTY_WINNING
     assert cli.main(["export-plot", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     plot = Path(out, "chain_plot.csv").read_text().strip().splitlines()
-    assert plot == ["state,input,value"]  # header-only
+    assert plot == ["x1,u1,value"]  # header-only
 
 
 def test_config_error_exit_code(tmp_path):
@@ -295,9 +305,10 @@ def test_synthesize_malformed_system_exits_2(tmp_path, capsys, line):
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    write(os.path.join(out, "chain.sts"), f"STS1\nstates 3\ninputs 1\n{line}\n")
+    write(os.path.join(out, "chain.sts"),
+          f"STS1\n{line_grid_meta(3, 1)}states 3\ninputs 1\n{line}\n")
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
-    assert "error: line 4:" in capsys.readouterr().err
+    assert "error: line 5:" in capsys.readouterr().err
 
 
 def test_synthesize_system_with_an_initial_line_exits_2(tmp_path, capsys):
@@ -307,11 +318,43 @@ def test_synthesize_system_with_an_initial_line_exits_2(tmp_path, capsys):
     os.makedirs(out)
     initial = "initial " + " ".join(map(str, range(20000)))
     write(os.path.join(out, "chain.sts"),
-          f"STS1\nstates 20000\ninputs 1\n{initial}\nt 0 0 : 1\nt 1 0 : 2\n")
+          f"STS1\n{line_grid_meta(20000, 1)}states 20000\ninputs 1\n{initial}\n"
+          "t 0 0 : 1\nt 1 0 : 2\n")
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
     # one line, naming the line and echoing only the start of it
-    assert capsys.readouterr().err == f"error: line 4: unrecognized line '{initial[:40]}...'\n"
+    assert capsys.readouterr().err == f"error: line 5: unrecognized line '{initial[:40]}...'\n"
     assert not os.path.exists(os.path.join(out, "chain.ctl"))
+
+
+def test_gridless_system_and_controller_exit_2(tmp_path, capsys):
+    # without a grid a file defines no abstraction relation to the plant
+    cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
+    sts = write(tmp_path / "chain.sts", "STS1\nstates 3\ninputs 1\nt 0 0 : 1\nt 1 0 : 2\n")
+    ctl = write(tmp_path / "chain.ctl", "CTL1\nstates 3\ninputs 1\nc 0 2 : 0\nc 1 1 : 0\nc 2 0 :\n")
+    for argv in (["synthesize", "--system", sts], ["bounds", "--system", sts],
+                 ["simulate", "--controller", ctl], ["export-plot", "--controller", ctl]):
+        out = str(tmp_path / argv[0])
+        assert cli.main([*argv, "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG, argv
+        assert capsys.readouterr().err == ("error: no '# grid:' metadata: symtoc reads "
+                                           "gridded systems only\n"), argv
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("target.shape = states\ntarget.states = [2]\n",
+                 "error: key 'target.shape': unknown shape 'states'\n", id="target-states"),
+    pytest.param("target.lower = [1.5]\ntarget.upper = [2.5]\nunsafe.states = [1]\n",
+                 "error: line 3: unknown key 'unsafe.states'\n", id="unsafe-states"),
+])
+def test_state_id_targets_and_unsafe_sets_exit_2(tmp_path, capsys, text, message):
+    # targets and obstacles are regions of the grid, not lists of state ids
+    cfg_path = write(tmp_path / "chain.cfg", text)
+    sts = str(tmp_path / "chain.sts")
+    formats.write_system(sts, chain_system(), CHAIN_GRID, timestamp=False)
+    for command in ("synthesize", "bounds"):
+        assert cli.main([command, "--config", cfg_path, "--system", sts,
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
 
 
 def test_simulate_bounds_from_other_grid_exits_2(tmp_path, capsys):
@@ -348,7 +391,7 @@ def test_simulate_bounds_with_duplicate_or_missing_rows_exits_2(tmp_path, capsys
 ])
 def test_simulate_and_export_plot_reject_impossible_controller_rows(tmp_path, capsys, row, message):
     cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
-    bad = write(tmp_path / "bad.ctl", f"CTL1\nstates 3\ninputs 2\n{row}\n")
+    bad = write(tmp_path / "bad.ctl", f"CTL1\nstates 3\ninputs 2\n{row}\n{line_grid_meta(3, 2)}")
     for command in ("simulate", "export-plot"):
         assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out"),
                          "--controller", bad]) == cli.EXIT_CONFIG
@@ -368,26 +411,6 @@ def test_simulate_bounds_with_other_upper_column_exits_2(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
                      "--bounds", bad]) == cli.EXIT_CONFIG
     assert (f"upper bound of state {x} is {int(up[x]) + 1}, the controller's value {int(up[x])}"
-            in capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("key, value, command", [
-    ("target.states", "[5]", "synthesize"),
-    ("target.states", "[5]", "bounds"),
-    ("unsafe.states", "[7]", "synthesize"),
-    ("unsafe.states", "[-1]", "synthesize"),
-    ("unsafe.states", "[1e20]", "synthesize"),  # past int64, still named
-])
-def test_explicit_state_ids_outside_the_system_exit_2(tmp_path, capsys, key, value, command):
-    text = CHAIN_CONFIG + f"unsafe.states = {value}\n" if key == "unsafe.states" \
-        else CHAIN_CONFIG.replace("[2]", value)
-    cfg_path = write(tmp_path / "chain.cfg", text)
-    out = str(tmp_path / "out")
-    os.makedirs(out)
-    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), timestamp=False)
-    assert cli.main([command, "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
-    state = int(float(value.strip("[]")))
-    assert (f"error: key '{key}': state {state} outside the 3 states of the system"
             in capsys.readouterr().err)
 
 
@@ -551,8 +574,7 @@ def _run_with_grid_metadata(tmp_path, capsys, entry):
     """Write the chain system and controller with the `# grid:` line that
     starts like `entry` replaced by it; the errors of `synthesize` and
     `simulate` on them."""
-    grid = GridSpec(tau=1.0, eta=1.0, mu=1.0, domain_lower=[0.0], domain_upper=[2.0],
-                    input_lower=[0.0], input_upper=[0.0])
+    grid = CHAIN_GRID
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
     out = str(tmp_path / "out")
     os.makedirs(out)
@@ -636,18 +658,11 @@ def test_domain_past_the_tie_shave_limit_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, line", [
-    ("target.states", "target.states = [1.5]"),
-    ("unsafe.states", "unsafe.states = [0.5]"),
     ("target.free", "target.free = [0.5]"),
     ("obstacle.1.free", "obstacle.1.free = [0, 1.5]"),
 ])
 def test_fractional_ids_and_axes_exit_2(tmp_path, capsys, key, line):
-    if key == "target.states":
-        text = CHAIN_CONFIG.replace("target.states = [2]", line)
-    elif key == "unsafe.states":
-        text = CHAIN_CONFIG + line + "\n"
-    else:
-        text = DI_CONFIG + "obstacle.1.lower = [2, 2]\nobstacle.1.upper = [3, 3]\n" + line + "\n"
+    text = DI_CONFIG + "obstacle.1.lower = [2, 2]\nobstacle.1.upper = [3, 3]\n" + line + "\n"
     cfg_path = write(tmp_path / "c.cfg", text)
     value = line.split("[")[1].rstrip("]").split(", ")[-1]
     assert cli.main(["synthesize", "--config", cfg_path, "--out", str(tmp_path)]) \
@@ -948,41 +963,45 @@ def test_cli_import_loads_no_thread_pool():
 
 
 def test_unsafe_states_restrict_explicit_system(tmp_path):
-    # detour example: safety pushes the entry time from 2 to 3
+    # detour example: an obstacle on cell 1 makes it unsafe, and safety pushes
+    # the entry time of cell 3 (the target's inner cover) from 2 to 3
     sys5 = make_system(5, 2, {(0, 0): [1], (0, 1): [2], (1, 0): [3],
                               (2, 1): [4], (4, 1): [3], (3, 0): [3]})
     cfg_path = write(tmp_path / "detour.cfg", """
-target.shape = states
-target.states = [3]
-unsafe.states = [1]
+target.lower = [2.5]
+target.upper = [3.5]
+obstacle.1.lower = [1]
+obstacle.1.upper = [1]
 output.system = detour.sts
 output.controller = detour.ctl
 output.bounds = detour_bounds.csv
 """)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "detour.sts"), sys5, timestamp=False)
+    formats.write_system(os.path.join(out, "detour.sts"), sys5, line_grid(5, 2), timestamp=False)
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     lo, up = formats.parse_bounds(os.path.join(out, "detour_bounds.csv"))
     assert up[0] == 3
 
 
 def test_explicit_branching_bounds(tmp_path):
-    # lower and upper bounds disagree exactly where nondeterminism bites
+    # at cell 0 the bounds disagree where nondeterminism bites; at cell 1, which
+    # only the lower bound's outer cover of the target holds
     branching = make_system(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
     cfg_path = write(tmp_path / "branch.cfg", """
-target.shape = states
-target.states = [2]
+target.lower = [1.5]
+target.upper = [2.5]
 output.system = branch.sts
 output.controller = branch.ctl
 output.bounds = branch_bounds.csv
 """)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "branch.sts"), branching, timestamp=False)
+    formats.write_system(os.path.join(out, "branch.sts"), branching, line_grid(3, 2),
+                         timestamp=False)
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     lo, up = formats.parse_bounds(os.path.join(out, "branch_bounds.csv"))
-    assert lo.tolist() == [1, 1, 0]
+    assert lo.tolist() == [1, 0, 0]
     assert up.tolist() == [2, 1, 0]
     ctrl, _ = formats.parse_controller(os.path.join(out, "branch.ctl"))
     assert enabled(ctrl, 0).tolist() == [0, 1]
@@ -992,23 +1011,12 @@ def test_bounds_command_prints(tmp_path, capsys):
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), timestamp=False)
+    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), CHAIN_GRID,
+                         timestamp=False)
     assert cli.main(["bounds", "--config", cfg_path, "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "state,lower,upper" in printed
-    assert "0,2,2" in printed
-
-
-def test_bounds_start_states_need_a_gridded_system(tmp_path, capsys):
-    cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG + "simulate.initial.4 = [0.5]\n")
-    out = str(tmp_path / "out")
-    os.makedirs(out)
-    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), timestamp=False)
-    assert cli.main(["bounds", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: key 'simulate.initial.4': start states need a "
-                            "gridded system\n")
+    assert "0,1,2" in printed
 
 
 def test_bounds_prints_the_rows_of_the_bounds_file(di_artifacts, tmp_path, capsys):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from symtoc import (EntryTimeTable, GridSpec, StateSet, SymbolicController,
                     extract_controller, formats, solve_optimistic, solve_pessimistic)
 
-from helpers import enabled, make_system
+from helpers import enabled, line_grid, line_grid_meta, make_system
 
 
 # -- pinned bytes ---------------------------------------------------------------
@@ -26,14 +26,14 @@ def _disabled_pairs():
                 continue
             succ = {max(x - 1 - u, 0), (x * 7 + u) % 12 if u == 2 else max(x - 1, 0)}
             trans[(x, u)] = sorted(succ)
-    return make_system(12, 3, trans), None
+    return make_system(12, 3, trans), line_grid(12, 3)
 
 
 def _large_ids():
     trans = {(0, 0): [1], (7, 1): [0, 99999], (99, 0): [7, 123456],
              (1000, 1): [0], (99999, 0): [0, 1000], (123456, 1): [0, 9, 10, 99, 100000],
              (1, 1): [0]}
-    return make_system(123457, 2, trans), None
+    return make_system(123457, 2, trans), line_grid(123457, 2)
 
 
 def _gridded():
@@ -47,13 +47,8 @@ def _gridded():
 
 def _case(name):
     """(system, grid, controller, lower table)."""
-    if name == "empty":
-        ctrl = SymbolicController(0, 0, np.zeros(0, np.int64), np.zeros(1, np.int64),
-                                  np.zeros(0, np.int32))
-        return (make_system(0, 0), None, ctrl,
-                EntryTimeTable(np.zeros(0, np.int64), "optimistic", 0, 0))
     if name == "no_transitions":
-        system, grid, target = make_system(3, 2), None, []
+        system, grid, target = make_system(3, 2), line_grid(3, 2), []
     else:
         system, grid = {"disabled_pairs": _disabled_pairs, "large_ids": _large_ids,
                         "gridded": _gridded}[name]()
@@ -65,19 +60,19 @@ def _case(name):
 
 # sha256 of (STS1, CTL1, bounds CSV) with timestamp=False, as written by the
 # per-line writers that the block codec replaced; the STS1 hashes are of those
-# bytes without the `initial` header line, which STS1 no longer has
+# bytes without the `initial` header line, which STS1 no longer has. The cases
+# on a line grid were pinned without grid metadata before every artifact
+# carried a grid; with their `# grid:` lines removed, their STS1 and CTL1 bytes
+# still hash to those earlier pins.
 PINNED = {
-    "empty": ("a6b43e8fceaf31b5103ff8e3a0c6c2aa3d5c03a1077ac2c38eaf953dc0ab70f0",
-              "ca51edea40891513a3a5cceff2705f3dc917169fbe4f39557223dc05d25a8f0b",
-              "4d92d0855cc233c32003f6e12e14724b977a420f43f378989c92ffea43e69c31"),
-    "no_transitions": ("f0f85298b587918abb1c3eac9319b3d18356eef3664c28675fd92e4e7c8b6e0d",
-                       "3212f33929c64e7d50269e22136476e54db8974cea3f8d703608e76ed85c9b9c",
+    "no_transitions": ("bd5207df96f12b9cf4bd2c35bae0e18816a43d34b6ad4732af73fafe1c0e28bb",
+                       "d74115df4a48b8b265ffdd40c31e2d6a254569466d6aac76e87ef9ff7201e5dd",
                        "2ef3d4212c4391f1b00551e9d42cd127fc0f8ca4cc4a4242c2949b25e94d8d17"),
-    "disabled_pairs": ("63a9754ecba3d6e577670ebeee99df5fa3014c429ce929d4c85e500daa8783f0",
-                       "b0bbd37257875b3ce3ee029228d893fe564452015ea1504272ccae7f50581ef3",
+    "disabled_pairs": ("b10c587997ca7baff9670fcc508d94c6306624e1013dffd1a701d80b942419b3",
+                       "17c99cba5b90e93f6af245a80bd678795371b607afdc8413b556751fd801d6d5",
                        "035e8f8dfcdb2997c3b67ea2ddf467c5e375d641764e02e36331a72de5798fcc"),
-    "large_ids": ("6384cb7300f3b30746750e420bffff09a1bafc06d34ae985706674a102dde236",
-                  "20e2cbba77da03ff0624891c7563ffa27807e5131d86d30917219dbd5e122a1a",
+    "large_ids": ("7af719123c9394f988fd6b270d0072d0b9b6c6784a8ee699f37eef3db7a84399",
+                  "bbd523dc5f5696781a09b5a3c6a65deec4c942e6b3701c66db47960fdaaf39cc",
                   "6018f44dfe647bfbd024515284f824ef2b21206bbc0a138e200690c37577d1a5"),
     "gridded": ("12f00de8bce06f9baca4d7ba9cbe99b128fc9b15bfd6597a26a099837427d59f",
                 "4355081b6b640c1f07e08d1c5c9897b8a7e6ab5204fbf39bb301860175256f5f",
@@ -111,7 +106,7 @@ def _write_and_check(tmp_path, name):
     assert (_sha(sts), _sha(ctl), _sha(csv)) == PINNED[name]
     parsed, grid2 = formats.parse_system(sts)
     assert parsed == system
-    assert (grid2 is None) == (grid is None)
+    assert grid2.num_cells == grid.num_cells and grid2.num_inputs == grid.num_inputs
     parsed_ctrl, _ = formats.parse_controller(ctl)
     _assert_controllers_equal(parsed_ctrl, ctrl)
     lo, up = formats.parse_bounds(csv)
@@ -127,13 +122,14 @@ def test_writers_reproduce_pinned_bytes(tmp_path, name):
 def test_tiny_blocks_split_lines(tmp_path, monkeypatch, block):
     """Lines straddle blocks and a header line spans many of them."""
     monkeypatch.setattr(formats, "_BLOCK_BYTES", block)
-    for name in ("disabled_pairs", "gridded", "empty"):
+    for name in ("disabled_pairs", "gridded", "no_transitions"):
         _write_and_check(tmp_path, name)
 
 
 def test_missing_final_newline_and_comment_after_records(tmp_path):
     path = tmp_path / "a.sts"
-    path.write_bytes(b"STS1\nstates 3\ninputs 1\nt 0 0 : 1 2\n# end\nt 1 0 : 2")
+    path.write_bytes(f"STS1\n{line_grid_meta(3, 1)}states 3\ninputs 1\nt 0 0 : 1 2\n# end\n"
+                     "t 1 0 : 2".encode())
     system, _ = formats.parse_system(path)
     assert system == make_system(3, 1, {(0, 0): [1, 2], (1, 0): [2]})
 
@@ -142,17 +138,17 @@ def test_missing_final_newline_and_comment_after_records(tmp_path):
 
 @st.composite
 def systems(draw):
-    n = draw(st.one_of(st.integers(0, 30), st.integers(99_990, 100_010)))
-    m = draw(st.integers(0, 4)) if n else 0
+    n = draw(st.one_of(st.integers(1, 30), st.integers(99_990, 100_010)))
+    m = draw(st.integers(1, 4))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
-                          max_size=25, unique=True)) if n and m else []
+                          max_size=25, unique=True))
     trans = {p: draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)) for p in pairs}
     return make_system(n, m, trans)
 
 
 @st.composite
 def controllers(draw):
-    n = draw(st.integers(0, 40))
+    n = draw(st.integers(1, 40))
     m = draw(st.integers(1, 5))
     levels = np.array(draw(st.lists(st.integers(1, n + 1), min_size=n, max_size=n)),
                       dtype=np.int64)
@@ -170,11 +166,12 @@ def controllers(draw):
 def test_system_round_trip_property(tmp_path_factory, system, block):
     path = tmp_path_factory.mktemp("sts") / "s.sts"
     with mock.patch.object(formats, "_BLOCK_BYTES", block):
-        formats.write_system(path, system, timestamp=False)
+        formats.write_system(path, system, line_grid(system.num_states, system.num_inputs),
+                             timestamp=False)
         parsed, grid = formats.parse_system(path)
-    assert grid is None and parsed == system
+    assert parsed == system
     again = path.with_suffix(".again")
-    formats.write_system(again, parsed, timestamp=False)
+    formats.write_system(again, parsed, grid, timestamp=False)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -185,7 +182,8 @@ def test_controller_and_bounds_round_trip_property(tmp_path_factory, ctrl, block
     lower = EntryTimeTable(np.minimum(ctrl.levels, np.maximum(ctrl.levels - 1, 1)),
                            "optimistic", ctrl.num_states, 0)
     with mock.patch.object(formats, "_BLOCK_BYTES", block):
-        formats.write_controller(out / "c.ctl", ctrl, timestamp=False)
+        formats.write_controller(out / "c.ctl", ctrl, line_grid(ctrl.num_states, ctrl.num_inputs),
+                                 timestamp=False)
         formats.write_bounds(out / "b.csv", lower, ctrl, timestamp=False)
         parsed, _ = formats.parse_controller(out / "c.ctl")
         lo, up = formats.parse_bounds(out / "b.csv")
@@ -213,7 +211,8 @@ def _reference_parse_system(text):
 
 
 def _reformat(text, rng):
-    """The same STS1 content with other whitespace, comments and line order."""
+    """The same STS1 content with other whitespace, comments and line order;
+    `# grid:` lines keep their text."""
     head, records = [], []
     for line in text.splitlines():
         (records if line.startswith("t ") else head).append(line)
@@ -223,8 +222,9 @@ def _reformat(text, rng):
         if i:  # the magic line stays first
             out += [rng.choice(["", "#", "# comment", " \t"]) for _ in range(rng.randrange(2))]
         gaps = [rng.choice([" ", "\t", "  ", " \t "]) for _ in line.split()]
-        out.append(rng.choice(["", " ", "\t"])
-                   + "".join(w + g for w, g in zip(line.split(), gaps)).rstrip())
+        body = line if line.startswith("# grid:") else \
+            "".join(w + g for w, g in zip(line.split(), gaps)).rstrip()
+        out.append(rng.choice(["", " ", "\t"]) + body)
     return rng.choice(["\n", "\r\n"]).join(out) + rng.choice(["", "\n"])
 
 
@@ -233,7 +233,8 @@ def _reformat(text, rng):
        block=st.sampled_from([7, formats._BLOCK_BYTES]))
 def test_parse_agrees_with_line_reader(tmp_path_factory, system, seed, block):
     path = tmp_path_factory.mktemp("fmt") / "s.sts"
-    formats.write_system(path, system, timestamp=False)
+    formats.write_system(path, system, line_grid(system.num_states, system.num_inputs),
+                         timestamp=False)
     text = _reformat(path.read_text(), random.Random(seed))
     path.write_bytes(text.encode())
     with mock.patch.object(formats, "_BLOCK_BYTES", block):
@@ -246,13 +247,14 @@ def test_parse_agrees_with_line_reader(tmp_path_factory, system, seed, block):
 def test_sts1_accepts_whitespace_comments_and_any_pair_order(tmp_path):
     path = tmp_path / "a.sts"
     path.write_bytes(b"STS1\r\n# written: then\r\n states  4 \r\n\r\ninputs\t2\r\n\r\n"
-                     b"t 1 0 : 2\t3\r\n"
+                     + line_grid_meta(4, 2).replace("\n", "\r\n").encode()
+                     + b"t 1 0 : 2\t3\r\n"
                      b"   t 0 1 : 1 2\r\n"
                      b"# between\r\n\r\n"
                      b"t\t0\t0 :\t0\r\n"
                      b"t 3 1 : 0   \r\n")
     system, grid = formats.parse_system(path)
-    assert grid is None
+    assert (grid.num_cells, grid.num_inputs) == (4, 2)
     assert system == make_system(4, 2, {(1, 0): [2, 3], (0, 1): [1, 2], (0, 0): [0],
                                         (3, 1): [0]})
 
@@ -260,8 +262,8 @@ def test_sts1_accepts_whitespace_comments_and_any_pair_order(tmp_path):
 def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
     ctl = tmp_path / "a.ctl"
     # inputs ascend within each row; across rows (0 1 | 1) they need not
-    ctl.write_bytes(b"CTL1\r\nstates 3\r\ninputs 2\r\n"
-                    b"c 2 1 : 0 1\r\nc 1 2 : 1\r\n\r\n# target\r\n  c 0 0 :\r\n")
+    ctl.write_bytes(b"CTL1\r\nstates 3\r\ninputs 2\r\n" + line_grid_meta(3, 2).encode()
+                    + b"c 2 1 : 0 1\r\nc 1 2 : 1\r\n\r\n# target\r\n  c 0 0 :\r\n")
     ctrl, _ = formats.parse_controller(ctl)
     assert ctrl.levels.tolist() == [1, 3, 2]
     assert enabled(ctrl, 2).tolist() == [0, 1] and enabled(ctrl, 1).tolist() == [1]
@@ -272,56 +274,60 @@ def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
     assert lo.tolist() == [0, 1, np.inf] and up.tolist() == [0, np.inf, np.inf]
 
 
-HEAD = "STS1\nstates 2\ninputs 1\n"
-GRID = ("# grid: tau=1 mu=1 eta=[1] periodic=[0] domain_lower=[0] domain_upper=[1]"
-        " input_lower=[0] input_upper=[1]\n")
+GRID = line_grid_meta(2, 1)
+COUNTS = "states 2\ninputs 1\n"
+HEAD = "STS1\n" + GRID + COUNTS
 
 
 @pytest.mark.parametrize("text, match", [
-    pytest.param(HEAD + "t 0 0 : 1\nt 0 0 : 0\n", r"line 5: duplicate", id="duplicate-pair"),
-    pytest.param("STS1\nt 0 0 : 1\nstates 2\ninputs 1\n", r"line 2: transition line before",
+    pytest.param(HEAD + "t 0 0 : 1\nt 0 0 : 0\n", r"line 6: duplicate", id="duplicate-pair"),
+    pytest.param("STS1\n" + GRID + "t 0 0 : 1\n" + COUNTS, r"line 3: transition line before",
                  id="record-before-header"),
-    pytest.param(HEAD + "t 0 0 1 : 1\n", r"line 4: malformed transition line", id="three-heads"),
-    pytest.param(HEAD + "t 0 0 :\n", r"line 4: empty successor", id="empty-successors"),
-    pytest.param(HEAD + "x 0 0 : 1\n", r"line 4: unrecognized line", id="unknown-tag"),
-    pytest.param(HEAD + "initial 0 1\n", r"line 4: unrecognized line 'initial 0 1'",
+    pytest.param(HEAD + "t 0 0 1 : 1\n", r"line 5: malformed transition line", id="three-heads"),
+    pytest.param(HEAD + "t 0 0 :\n", r"line 5: empty successor", id="empty-successors"),
+    pytest.param(HEAD + "x 0 0 : 1\n", r"line 5: unrecognized line", id="unknown-tag"),
+    pytest.param(HEAD + "initial 0 1\n", r"line 5: unrecognized line 'initial 0 1'",
                  id="initial-line"),
-    pytest.param("STS1\nstates 2\nt 0 0 : 1\n", r"missing states/inputs header",
+    pytest.param("STS1\n" + GRID + "states 2\nt 0 0 : 1\n", r"missing states/inputs header",
                  id="missing-inputs"),
-    pytest.param(HEAD + "t 0 0 : 5\n", r"line 4: successor 5 out of range",
+    pytest.param(HEAD + "t 0 0 : 5\n", r"line 5: successor 5 out of range",
                  id="successor-out-of-range"),
-    pytest.param(HEAD + "t 0 0 : 1 1\n", r"line 4: successors not strictly ascending",
+    pytest.param(HEAD + "t 0 0 : 1 1\n", r"line 5: successors not strictly ascending",
                  id="repeated-successor"),
-    pytest.param(HEAD + "t 1 0 : 0\nt 0 0 : 1 0\n", r"line 5: successors not strictly ascending",
+    pytest.param(HEAD + "t 1 0 : 0\nt 0 0 : 1 0\n", r"line 6: successors not strictly ascending",
                  id="descending-successors"),
-    pytest.param(HEAD + "t 0 0 : a\n", r"line 4: unexpected character 'a'", id="letter"),
-    pytest.param(HEAD + "t 0 0 : -1\n", r"line 4: unexpected character '-'", id="minus-sign"),
-    pytest.param(HEAD + "t 0 0 : +1\n", r"line 4: unexpected character '\+'", id="plus-sign"),
-    pytest.param(HEAD + "t 0 0 : 1 : 1\n", r"line 4: expected 1 ':'", id="two-colons"),
-    pytest.param(HEAD + "t 0 0 1\n", r"line 4: expected 1 ':'", id="no-colon"),
-    pytest.param(HEAD + "t 0 1 : 1\n", r"line 4: state or input out of range",
+    pytest.param(HEAD + "t 0 0 : a\n", r"line 5: unexpected character 'a'", id="letter"),
+    pytest.param(HEAD + "t 0 0 : -1\n", r"line 5: unexpected character '-'", id="minus-sign"),
+    pytest.param(HEAD + "t 0 0 : +1\n", r"line 5: unexpected character '\+'", id="plus-sign"),
+    pytest.param(HEAD + "t 0 0 : 1 : 1\n", r"line 5: expected 1 ':'", id="two-colons"),
+    pytest.param(HEAD + "t 0 0 1\n", r"line 5: expected 1 ':'", id="no-colon"),
+    pytest.param(HEAD + "t 0 1 : 1\n", r"line 5: state or input out of range",
                  id="input-out-of-range"),
-    pytest.param(HEAD + "t 0 0 : 1234567890\n", r"line 4: number out of range",
+    pytest.param(HEAD + "t 0 0 : 1234567890\n", r"line 5: number out of range",
                  id="ten-digits"),
-    pytest.param("STS1\nstates -2\ninputs 1\n", r"line 2: 'states' takes one decimal number",
+    pytest.param("STS1\n" + GRID + "states -2\ninputs 1\n",
+                 r"line 3: 'states' takes one decimal number",
                  id="negative-states"),
-    pytest.param("STS1\nstates 2\ninputs 1 1\n", r"line 3: 'inputs' takes one decimal number",
+    pytest.param("STS1\n" + GRID + "states 2\ninputs 1 1\n",
+                 r"line 4: 'inputs' takes one decimal number",
                  id="two-input-counts"),
-    pytest.param("STS1\nstates 2\nstates 2\ninputs 1\n", r"line 3: repeated 'states'",
+    pytest.param("STS1\n" + GRID + "states 2\nstates 2\ninputs 1\n", r"line 4: repeated 'states'",
                  id="repeated-states"),
-    pytest.param("STS1\n" + GRID.replace("tau=1", "tau=x") + HEAD[5:], r"bad grid metadata",
+    pytest.param("STS1\n" + GRID.replace("tau=1", "tau=x") + COUNTS, r"bad grid metadata",
                  id="grid-bad-number"),
-    pytest.param("STS1\n" + GRID.replace("periodic=[0]", "periodic=[inf]") + HEAD[5:],
+    pytest.param("STS1\n" + GRID.replace("periodic=[0]", "periodic=[inf]") + COUNTS,
                  r"bad grid metadata: cannot convert float infinity", id="grid-infinite-flag"),
-    pytest.param("STS1\n" + GRID + "# grid: tau=5.0\n" + HEAD[5:],
+    pytest.param("STS1\n" + GRID + "# grid: tau=5.0\n" + COUNTS,
                  r"line 3: repeated grid key 'tau'", id="grid-repeated-key"),
-    pytest.param("STS1\n# grid: bogus=7\n" + GRID + HEAD[5:], r"line 2: unknown grid key 'bogus'",
+    pytest.param("STS1\n# grid: bogus=7\n" + GRID + COUNTS, r"line 2: unknown grid key 'bogus'",
                  id="grid-unknown-key"),
-    pytest.param("STS1\n" + GRID + "# grid: tau\n" + HEAD[5:],
+    pytest.param("STS1\n" + GRID + "# grid: tau\n" + COUNTS,
                  r"line 3: bad grid metadata token 'tau'", id="grid-bad-token"),
+    pytest.param("STS1\n" + COUNTS + "t 0 0 : 1\n",
+                 r"^no '# grid:' metadata: symtoc reads gridded systems only$", id="no-grid"),
     pytest.param("nope\n", r"not an STS1 file", id="wrong-magic"),
     pytest.param("", r"not an STS1 file", id="empty-file"),
-    pytest.param("STS1" + " " * 60 + "\n" + HEAD[5:], r"not an STS1 file \(header 'STS1'\)",
+    pytest.param("STS1" + " " * 60 + "\n" + GRID + COUNTS, r"not an STS1 file \(header 'STS1'\)",
                  id="overlong-magic-line"),
 ])
 def test_sts1_rejects(tmp_path, text, match):
@@ -345,23 +351,30 @@ def test_magic_line_read_is_bounded(tmp_path):
     assert peak < 1 << 20
 
 
+def _ctl1(n, m, records):
+    """A CTL1 text of n states and m inputs on line_grid(n, m)."""
+    return f"CTL1\n{line_grid_meta(n, m)}states {n}\ninputs {m}\n{records}"
+
+
 @pytest.mark.parametrize("text, match", [
-    pytest.param("CTL1\nstates 2\ninputs 1\nc 1 1 :\n", r"line 4: winning state without inputs",
+    pytest.param(_ctl1(2, 1, "c 1 1 :\n"), r"line 5: winning state without inputs",
                  id="winning-without-inputs"),
-    pytest.param("CTL1\nstates 2\ninputs 1\nc 2 0 :\n", r"line 4: state or value out of range",
+    pytest.param(_ctl1(2, 1, "c 2 0 :\n"), r"line 5: state or value out of range",
                  id="state-out-of-range"),
-    pytest.param("CTL1\nstates 2\ninputs 1\nc 1 1 : 1\n", r"line 4: input 1 out of range",
+    pytest.param(_ctl1(2, 1, "c 1 1 : 1\n"), r"line 5: input 1 out of range",
                  id="input-out-of-range"),
-    pytest.param("CTL1\nstates 2\ninputs 1\nc 0 0 :\nc 0 0 :\n",
-                 r"line 5: duplicate controller state", id="duplicate-state"),
-    pytest.param("CTL1\nstates 3\ninputs 2\nc 0 0 : 1\n", r"line 4: target state with inputs",
+    pytest.param(_ctl1(2, 1, "c 0 0 :\nc 0 0 :\n"),
+                 r"line 6: duplicate controller state", id="duplicate-state"),
+    pytest.param(_ctl1(3, 2, "c 0 0 : 1\n"), r"line 5: target state with inputs",
                  id="target-with-inputs"),
-    pytest.param("CTL1\nstates 3\ninputs 2\nc 2 1 : 1 1\n",
-                 r"line 4: inputs not strictly ascending", id="repeated-input"),
-    pytest.param("CTL1\nstates 3\ninputs 2\nc 1 1 : 0\nc 0 0 :\nc 2 1 : 1 0\n",
-                 r"line 6: inputs not strictly ascending", id="descending-inputs"),
-    pytest.param("CTL1\nstates 2\ninputs 1\ninitial 0\n", r"line 4: unrecognized line",
+    pytest.param(_ctl1(3, 2, "c 2 1 : 1 1\n"),
+                 r"line 5: inputs not strictly ascending", id="repeated-input"),
+    pytest.param(_ctl1(3, 2, "c 1 1 : 0\nc 0 0 :\nc 2 1 : 1 0\n"),
+                 r"line 7: inputs not strictly ascending", id="descending-inputs"),
+    pytest.param(_ctl1(2, 1, "initial 0\n"), r"line 5: unrecognized line",
                  id="initial-line"),
+    pytest.param("CTL1\nstates 2\ninputs 1\nc 0 0 :\n",
+                 r"^no '# grid:' metadata: symtoc reads gridded systems only$", id="no-grid"),
     pytest.param("STS1\nstates 2\n", r"not a CTL1 file", id="wrong-magic"),
 ])
 def test_ctl1_rejects(tmp_path, text, match):

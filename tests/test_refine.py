@@ -187,10 +187,6 @@ def test_plot_input_column_is_the_applied_input(di_problem, tmp_path):
             assert np.isnan(row[2])
         else:
             assert row[2] == inputs[u][0]
-    formats.write_plot(tmp_path / "plain.csv", controller, timestamp=False)
-    _, rows = parse_plot(tmp_path / "plain.csv")
-    assert [(x, u) for x, u, _ in rows] == \
-        [(x, None if u == TARGET else u) for x, u in zip(winning.tolist(), chosen.tolist())]
 
 
 def test_start_outside_the_domain_has_no_certificate(di_problem):
