@@ -10,8 +10,8 @@ inside the computed bracket. Safety constraints compose by first solving
 the least restrictive safety game.
 """
 
-from .abstraction import (GridSpec, Quantizer, TargetBox, TargetSpec, build_abstraction,
-                          target_over, target_under)
+from .abstraction import (GridSpec, Quantizer, SuccessorBoxes, TargetBox, TargetSpec,
+                          build_abstraction, target_over, target_under)
 from .dynamics import (DivergenceError, Model, SampledFlow, double_integrator, integrate,
                        make_model, one_period, reach_radius, register_model, unicycle)
 from .fts import FiniteSystem, StateSet

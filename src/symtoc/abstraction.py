@@ -47,9 +47,9 @@ _TIE_SHAVE = 1e-9
 # domain reaching past it, and the builder such an endpoint on a periodic axis.
 _MAX_WRAPPED = _TIE_SHAVE * 2.0 ** 53
 _MAX_IDS = 2.0 ** 31  # state and input ids are stored as int32
-# Successors the builder enumerates per block: a block's int64 work arrays
-# stay near 256 KB, so the memory of a build does not grow with the
-# successors of one input.
+# Successors `SuccessorBoxes.expand` enumerates per block: a block's int64
+# work arrays stay near 256 KB, so the memory of an expansion does not grow
+# with the successors of one input.
 _ENUM_BLOCK = 1 << 15
 
 
@@ -442,6 +442,73 @@ def target_under(grid: GridSpec, spec: TargetSpec) -> StateSet:
 
 # -- abstraction builder -----------------------------------------------
 
+class SuccessorBoxes:
+    """The successor sets of a gridded abstraction as boxes of cells.
+
+    Every successor set of the builder is the cells that meet one box: per
+    axis a start cell and a count of cells, across the seam on a periodic
+    axis. `inputs[u]` holds input u's enabled cells (ascending int32), their
+    box starts (int32, one row per cell, one column per axis), each box's
+    shape id, and the shapes, one count vector per row (int32): the boxes of
+    one input share their size, so they take one to three shapes. The pair's
+    successors are the cells of that box. `expand` turns the boxes into the
+    FiniteSystem they stand for.
+    """
+
+    def __init__(self, grid: GridSpec, inputs):
+        self.grid = grid
+        self.inputs = inputs
+        self.num_states = grid.num_cells
+        self.num_inputs = grid.num_inputs
+        self.num_transitions = sum(int(shapes.prod(axis=1)[shape].sum())
+                                   for _, _, shape, shapes in inputs)
+
+    def _scatter_counts(self, out):
+        """Write each enabled pair's successor count to out[x*M + u] (out is zeroed)."""
+        M = self.num_inputs
+        for u, (cells, _, shape, shapes) in enumerate(self.inputs):
+            out[cells.astype(np.int64) * M + u] = shapes.prod(axis=1)[shape]  # N*M may pass 2^31
+
+    @property
+    def pair_counts(self) -> np.ndarray:
+        counts = np.zeros(self.num_states * self.num_inputs, dtype=np.int64)
+        self._scatter_counts(counts)
+        return counts
+
+    def expand(self) -> FiniteSystem:
+        """The FiniteSystem of the boxes: one CSR, each successor written once into its slot."""
+        grid, N, M = self.grid, self.num_states, self.num_inputs
+        K = grid.cells_per_axis()
+        strides = Quantizer(grid).strides
+        offsets = np.zeros(N * M + 1, dtype=np.int64)
+        self._scatter_counts(offsets[1:])
+        np.cumsum(offsets, out=offsets)
+        targets = np.empty(offsets[-1], dtype=np.int32)
+        for u, (cells, starts, shape, shapes) in enumerate(self.inputs):
+            first = offsets[cells.astype(np.int64) * M + u]
+            # the cells of one shape are enumerated together, at most
+            # _ENUM_BLOCK successors per block; C-order ids ascend with each
+            # axis's coordinates, and on a wrapped axis the sorted coordinates
+            # of a box that crosses the seam are its cells rotated to start at 0
+            for sid, counts in enumerate(shapes.tolist()):
+                rows = np.flatnonzero(shape == sid)
+                step = max(1, _ENUM_BLOCK // math.prod(counts))
+                for b in range(0, rows.size, step):
+                    block = rows[b:b + step]
+                    flat = np.zeros((block.size, 1), dtype=np.int64)
+                    for k, c in enumerate(counts):
+                        s = starts[block, k][:, None].astype(np.int64)
+                        j = np.arange(c)
+                        if grid.periodic[k]:
+                            past = np.maximum(s + c - K[k], 0)  # cells past the seam
+                            coord = (s + (j - past) % c) % K[k]
+                        else:
+                            coord = s + j
+                        flat = (flat[:, :, None] + coord[:, None, :] * strides[k]).reshape(block.size, -1)
+                    targets[first[block][:, None] + np.arange(flat.shape[1])] = flat
+        return FiniteSystem.from_csr(N, M, offsets, targets)
+
+
 def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
                       input_margin: bool = False):
     """Finite over-approximating abstraction of the sampled dynamics on the grid.
@@ -452,7 +519,8 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     (input-specific when the model provides per-input contraction data);
     successors are all cells the quantizer can map a point of the resulting
     box to. The input is disabled at a cell when the box is not contained in
-    the domain (non-periodic axes). Returns (FiniteSystem, Quantizer).
+    the domain (non-periodic axes). Returns (SuccessorBoxes, Quantizer);
+    `SuccessorBoxes.expand()` gives the FiniteSystem.
     Raises ValueError unless the grid quantizes the model's state space
     (`GridSpec.check_model`), and DivergenceError when an endpoint on a
     periodic axis is too large to wrap soundly (`_MAX_WRAPPED`).
@@ -462,9 +530,9 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
     actuation is quantized: `reach_radius` gets du = mu/2 and raises
     ValueError when the model declares no input_sensitivity.
 
-    `threads` threads build the inputs, the calling one included; each
-    successor goes to the CSR slot its input and cell fix, so the output is
-    identical for any thread count. Raises ValueError when threads is below 1.
+    `threads` threads build the inputs, the calling one included; the boxes
+    are identical for any thread count. Raises ValueError when threads is
+    below 1.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -524,49 +592,24 @@ def build_abstraction(model: Model, grid: GridSpec, threads: int = 1,
             starts[:, k] = s
             counts[:, k] = np.mod(e - s, K[k]) + 1
         sel = np.flatnonzero(enabled).astype(np.int32)  # ids < 2^31 (_MAX_IDS)
-        return sel, starts[sel], counts[sel]
+        counts = counts[sel]
+        # the distinct count vectors, in ascending C order of their cell
+        # offsets, number the shapes (np.unique would import numpy.ma)
+        key = np.ravel_multi_index((counts - 1).T, K)
+        ids = np.sort(key)
+        ids = ids[np.diff(ids, prepend=-1) != 0]
+        shape = np.searchsorted(ids, key).astype(np.int32)
+        shapes = np.stack(np.unravel_index(ids, K), axis=-1).astype(np.int32) + 1
+        return sel, starts[sel], shape, shapes.reshape(-1, n)
 
-    def fill(u):
-        sel, starts, counts = boxes[u]
-        first = offsets[sel.astype(np.int64) * M + u]
-        # all boxes of one input have the same size, so they span one of a
-        # few cell counts per axis; the cells of one such shape are
-        # enumerated together, at most _ENUM_BLOCK successors per block. C-order
-        # ids ascend with each axis's coordinates, which a wrapped axis sorts.
-        shape_id = np.ravel_multi_index((counts - 1).T, K)
-        ids = np.sort(shape_id)
-        for sid in ids[np.diff(ids, prepend=-1) != 0]:  # np.unique would import numpy.ma
-            cells = np.flatnonzero(shape_id == sid)
-            shape = counts[cells[0]].tolist()
-            step = max(1, _ENUM_BLOCK // math.prod(shape))
-            for b in range(0, cells.size, step):
-                rows = cells[b:b + step]
-                flat = np.zeros((rows.size, 1), dtype=np.int64)
-                for k in range(n):
-                    coord = starts[rows, k][:, None] + np.arange(shape[k])
-                    if grid.periodic[k]:
-                        coord = np.sort(coord % K[k], axis=1)
-                    flat = (flat[:, :, None] + coord[:, None, :] * quantizer.strides[k]).reshape(rows.size, -1)
-                targets[first[rows][:, None] + np.arange(flat.shape[1])] = flat
-
-    def each_input(work):
-        # the calling thread runs every input u with u % threads == 0 and
-        # threads - 1 helpers the rest; reading in input order raises the lowest
-        # failing input's error, and one thread submits nothing and starts none
-        from concurrent.futures import ThreadPoolExecutor  # loaded by a build only
-        with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
-            helped = {u: pool.submit(work, u) for u in range(M) if u % threads}
-            try:
-                return [helped[u].result() if u in helped else work(u) for u in range(M)]
-            finally:
-                pool.shutdown(cancel_futures=True)
-
-    # pass 1 sizes every pair, so pass 2 writes each successor into the one CSR
-    boxes = each_input(job)
-    offsets = np.zeros(N * M + 1, dtype=np.int64)
-    for u, (sel, _, counts) in enumerate(boxes):
-        offsets[sel.astype(np.int64) * M + u + 1] = counts.prod(axis=1)  # N*M may pass 2^31
-    np.cumsum(offsets, out=offsets)
-    targets = np.empty(offsets[-1], dtype=np.int32)
-    each_input(fill)
-    return FiniteSystem.from_csr(N, M, offsets, targets), quantizer
+    # the calling thread runs every input u with u % threads == 0 and
+    # threads - 1 helpers the rest; reading in input order raises the lowest
+    # failing input's error, and one thread submits nothing and starts none
+    from concurrent.futures import ThreadPoolExecutor  # loaded by a build only
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        helped = {u: pool.submit(job, u) for u in range(M) if u % threads}
+        try:
+            boxes = [helped[u].result() if u in helped else job(u) for u in range(M)]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return SuccessorBoxes(grid, boxes), quantizer

@@ -50,13 +50,13 @@ def cmd_abstract(cfg: ProblemConfig, out_dir=".", threads=1, timestamp=True) -> 
         raise ConfigError("abstract needs a grid section")
     model = cfg.build_model()
     t0 = time.perf_counter()
-    system, _ = build_abstraction(model, cfg.grid, threads=threads,
-                                  input_margin=cfg.input_margin)
+    boxes, _ = build_abstraction(model, cfg.grid, threads=threads,
+                                 input_margin=cfg.input_margin)
     elapsed = time.perf_counter() - t0
     path = os.path.join(out_dir, cfg.output_path("system"))
-    formats.write_system(path, system, grid=cfg.grid, timestamp=timestamp)
-    print(f"abstract: {system.num_states} states, {system.num_inputs} inputs, "
-          f"{system.num_transitions} transitions in {elapsed:.1f}s -> {path}")
+    formats.write_system(path, boxes, timestamp=timestamp)
+    print(f"abstract: {boxes.num_states} states, {boxes.num_inputs} inputs, "
+          f"{boxes.num_transitions} transitions in {elapsed:.1f}s -> {path}")
     return EXIT_OK
 
 

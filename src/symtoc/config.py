@@ -134,6 +134,10 @@ def _member_from_pairs(pairs, prefix) -> TargetSpec:
         make, fields = TargetSpec.ball, (("center", "list"), ("radius", "number"))
     else:
         raise ConfigError(f"key '{prefix}.shape': unknown shape '{shape}'")
+    known = {f"{prefix}.{name}" for name, _ in fields}
+    for key, (_, lineno) in pairs.items():
+        if key.startswith(prefix + ".") and key not in known:
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
     args = [_want(pairs, f"{prefix}.{name}", typ, required=True) for name, typ in fields]
     try:
         return make(*args, free=free)

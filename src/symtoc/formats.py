@@ -1,11 +1,12 @@
-"""Text file formats: STS1 systems, CTL1 controllers and every CSV (bounds, trace, plot, report).
+"""Text file formats: STS2 systems, CTL1 controllers and every CSV (bounds, trace, plot, report).
 
 Formats are line oriented and diff friendly; floats are written with Python
 repr so every file re-parses to a structurally identical object and repeated
 runs are byte identical (a timestamp comment can be suppressed).
 
-STS1 (`t x u : s ...`) and CTL1 (`c x v : u ...`) share one tagged-record
-layout, written by `_write_tagged` and read by `_read_tagged`; one table,
+STS2 (`t x u : s_1 ... s_n k`, the box of cells that start at s and span
+shape k's counts) and CTL1 (`c x v : u ...`) share one header, written by
+`_header`, and one tagged-record reader, `_read_tagged`; one table,
 `_GRID_META`, lists their `# grid:` metadata. The record lines and the bounds
 CSV (`x,lower,upper`) go through one block codec built on numpy: `_render`
 turns a block of lines into a uint8 buffer, and `_scan` reads a file in
@@ -29,8 +30,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .abstraction import GridSpec, Quantizer
-from .fts import FiniteSystem, segment_indices
+from .abstraction import GridSpec, Quantizer, SuccessorBoxes
+from .fts import segment_indices
 from .refine import TARGET, applied_inputs
 from .synthesis import EntryTimeTable, SymbolicController
 
@@ -327,31 +328,27 @@ def _keyed_csr(key, size, lines, tail_len, tail, what):
     return offsets, tail
 
 
-# -- STS1 and CTL1: tagged records -----------------------------------------------
+# -- STS2 and CTL1: tagged records -----------------------------------------------
 
-def _write_tagged(path, magic, tag: bytes, n, m, grid, timestamp, rows, heads, offsets, flat):
-    """Write the header, then one line `tag h0 h1 : flat[offsets[r]:offsets[r+1]]`
-    per row r of `rows`; heads(rows) gives the h0 and h1 columns of a block."""
+def _header(magic, n, m, grid: GridSpec, timestamp) -> bytes:
+    """The magic line, the timestamp comment (optional), the `# grid:` lines and
+    the states/inputs header."""
     text = magic + "\n" + (_timestamp_line() if timestamp else "")
     entries = [f"{key}={kind[0](getattr(grid, key))}" for key, kind in _GRID_META.items()]
     entries[:2] = [" ".join(entries[:2])]  # tau and mu share a line
     text += "".join(f"# grid: {entry}\n" for entry in entries)
-    with open(path, "wb") as fh:
-        fh.write(f"{text}states {n}\ninputs {m}\n".encode())
-        _write_blocks(fh, np.diff(offsets)[rows] + 4,
-                      lambda a, b: _tagged_tokens(heads(rows[a:b]), offsets, flat, rows[a:b]),
-                      b" ", (tag, b":"))
+    return f"{text}states {n}\ninputs {m}\n".encode()
 
 
-def _read_tagged(path, magic, tag: bytes, what):
+def _read_tagged(path, magic, tag: bytes, what, keyword=None):
     """Read the header and the `tag a b : tail ...` records of a file.
 
-    Returns the states and inputs counts, the grid, the record line
-    numbers, the a and b columns, the tail lengths and values, and the scanned
-    tokens, which a caller holds until its CSR is built (freed first, their
-    heap hole takes the CSR offsets and a later synthesis peaks higher in RSS).
+    Returns the states and inputs counts, the grid, the record line numbers,
+    the token count of each record's tail and all record tokens in file order
+    (the two heads of a record, then its tail). With `keyword`, each line
+    `keyword w...` is also returned, as (line number, [w...]) in file order.
     """
-    header, grid_entries = {}, {}
+    header, grid_entries, extra = {}, {}, []
 
     def on_line(lineno, line):
         if line.startswith("# grid:"):
@@ -368,12 +365,14 @@ def _read_tagged(path, magic, tag: bytes, what):
         if line.startswith("#"):
             return
         key, *values = line.split()
+        if key == keyword:
+            extra.append((lineno, values))
+            return
         if key not in ("states", "inputs"):
             raise FormatError(f"line {lineno}: unrecognized line '{_shown(line)}'")
         if key in header:
             raise FormatError(f"line {lineno}: repeated '{key}' line")
-        if not (len(values) == 1 and values[0].isascii() and values[0].isdigit()
-                and len(values[0]) <= _MAX_DIGITS):
+        if not (len(values) == 1 and _is_number(values[0])):
             raise FormatError(f"line {lineno}: '{key}' takes one decimal number")
         header[key] = (lineno, int(values[0]))
 
@@ -382,7 +381,7 @@ def _read_tagged(path, magic, tag: bytes, what):
         head = fh.readline(_SHOWN_CHARS + 2)
         first = head.decode(errors="replace").strip()
         if first != magic or (len(head) == _SHOWN_CHARS + 2 and not head.endswith(b"\n")):
-            article = "an" if magic == "STS1" else "a"
+            article = "an" if magic.startswith("S") else "a"
             raise FormatError(f"not {article} {magic} file (header '{_shown(first)}')")
         lines, counts, values = _scan(fh, 2, tag, b":", 2, what, on_line)
     if len(header) < 2:
@@ -397,50 +396,132 @@ def _read_tagged(path, magic, tag: bytes, what):
         raise FormatError("grid metadata input count does not match the input count")
     if (counts[:, 0] != 2).any():
         raise FormatError(f"line {lines[np.argmax(counts[:, 0] != 2)]}: malformed {what}")
-    width = counts.sum(axis=1)
-    start = np.cumsum(width) - width
-    tail = np.ones(values.size, dtype=bool)
-    tail[start] = tail[start + 1] = False
-    return (n, m, grid, lines, values[start], values[start + 1], counts[:, 1], values[tail],
-            values)
+    return n, m, grid, lines, counts[:, 1], values, extra
 
 
-# -- STS1 system files ---------------------------------------------------
+def _is_number(word) -> bool:
+    return word.isascii() and word.isdigit() and len(word) <= _MAX_DIGITS
 
-def write_system(path, sys: FiniteSystem, grid: GridSpec, timestamp: bool = True):
-    _write_tagged(path, "STS1", b"t", sys.num_states, sys.num_inputs, grid, timestamp,
-                  np.flatnonzero(np.diff(sys._offsets) > 0),
-                  lambda pairs: np.divmod(pairs, sys.num_inputs), sys._offsets, sys._targets)
+
+# -- STS2 system files ---------------------------------------------------
+
+def write_system(path, boxes: SuccessorBoxes, timestamp: bool = True):
+    """Write the boxes as STS2: per input, its `shape u k c_1 ... c_n` lines, then
+    one `t x u : s_1 ... s_n k` record per enabled cell x, by ascending x."""
+    n = boxes.grid.dim
+    with open(path, "wb") as fh:
+        fh.write(_header("STS2", boxes.num_states, boxes.num_inputs, boxes.grid, timestamp))
+        for u, (cells, starts, shape, shapes) in enumerate(boxes.inputs):
+            fh.write("".join(f"shape {u} {k} {' '.join(map(str, counts))}\n"
+                             for k, counts in enumerate(shapes.tolist())).encode())
+
+            def tokens_of(a, b):
+                tokens = np.empty((b - a, n + 5), dtype=np.int32)
+                tokens[:, 0], tokens[:, 1], tokens[:, 2], tokens[:, 3] = -1, cells[a:b], u, -2
+                tokens[:, 4:-1] = starts[a:b]
+                tokens[:, -1] = shape[a:b]
+                return tokens.ravel()
+
+            _write_blocks(fh, np.full(cells.size, n + 5), tokens_of, b" ", (b"t", b":"))
+
+
+def _read_shapes(shape_lines, m, K):
+    """Each input's shapes, an (S, n) int32 array of count vectors, and the line of
+    its last shape line (0 without one). An input's shape ids number its
+    `shape` lines from 0 in file order; each count lies in 1..K on its axis."""
+    n = K.size
+    table, last = [[] for _ in range(m)], np.zeros(m, dtype=np.int64)
+    for lineno, words in shape_lines:
+        if len(words) != n + 2 or not all(map(_is_number, words)):
+            raise FormatError(f"line {lineno}: 'shape' takes an input, a shape id and "
+                              f"{n} counts")
+        u, k, *counts = map(int, words)
+        if u >= m:
+            raise FormatError(f"line {lineno}: input {u} out of range")
+        if k != len(table[u]):
+            raise FormatError(f"line {lineno}: shape {k} of input {u} where its shape "
+                              f"{len(table[u])} is due")
+        for a, c in enumerate(counts):
+            if not 1 <= c <= K[a]:
+                raise FormatError(f"line {lineno}: count {c} on axis x{a + 1} is not in "
+                                  f"1..{K[a]}")
+        table[u].append(counts)
+        last[u] = lineno
+    return [np.array(t, dtype=np.int32).reshape(-1, n) for t in table], last
+
+
+def _parse_boxes(path) -> SuccessorBoxes:
+    """Read an STS2 file into the SuccessorBoxes it stores."""
+    what = "transition line"
+    N, m, grid, lines, tail_len, values, shape_lines = _read_tagged(path, "STS2", b"t", what,
+                                                                    "shape")
+    K = grid.cells_per_axis()
+    n = K.size
+    shapes, last = _read_shapes(shape_lines, m, K)
+
+    def reject(bad, message):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FormatError(f"line {lines[i]}: {message(i)}")
+
+    reject(tail_len != n + 1, lambda i: f"malformed {what}: expected {n} start"
+                                        f"{'s' if n > 1 else ''} and a shape id")
+    rec = values.reshape(-1, n + 3)
+    x, u, starts, k = rec[:, 0], rec[:, 1], rec[:, 2:-1], rec[:, -1]
+    reject((x >= N) | (u >= m), lambda i: "state or input out of range")
+    key = u.astype(np.int64) * N + x
+    reject(np.concatenate(([False], key[1:] <= key[:-1])),
+           lambda i: f"record of cell {x[i]} and input {u[i]} repeated or out of order "
+                     "(records ascend by input, then by cell)")
+    per_input = np.array([s.shape[0] for s in shapes], dtype=np.int64)
+    reject(k >= per_input[u], lambda i: f"unknown shape {k[i]} of input {u[i]}")
+    reject(lines < last[u], lambda i: f"record before the shape lines of input {u[i]}")
+    table = np.concatenate([np.zeros((0, n), dtype=np.int32), *shapes])
+    row = (np.cumsum(per_input) - per_input)[u] + k
+    for a in range(n):
+        reject(starts[:, a] >= K[a], lambda i: f"start {starts[i, a]} on axis x{a + 1} off the "
+                                               f"grid's {K[a]} cells")
+        if not grid.periodic[a]:
+            reject(starts[:, a] + table[row, a] > K[a],
+                   lambda i: f"box past the grid's edge on axis x{a + 1}")
+    bounds = np.searchsorted(u, np.arange(m + 1))
+    return SuccessorBoxes(grid, [(x[a:b], starts[a:b], k[a:b], shapes[v])
+                                 for v, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))])
 
 
 def parse_system(path):
-    """Read an STS1 file; returns (FiniteSystem, GridSpec)."""
-    what = "transition line"
-    n, m, grid, lines, x, u, tail_len, succ, _tokens = _read_tagged(path, "STS1", b"t", what)
-    if (tail_len == 0).any():
-        raise FormatError(f"line {lines[np.argmax(tail_len == 0)]}: empty successor list")
-    bad = (x >= n) | (u >= m)
-    if bad.any():
-        raise FormatError(f"line {lines[np.argmax(bad)]}: state or input out of range")
-    _check_tail(lines, tail_len, succ, n, "successor")
-    _check_ascending(lines, tail_len, succ, "successors")
-    pair = x.astype(np.int64) * m + u
-    offsets, targets = _keyed_csr(pair, n * m, lines, tail_len, succ, "(state,input) " + what)
-    return FiniteSystem.from_csr(n, m, offsets, targets), grid
+    """Read an STS2 file; returns (FiniteSystem, GridSpec): the system its boxes expand to."""
+    boxes = _parse_boxes(path)
+    return boxes.expand(), boxes.grid
 
 
 # -- CTL1 controller files ------------------------------------------------
 
 def write_controller(path, ctrl: SymbolicController, grid: GridSpec, timestamp: bool = True):
-    _write_tagged(path, "CTL1", b"c", ctrl.num_states, ctrl.num_inputs, grid, timestamp,
-                  np.flatnonzero(ctrl.levels <= ctrl.num_states),
-                  lambda x: (x, ctrl.levels[x] - 1), ctrl.offsets, ctrl.enabled_inputs_flat)
+    """Write CTL1; raises ValueError unless the grid has the controller's states and inputs."""
+    n, m = ctrl.num_states, ctrl.num_inputs
+    if (grid.num_cells, grid.num_inputs) != (n, m):
+        raise ValueError(f"the controller has {n} states and {m} inputs, its grid "
+                         f"{grid.num_cells} cells and {grid.num_inputs} inputs")
+    rows = np.flatnonzero(ctrl.levels <= n)
+    offsets, flat = ctrl.offsets, ctrl.enabled_inputs_flat
+    with open(path, "wb") as fh:
+        fh.write(_header("CTL1", n, m, grid, timestamp))
+        _write_blocks(fh, np.diff(offsets)[rows] + 4,
+                      lambda a, b: _tagged_tokens((rows[a:b], ctrl.levels[rows[a:b]] - 1),
+                                                  offsets, flat, rows[a:b]),
+                      b" ", (b"c", b":"))
 
 
 def parse_controller(path):
     """Read a CTL1 file; returns (SymbolicController, GridSpec)."""
     what = "controller line"
-    n, m, grid, lines, x, value, tail_len, inputs, _ = _read_tagged(path, "CTL1", b"c", what)
+    n, m, grid, lines, tail_len, values, _ = _read_tagged(path, "CTL1", b"c", what)
+    start = np.cumsum(tail_len + 2) - (tail_len + 2)
+    x, value = values[start], values[start + 1]
+    tail = np.ones(values.size, dtype=bool)
+    tail[start] = tail[start + 1] = False
+    inputs = values[tail]
     bad = (x >= n) | (value >= n)
     if bad.any():
         raise FormatError(f"line {lines[np.argmax(bad)]}: state or value out of range")

@@ -16,14 +16,15 @@ def _bundle(name):
     cfg = parse_config(os.path.join(CONFIG_DIR, name))
     model = cfg.build_model()
     t0 = time.perf_counter()
-    system, quantizer = build_abstraction(model, cfg.grid, input_margin=cfg.input_margin)
+    boxes, quantizer = build_abstraction(model, cfg.grid, input_margin=cfg.input_margin)
+    system = boxes.expand()
     build_seconds = time.perf_counter() - t0
     w_under = target_under(cfg.grid, cfg.target)
     w_over = target_over(cfg.grid, cfg.target)
     unsafe = target_over(cfg.grid, cfg.obstacles) if cfg.obstacles is not None else None
     controller, lower = synthesize(system, w_under, w_over, unsafe)
     return SimpleNamespace(cfg=cfg, model=model, flow=SampledFlow(cfg.grid.tau),
-                           system=system, quantizer=quantizer, w_under=w_under,
+                           boxes=boxes, system=system, quantizer=quantizer, w_under=w_under,
                            w_over=w_over, unsafe=unsafe, controller=controller,
                            lower=lower, rc=RefinedController(controller, quantizer),
                            build_seconds=build_seconds)

@@ -1,7 +1,8 @@
 """Independent oracles for the solver tests: definitional value iteration with
 plain Python dicts and sets, plus random system generators, readers for the
 trace and plot CSVs that only the tests read back, a system built from a
-mapping, a line grid with one cell per state for hand-built systems, per-pair
+mapping, successor boxes from a mapping, a build expanded to its system, a
+line grid with one cell per state for hand-built systems, per-pair
 and per-state accessors of systems and solver results, a Monte-Carlo check of
 a model's growth bound and an oracle of its reachable-box radius.
 
@@ -14,7 +15,8 @@ import math
 
 import numpy as np
 
-from symtoc import FiniteSystem, GridSpec, StateSet, integrate, reach_radius
+from symtoc import (FiniteSystem, GridSpec, StateSet, SuccessorBoxes, build_abstraction,
+                    integrate, reach_radius)
 from symtoc.dynamics import _expm, _expm_and_integral
 from symtoc.formats import FormatError
 
@@ -32,6 +34,45 @@ def make_system(num_states, num_inputs, transitions=()):
                                  np.concatenate([[0], np.cumsum(counts)]), targets)
 
 
+def build_system(model, grid, **kwargs):
+    """`build_abstraction`'s boxes expanded: (FiniteSystem, Quantizer)."""
+    boxes, quantizer = build_abstraction(model, grid, **kwargs)
+    return boxes.expand(), quantizer
+
+
+def make_boxes(grid, boxes=()):
+    """SuccessorBoxes on `grid` from a {(cell, input): (starts, counts)} mapping,
+    one start and one count per grid axis (or one number each on a 1-D grid);
+    each input's shapes are its distinct count vectors, ascending."""
+    n = grid.dim
+    rows = [[] for _ in range(grid.num_inputs)]
+    for (x, u), (starts, counts) in sorted(dict(boxes).items()):
+        rows[u].append((x, np.ravel(starts), tuple(np.ravel(counts).tolist())))
+    inputs = []
+    for pairs in rows:
+        shapes = sorted({counts for _, _, counts in pairs})
+        inputs.append((np.array([x for x, _, _ in pairs], dtype=np.int32),
+                       np.array([s for _, s, _ in pairs], dtype=np.int32).reshape(-1, n),
+                       np.array([shapes.index(c) for _, _, c in pairs], dtype=np.int32),
+                       np.array(shapes, dtype=np.int32).reshape(-1, n)))
+    return SuccessorBoxes(grid, inputs)
+
+
+def random_boxes(rng, grid, density=0.5):
+    """SuccessorBoxes of random boxes on `grid`: each pair is enabled with
+    probability `density`, with a random count per axis and a start that keeps
+    the box on the grid (any start on a periodic axis)."""
+    K = grid.cells_per_axis()
+    mapping = {}
+    for x in range(grid.num_cells):
+        for u in range(grid.num_inputs):
+            if rng.random() < density:
+                counts = rng.integers(1, K + 1)
+                starts = np.where(grid.periodic, rng.integers(0, K), rng.integers(0, K - counts + 1))
+                mapping[(x, u)] = (starts, counts)
+    return make_boxes(grid, mapping)
+
+
 def line_grid(n, m):
     """A 1-D grid of n cells and m inputs (n, m >= 1), tau = eta = mu = 1 on
     [0, n-1] x [0, m-1]: cell x is centered at x and input u is the value u."""
@@ -41,7 +82,7 @@ def line_grid(n, m):
 
 def line_grid_meta(n, m):
     """The `# grid:` metadata of line_grid(n, m) on one line, for hand-written
-    STS1 and CTL1 texts."""
+    STS2 and CTL1 texts."""
     return (f"# grid: tau=1 mu=1 eta=[1] periodic=[0] domain_lower=[0] domain_upper=[{n - 1}]"
             f" input_lower=[0] input_upper=[{m - 1}]\n")
 

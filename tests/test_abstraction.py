@@ -16,7 +16,7 @@ from symtoc import (DivergenceError, GridSpec, Model, Quantizer, SampledFlow,
 from symtoc.config import parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY
 
-from helpers import coords_to_index, enabled_inputs, post, transitions
+from helpers import build_system, coords_to_index, enabled_inputs, post, transitions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -234,7 +234,7 @@ def test_double_integrator_nine_successor_cells():
     # from the cell centered at the origin under u=1: nominal (0.5, 1.0),
     # radius (0.3, 0.3), box [0.2,0.8]x[0.7,1.3]
     grid = di_grid()
-    system, q = build_abstraction(double_integrator(), grid)
+    system, q = build_system(double_integrator(), grid)
     cell = q.cell_index(np.array([0.0, 0.0]))
     u_one = 20  # inputs -1.0 .. 1.0 step 0.1
     assert grid.input_values()[u_one, 0] == pytest.approx(1.0)
@@ -248,7 +248,7 @@ def test_stationary_model_self_loop_successor():
     # zero dynamics, zero growth matrix: the reachable box is the cell's own
     # quantizer region, so the only successor is the cell itself
     grid = di_grid(extent=1.5, eta=0.3, mu=1.0)
-    system, q = build_abstraction(stationary_model(), grid)
+    system, q = build_system(stationary_model(), grid)
     interior = q.cell_index(np.array([0.0, 0.0]))
     succ = post(system, int(interior), 0)
     assert succ.tolist() == [int(interior)]
@@ -257,12 +257,12 @@ def test_stationary_model_self_loop_successor():
 def test_boundary_cells_are_disabled():
     # any cell whose over-approximation box crosses the domain edge loses the input
     grid = di_grid(extent=1.5, eta=0.3, mu=1.0)
-    system, q = build_abstraction(stationary_model(), grid)
+    system, q = build_system(stationary_model(), grid)
     edge = q.cell_index(np.array([1.5, 0.0]))
     assert enabled_inputs(system, int(edge)).tolist() == []
     # double integrator pushed outward at the fast edge
     grid2 = di_grid()
-    system2, q2 = build_abstraction(double_integrator(), grid2)
+    system2, q2 = build_system(double_integrator(), grid2)
     corner = q2.cell_index(np.array([3.0, 3.0]))
     assert post(system2, int(corner), 20).size == 0
 
@@ -272,10 +272,10 @@ def test_build_deterministic_and_thread_invariant():
     # helpers get unequal shares, and 7 threads are more than there are inputs
     grid = di_grid(extent=1.5, mu=0.5)
     assert grid.num_inputs == 5
-    a, _ = build_abstraction(double_integrator(), grid)
+    a, _ = build_system(double_integrator(), grid)
     assert a.num_transitions > 0
     for threads in (1, 2, 3, 5, 7):
-        assert build_abstraction(double_integrator(), grid, threads=threads)[0] == a
+        assert build_system(double_integrator(), grid, threads=threads)[0] == a
 
 
 def drift_grid():
@@ -478,7 +478,7 @@ def test_periodic_seam_gap_maps_to_the_closer_center():
 
 def test_periodic_successors_wrap_across_seam():
     grid = unicycle_grid()
-    system, q = build_abstraction(unicycle(), grid)
+    system, q = build_system(unicycle(), grid)
     inputs = grid.input_values()
     cell = q.cell_index(np.array([0.8, 0.8, np.pi - 0.05]))
     # holding the heading at the seam: successor cells sit on both sides
@@ -498,7 +498,7 @@ def test_monte_carlo_soundness_small_grid():
     grid = di_grid(extent=1.5)
     flow = SampledFlow(grid.tau)
     model = double_integrator()
-    system, q = build_abstraction(model, grid)
+    system, q = build_system(model, grid)
     inputs = grid.input_values()
     checked = 0
     while checked < 1000:
@@ -521,7 +521,7 @@ def _boundary_misses(model, grid, margin, cells):
     and through `one_period`, the builder's map. Returns (checks, misses):
     pairs enabled at the start's cell, and those whose end cell is not among
     the pair's successors."""
-    system, q = build_abstraction(model, grid, input_margin=margin)
+    system, q = build_system(model, grid, input_margin=margin)
     N, M = system.num_states, system.num_inputs
     lower = [s for s in itertools.product((0.0, -0.5), repeat=grid.dim) if any(s)]
     starts = (q.center(cells)[:, None, :] + np.array(lower) * grid.eta).reshape(-1, grid.dim)
@@ -583,7 +583,7 @@ def test_successor_sets_pinched_between_independent_bounds():
     grid = unicycle_grid()
     model = unicycle()
     flow = SampledFlow(grid.tau)
-    system, q = build_abstraction(model, grid)
+    system, q = build_system(model, grid)
     inputs = grid.input_values()
     period = 2 * np.pi
     for _ in range(200):
@@ -639,7 +639,7 @@ def test_one_cell_domain_builds_one_state_system():
     # a point domain cannot contain the reachable box, so the cell blocks
     grid = GridSpec(tau=1.0, eta=0.3, mu=1.0, domain_lower=[0, 0], domain_upper=[0, 0],
                     input_lower=[0], input_upper=[0])
-    system, q = build_abstraction(stationary_model(), grid)
+    system, q = build_system(stationary_model(), grid)
     assert system.num_states == 1
     assert system.num_transitions == 0
 
@@ -652,8 +652,8 @@ def test_input_margin_requires_sensitivity_data():
 
 def test_input_margin_widens_successors_and_shrinks_enabled_pairs():
     grid = di_grid(extent=1.5)
-    plain, q = build_abstraction(double_integrator(), grid)
-    wide, _ = build_abstraction(double_integrator(), grid, input_margin=True)
+    plain, q = build_system(double_integrator(), grid)
+    wide, _ = build_system(double_integrator(), grid, input_margin=True)
     widened = False
     for x, u, succ in transitions(wide):
         plain_succ = post(plain, x, u)
@@ -680,7 +680,7 @@ def test_boxes_far_off_the_domain_raise_no_numeric_warning(case):
         grid = di_grid(extent=3.0, eta=0.3, mu=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        system, _ = build_abstraction(model, grid, input_margin=case != "growing")
+        system, _ = build_system(model, grid, input_margin=case != "growing")
     assert (system.num_states, system.num_transitions) == ({"growing": 13}.get(case, 441), 0)
 
 
@@ -700,10 +700,10 @@ def test_box_covering_the_circle_reaches_every_heading_cell():
     # with the margin the box radius is pi/8 + 3 >= pi, so every pair
     # reaches all 8 heading cells; without it the box spans 2 cells
     grid = heading_grid()
-    wide, _ = build_abstraction(heading_model(), grid, input_margin=True)
+    wide, _ = build_system(heading_model(), grid, input_margin=True)
     assert wide.pair_counts.tolist() == [8] * (8 * 2)
     assert wide._targets.tolist() == list(range(8)) * (8 * 2)
-    plain, _ = build_abstraction(heading_model(), grid)
+    plain, _ = build_system(heading_model(), grid)
     assert set(plain.pair_counts.tolist()) == {2}
 
 
@@ -719,7 +719,7 @@ def test_box_narrower_than_the_tie_shave_keeps_its_nominal_cell(periodic, below)
     model = Model(name="settle", dim=1, input_dim=1, field=lambda x, u: -40.0 * x + u,
                   linear_matrix=[[-40.0]], angular_dims=(0,) if periodic else ())
     grid = heading_grid(input_lower=[40 * c], input_upper=[40 * c], periodic=(periodic,))
-    system, q = build_abstraction(model, grid)
+    system, q = build_system(model, grid)
     nominal = one_period(model, SampledFlow(grid.tau), q.centers(), grid.input_values()[0])
     assert system.pair_counts.tolist() == [1] * q.num_cells
     assert system._targets.tolist() == q.cell_index(nominal).tolist()
@@ -763,24 +763,30 @@ def test_csr_is_pinned_on_the_shipped_configs_and_benchmark_workloads(
     monkeypatch.setitem(MODEL_REGISTRY, conveyor.MODEL_ID, conveyor.conveyor)
     for w in workloads.WORKLOADS.values():
         cfg = parse_config_text(workloads.base_config(ROOT, w))
-        system, _ = build_abstraction(cfg.build_model(), cfg.grid, threads=w.threads,
-                                      input_margin=cfg.input_margin)
-        got[w.name] = _csr_sha256(system)
+        boxes, _ = build_abstraction(cfg.build_model(), cfg.grid, threads=w.threads,
+                                     input_margin=cfg.input_margin)
+        got[w.name] = _csr_sha256(boxes.expand())
     assert got == CSR_SHA256
 
 
 def test_build_holds_one_copy_of_the_transitions(monkeypatch):
-    # the builder sizes every pair before it allocates the CSR and writes each
-    # successor into it once (2.1x the CSR here); one that keeps every input's
-    # successor array until a merge holds the transitions twice and peaks at 2.6x
+    # `expand` sizes every pair before it allocates the CSR and writes each
+    # successor into it once (2.1x the CSR here, the boxes included); one that
+    # kept every input's successor array until a merge would hold the
+    # transitions twice and peak at 2.6x
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
     cfg = parse_config_text(workloads.base_config(ROOT, workloads.WORKLOADS["di_pipeline"]))
     model = cfg.build_model()
     tracemalloc.start()
     try:
-        system, _ = build_abstraction(model, cfg.grid, threads=1, input_margin=cfg.input_margin)
+        boxes, _ = build_abstraction(model, cfg.grid, threads=1, input_margin=cfg.input_margin)
+        built = tracemalloc.get_traced_memory()[1]
+        system = boxes.expand()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * (system._offsets.nbytes + system._targets.nbytes)
+    csr = system._offsets.nbytes + system._targets.nbytes
+    assert peak < 2.2 * csr
+    # the boxes alone, all that `abstract` holds, take a fraction of the CSR
+    assert built < 0.5 * csr

@@ -11,14 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from symtoc import (GridSpec, SampledFlow, StateSet,
-                    TargetSpec, build_abstraction, double_integrator,
+                    TargetSpec, double_integrator,
                     integrate, reach_step, simulate, solve_optimistic,
                     solve_pessimistic, target_under, unicycle)
 from symtoc import formats
 
-from helpers import (aggregated_pair, brute_force_optimistic,
+from helpers import (aggregated_pair, brute_force_optimistic, build_system,
                      brute_force_pessimistic, entry_time, lift_targets, line_grid,
-                     parse_trace, post, random_system, random_target)
+                     parse_trace, post, random_boxes, random_system, random_target)
 
 
 def _report(name):
@@ -137,7 +137,7 @@ def test_grid_refinement_never_raises_upper_bound():
         grid = GridSpec(tau=1.0, eta=eta, mu=0.1,
                         domain_lower=[-10, -10], domain_upper=[10, 10],
                         input_lower=[-1], input_upper=[1])
-        system, quantizer = build_abstraction(model, grid, input_margin=True)
+        system, quantizer = build_system(model, grid, input_margin=True)
         target = TargetSpec.ball([0.0, 0.0], 1.0)
         w_under = target_under(grid, target)
         table = solve_pessimistic(system, w_under)
@@ -223,11 +223,11 @@ def test_property_suites(tmp_path):
         for table in (solve_pessimistic(s, W), solve_optimistic(s, W)):
             assert table.iterations <= s.num_states
     for i in range(25):
-        s = random_system(rng)
+        boxes = random_boxes(rng, line_grid(int(rng.integers(1, 13)), int(rng.integers(1, 4))))
         path = tmp_path / f"rt_{i}.sts"
-        formats.write_system(path, s, line_grid(s.num_states, s.num_inputs), timestamp=False)
+        formats.write_system(path, boxes, timestamp=False)
         parsed, _ = formats.parse_system(path)
-        assert parsed == s
+        assert parsed == boxes.expand()
     model = unicycle()
     x0 = np.array([0.2, -0.1, 0.4])
     u = np.array([0.5, 1.3])

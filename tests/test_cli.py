@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtoc import GridSpec, StateSet, solve_optimistic, solve_pessimistic, extract_controller
+from symtoc import (FiniteSystem, GridSpec, StateSet, extract_controller, solve_optimistic,
+                    solve_pessimistic)
 from symtoc import cli, formats
 from symtoc.config import ConfigError, parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY, Model
 
-from helpers import (enabled, line_grid, line_grid_meta, make_system, parse_plot, parse_trace,
-                     random_system)
+from helpers import (build_system, enabled, line_grid, line_grid_meta, make_boxes, make_system,
+                     parse_plot, parse_trace, random_boxes)
 
 DI_CONFIG = """
 model.id = double_integrator
@@ -55,6 +56,11 @@ def chain_system():
     return make_system(3, 1, {(0, 0): [1], (1, 0): [2]})
 
 
+def chain_boxes():
+    """chain_system's successors as boxes on CHAIN_GRID."""
+    return make_boxes(CHAIN_GRID, {(0, 0): (1, 1), (1, 0): (2, 1)})
+
+
 # -- config parsing -------------------------------------------------------
 
 def test_config_parses_grid_and_target():
@@ -87,6 +93,18 @@ def test_config_rejects_bad_values():
         parse_config_text(DI_CONFIG + "\nobstacle.1.lower = [0]\nobstacle.1.upper = [1]\n")
 
 
+@pytest.mark.parametrize("text, line, key", [
+    ("target.states = [2]\n", 1, "target.states"),
+    ("target.shape = box\ntarget.states = [2]\n", 2, "target.states"),
+    ("obstacle.1.lower = [0]\nobstacle.1.states = [2]\n", 2, "obstacle.1.states"),
+])
+def test_unknown_member_key_is_named_before_missing_box_keys(text, line, key):
+    # a key that no member shape takes, such as the removed `target.states`, is
+    # named, rather than the box keys it leaves missing
+    with pytest.raises(ConfigError, match=re.escape(f"line {line}: unknown key '{key}'")):
+        parse_config_text(text)
+
+
 def test_config_union_target_and_obstacles():
     text = """
 target.shape = union
@@ -109,12 +127,12 @@ obstacle.1.upper = [5, 5]
 def test_system_round_trip_random(tmp_path):
     rng = np.random.default_rng(8)
     for i in range(20):
-        s = random_system(rng)
+        boxes = random_boxes(rng, line_grid(int(rng.integers(1, 13)), int(rng.integers(1, 4))))
         path = tmp_path / f"sys_{i}.sts"
-        formats.write_system(path, s, line_grid(s.num_states, s.num_inputs), timestamp=False)
+        formats.write_system(path, boxes, timestamp=False)
         parsed, grid = formats.parse_system(path)
-        assert (grid.num_cells, grid.num_inputs) == (s.num_states, s.num_inputs)
-        assert parsed == s
+        assert (grid.num_cells, grid.num_inputs) == (boxes.num_states, boxes.num_inputs)
+        assert parsed == boxes.expand()
 
 
 def test_system_round_trip_with_grid(tmp_path):
@@ -124,13 +142,69 @@ def test_system_round_trip_with_grid(tmp_path):
                     periodic=(False, False, True))
     s = make_system(grid.num_cells, grid.num_inputs, {(0, 0): [1, 2]})
     path = tmp_path / "gridded.sts"
-    formats.write_system(path, s, grid=grid, timestamp=False)
+    formats.write_system(path, make_boxes(grid, {(0, 0): ([0, 0, 1], [1, 1, 2])}),
+                         timestamp=False)
     parsed, grid2 = formats.parse_system(path)
     assert parsed == s
     assert grid2.tau == grid.tau
     assert np.array_equal(grid2.eta, grid.eta)
     assert grid2.periodic == grid.periodic
     assert np.array_equal(grid2.domain_upper, grid.domain_upper)
+
+
+def test_abstract_never_builds_the_csr(tmp_path, monkeypatch):
+    # `abstract` writes the boxes of the builder's one pass; only a reader of
+    # the system file expands them into a FiniteSystem
+    def refuse(*args, **kwargs):
+        raise AssertionError("abstract built a FiniteSystem")
+
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(FiniteSystem, "from_csr", refuse)
+        assert cli.main(["abstract", "--config", cfg_path, "--out", str(out),
+                         "--no-timestamp"]) == cli.EXIT_OK
+    system, _ = formats.parse_system(out / "double_integrator.sts")
+    assert system.num_transitions > 0
+
+
+@pytest.mark.parametrize("records, line, message", [
+    pytest.param("t 0 0 : 1 1\n", 6, "unknown shape 1 of input 0", id="unknown-shape-id"),
+    pytest.param("shape 0 1 0\n", 6, "count 0 on axis x1 is not in 1..3", id="zero-count"),
+    pytest.param("shape 0 1 4\n", 6, "count 4 on axis x1 is not in 1..3", id="count-above-axis"),
+    pytest.param("t 0 0 : 3 0\n", 6, "start 3 on axis x1 off the grid's 3 cells",
+                 id="start-off-the-grid"),
+    pytest.param("shape 0 1 2\nt 0 0 : 2 1\n", 7, "box past the grid's edge on axis x1",
+                 id="box-past-the-edge"),
+    pytest.param("t 1 0 : 2 0\nt 1 0 : 2 0\n", 7,
+                 "record of cell 1 and input 0 repeated or out of order (records ascend by "
+                 "input, then by cell)", id="repeated-record"),
+    pytest.param("t 1 0 : 2 0\nt 0 0 : 1 0\n", 7,
+                 "record of cell 0 and input 0 repeated or out of order (records ascend by "
+                 "input, then by cell)", id="out-of-order"),
+])
+def test_malformed_box_records_exit_2_with_their_line(tmp_path, capsys, records, line, message):
+    cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    write(os.path.join(out, "chain.sts"),
+          f"STS2\n{line_grid_meta(3, 1)}states 3\ninputs 1\nshape 0 0 1\n{records}")
+    for command in ("synthesize", "bounds"):
+        assert cli.main([command, "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+def test_sts1_and_shapeless_records_exit_2(tmp_path, capsys):
+    cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
+    sts1 = write(tmp_path / "old.sts", f"STS1\n{line_grid_meta(3, 1)}states 3\ninputs 1\n"
+                                       "t 0 0 : 1\nt 1 0 : 2\n")
+    early = write(tmp_path / "early.sts", f"STS2\n{line_grid_meta(3, 1)}states 3\ninputs 1\n"
+                                          "t 0 0 : 1 0\nshape 0 0 1\n")
+    for path, err in ((sts1, "error: not an STS2 file (header 'STS1')\n"),
+                      (early, "error: line 5: record before the shape lines of input 0\n")):
+        assert cli.main(["synthesize", "--config", cfg_path, "--system", path,
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == err
 
 
 def test_controller_round_trip(tmp_path):
@@ -160,12 +234,12 @@ def test_bounds_round_trip(tmp_path):
 
 def test_trace_and_plot_round_trip(tmp_path):
     from symtoc import (GridSpec as GS, RefinedController, TargetSpec,
-                        build_abstraction, double_integrator, simulate,
+                        double_integrator, simulate,
                         target_under)
     model = double_integrator()
     grid = GS(tau=1.0, eta=0.3, mu=0.1, domain_lower=[-3, -3], domain_upper=[3, 3],
               input_lower=[-1], input_upper=[1])
-    system, q = build_abstraction(model, grid)
+    system, q = build_system(model, grid)
     W = TargetSpec.ball([0, 0], 1.0)
     wu = target_under(grid, W)
     ctrl = extract_controller(system, wu, solve_pessimistic(system, wu))
@@ -188,11 +262,11 @@ def test_trace_and_plot_round_trip(tmp_path):
 
 def test_parse_rejects_malformed(tmp_path):
     path = tmp_path / "bad.sts"
-    path.write_text(f"STS1\n{line_grid_meta(2, 1)}states 2\ninputs 1\nt 0 0 :\n")
-    with pytest.raises(formats.FormatError, match="empty successor"):
+    path.write_text(f"STS2\n{line_grid_meta(2, 1)}states 2\ninputs 1\nshape 0 0 1\nt 0 0 :\n")
+    with pytest.raises(formats.FormatError, match="line 6: malformed transition line"):
         formats.parse_system(path)
     path.write_text("nope\n")
-    with pytest.raises(formats.FormatError, match="not an STS1"):
+    with pytest.raises(formats.FormatError, match="not an STS2"):
         formats.parse_system(path)
 
 
@@ -250,7 +324,7 @@ def test_explicit_system_pipeline(tmp_path):
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), CHAIN_GRID,
+    formats.write_system(os.path.join(out, "chain.sts"), chain_boxes(),
                          timestamp=False)
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     lo, up = formats.parse_bounds(os.path.join(out, "chain_bounds.csv"))
@@ -268,7 +342,7 @@ def test_empty_winning_set_exit_code(tmp_path):
                      CHAIN_CONFIG.replace("[1.5]", "[1.9]").replace("[2.5]", "[2.1]"))
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), CHAIN_GRID,
+    formats.write_system(os.path.join(out, "chain.sts"), chain_boxes(),
                          timestamp=False)
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out,
                      "--no-timestamp"]) == cli.EXIT_EMPTY_WINNING
@@ -306,20 +380,20 @@ def test_synthesize_malformed_system_exits_2(tmp_path, capsys, line):
     out = str(tmp_path / "out")
     os.makedirs(out)
     write(os.path.join(out, "chain.sts"),
-          f"STS1\n{line_grid_meta(3, 1)}states 3\ninputs 1\n{line}\n")
+          f"STS2\n{line_grid_meta(3, 1)}states 3\ninputs 1\n{line}\n")
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
     assert "error: line 5:" in capsys.readouterr().err
 
 
 def test_synthesize_system_with_an_initial_line_exits_2(tmp_path, capsys):
-    # STS1 files once listed every state on an `initial` header line
+    # system files once listed every state on an `initial` header line
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
     out = str(tmp_path / "out")
     os.makedirs(out)
     initial = "initial " + " ".join(map(str, range(20000)))
     write(os.path.join(out, "chain.sts"),
-          f"STS1\n{line_grid_meta(20000, 1)}states 20000\ninputs 1\n{initial}\n"
-          "t 0 0 : 1\nt 1 0 : 2\n")
+          f"STS2\n{line_grid_meta(20000, 1)}states 20000\ninputs 1\n{initial}\n"
+          "shape 0 0 1\nt 0 0 : 1 0\nt 1 0 : 2 0\n")
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out]) == cli.EXIT_CONFIG
     # one line, naming the line and echoing only the start of it
     assert capsys.readouterr().err == f"error: line 5: unrecognized line '{initial[:40]}...'\n"
@@ -329,7 +403,8 @@ def test_synthesize_system_with_an_initial_line_exits_2(tmp_path, capsys):
 def test_gridless_system_and_controller_exit_2(tmp_path, capsys):
     # without a grid a file defines no abstraction relation to the plant
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
-    sts = write(tmp_path / "chain.sts", "STS1\nstates 3\ninputs 1\nt 0 0 : 1\nt 1 0 : 2\n")
+    sts = write(tmp_path / "chain.sts",
+                "STS2\nstates 3\ninputs 1\nshape 0 0 1\nt 0 0 : 1 0\nt 1 0 : 2 0\n")
     ctl = write(tmp_path / "chain.ctl", "CTL1\nstates 3\ninputs 1\nc 0 2 : 0\nc 1 1 : 0\nc 2 0 :\n")
     for argv in (["synthesize", "--system", sts], ["bounds", "--system", sts],
                  ["simulate", "--controller", ctl], ["export-plot", "--controller", ctl]):
@@ -349,7 +424,7 @@ def test_state_id_targets_and_unsafe_sets_exit_2(tmp_path, capsys, text, message
     # targets and obstacles are regions of the grid, not lists of state ids
     cfg_path = write(tmp_path / "chain.cfg", text)
     sts = str(tmp_path / "chain.sts")
-    formats.write_system(sts, chain_system(), CHAIN_GRID, timestamp=False)
+    formats.write_system(sts, chain_boxes(), timestamp=False)
     for command in ("synthesize", "bounds"):
         assert cli.main([command, "--config", cfg_path, "--system", sts,
                          "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
@@ -554,7 +629,7 @@ def test_artifact_grid_must_wrap_the_model_heading(tmp_path, capsys, wrap, codes
     s = make_system(grid.num_cells, grid.num_inputs, {})
     W = StateSet(grid.num_cells, [0])
     sts, ctl = tmp_path / "uni.sts", tmp_path / "uni.ctl"
-    formats.write_system(sts, s, grid=grid, timestamp=False)
+    formats.write_system(sts, make_boxes(grid), timestamp=False)
     formats.write_controller(ctl, extract_controller(s, W, solve_pessimistic(s, W)),
                              grid=grid, timestamp=False)
     for path in (sts, ctl):
@@ -580,7 +655,7 @@ def _run_with_grid_metadata(tmp_path, capsys, entry):
     os.makedirs(out)
     s = chain_system()
     W = StateSet(3, [2])
-    formats.write_system(os.path.join(out, "chain.sts"), s, grid=grid, timestamp=False)
+    formats.write_system(os.path.join(out, "chain.sts"), chain_boxes(), timestamp=False)
     formats.write_controller(os.path.join(out, "chain.ctl"), extract_controller(
         s, W, solve_pessimistic(s, W)), grid=grid, timestamp=False)
     key = entry.split("=")[0]
@@ -965,8 +1040,8 @@ def test_cli_import_loads_no_thread_pool():
 def test_unsafe_states_restrict_explicit_system(tmp_path):
     # detour example: an obstacle on cell 1 makes it unsafe, and safety pushes
     # the entry time of cell 3 (the target's inner cover) from 2 to 3
-    sys5 = make_system(5, 2, {(0, 0): [1], (0, 1): [2], (1, 0): [3],
-                              (2, 1): [4], (4, 1): [3], (3, 0): [3]})
+    sys5 = make_boxes(line_grid(5, 2), {(0, 0): (1, 1), (0, 1): (2, 1), (1, 0): (3, 1),
+                                        (2, 1): (4, 1), (4, 1): (3, 1), (3, 0): (3, 1)})
     cfg_path = write(tmp_path / "detour.cfg", """
 target.lower = [2.5]
 target.upper = [3.5]
@@ -978,7 +1053,7 @@ output.bounds = detour_bounds.csv
 """)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "detour.sts"), sys5, line_grid(5, 2), timestamp=False)
+    formats.write_system(os.path.join(out, "detour.sts"), sys5, timestamp=False)
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     lo, up = formats.parse_bounds(os.path.join(out, "detour_bounds.csv"))
     assert up[0] == 3
@@ -987,7 +1062,7 @@ output.bounds = detour_bounds.csv
 def test_explicit_branching_bounds(tmp_path):
     # at cell 0 the bounds disagree where nondeterminism bites; at cell 1, which
     # only the lower bound's outer cover of the target holds
-    branching = make_system(3, 2, {(0, 0): [1, 2], (0, 1): [1], (1, 0): [2]})
+    branching = make_boxes(line_grid(3, 2), {(0, 0): (1, 2), (0, 1): (1, 1), (1, 0): (2, 1)})
     cfg_path = write(tmp_path / "branch.cfg", """
 target.lower = [1.5]
 target.upper = [2.5]
@@ -997,8 +1072,7 @@ output.bounds = branch_bounds.csv
 """)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "branch.sts"), branching, line_grid(3, 2),
-                         timestamp=False)
+    formats.write_system(os.path.join(out, "branch.sts"), branching, timestamp=False)
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     lo, up = formats.parse_bounds(os.path.join(out, "branch_bounds.csv"))
     assert lo.tolist() == [1, 0, 0]
@@ -1011,7 +1085,7 @@ def test_bounds_command_prints(tmp_path, capsys):
     cfg_path = write(tmp_path / "chain.cfg", CHAIN_CONFIG)
     out = str(tmp_path / "out")
     os.makedirs(out)
-    formats.write_system(os.path.join(out, "chain.sts"), chain_system(), CHAIN_GRID,
+    formats.write_system(os.path.join(out, "chain.sts"), chain_boxes(),
                          timestamp=False)
     assert cli.main(["bounds", "--config", cfg_path, "--out", out]) == 0
     printed = capsys.readouterr().out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symtoc import (GridSpec, Quantizer, RefinedController,
-                    SampledFlow, StateSet, TargetSpec, build_abstraction,
+                    SampledFlow, StateSet, TargetSpec,
                     double_integrator, extract_controller, formats, integrate,
                     simulate, solve_pessimistic, synthesize, target_over,
                     target_under, unicycle)
@@ -14,7 +14,7 @@ from symtoc.config import parse_config_text
 from symtoc.dynamics import MODEL_REGISTRY, Model
 from symtoc.refine import OUTSIDE, TARGET
 
-from helpers import enabled, entry_time, make_system, parse_plot
+from helpers import build_system, enabled, entry_time, make_system, parse_plot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,7 +101,7 @@ def test_nan_heading_leaves_the_winning_set():
     grid = GridSpec(tau=1.0, eta=[0.5, 0.5, np.pi / 2], mu=0.5,
                     domain_lower=[0, 0, -np.pi], domain_upper=[2, 2, np.pi],
                     input_lower=[0, -0.5], input_upper=[0.5, 0.5], periodic=(False, False, True))
-    system, quantizer = build_abstraction(model, grid)
+    system, quantizer = build_system(model, grid)
     W = TargetSpec.box([1.5, 0, 0], [2, 2, 0], free=[2])
     w_under = target_under(grid, W)
     rc = RefinedController(extract_controller(system, w_under, solve_pessimistic(system, w_under)),
@@ -118,7 +118,7 @@ def di_problem():
     grid = GridSpec(tau=1.0, eta=0.3, mu=0.1,
                     domain_lower=[-3, -3], domain_upper=[3, 3],
                     input_lower=[-1], input_upper=[1])
-    system, quantizer = build_abstraction(model, grid)
+    system, quantizer = build_system(model, grid)
     W = TargetSpec.ball([0.0, 0.0], 1.0)
     controller, lower = synthesize(system, target_under(grid, W), target_over(grid, W))
     return model, grid, SampledFlow(grid.tau), quantizer, controller, lower.entry_times(), W
@@ -248,33 +248,34 @@ TRACE_SHA256 = {
 }
 
 
-# sha256 of the (STS1, CTL1, bounds CSV, export-plot CSV) files that
+# sha256 of the (STS2, CTL1, bounds CSV, export-plot CSV) files that
 # `abstract`, `synthesize` and `export-plot` write with --no-timestamp, for the
-# same configs and workloads, recorded before STS1 and CTL1 shared one
-# tagged-record writer and reader.
+# same configs and workloads. The CTL1, bounds and plot hashes were recorded
+# before STS1 and CTL1 shared one tagged-record writer and reader; the system
+# hashes when STS2 boxes replaced the STS1 successor lists.
 ARTIFACT_SHA256 = {
     "double_integrator.cfg": (
-        "fe6a19e03c5444ad53d28308c521c981162f42c4f5191984ad22b757e031098e",
+        "a9a0d0b163d52de42f214834875eb70fd33d29da5ef4c0cb9c9893cbcf28bb62",
         "68d41ff7f345e44bc6400792f549d1db4028feac71047e813e5ca1be3873c3e5",
         "13d60c9a460a3bb884276688a668425a526692840140b353ad52c26345a3ff74",
         "ca704b03a9c461d142734a543fbfebe5328b57f7518fd2d6c1a127db81d18a38"),
     "unicycle.cfg": (
-        "d60f059d952de42a07cdb0e074c499f8a615f0fbfe07fd1942a779d923902467",
+        "dee584d64671ec5257f4a2e6e3ca837cb884bc7fd8eefd4993bfe88cb939c250",
         "cdf4dded03e1febd5119763e0cc3762a22d07a5fcdea5c3933e5ec6b03af7baa",
         "56be21632030cc2d463d0c2851491674e88377735ca968276bdd85035c22cb06",
         "2014543bb6260e147bbd423ef3cedd5ea16a15d7ebc2533fe1155992d78e148b"),
     "di_pipeline": (
-        "c47fc825175fcd5f3ffd7e931a6498a9fbd52aef174f7dfeb308420b2c58c154",
+        "202221afa226b38510ab0d0305acc18df55a6f706dddb9414836c941f8bd4ee4",
         "5773d4d5fb09f2a14df432d55b6d4e8ee81d44ea6661598c33b1a06763e42c86",
         "967dd813bda0549f8d581acb1b5ceb4d428ebf2fd3a2c978c94b7861e7459a35",
         "ab7e5c40e145f79629c72cb3009b404b8dbd4427052d55c6ec2eb4dc8a0543c0"),
     "unicycle_pipeline": (
-        "b543a2d7a235d32a54e87d5ddbcb6a2412af8b599d0ab7648851e50adb4ebd69",
+        "33ed2ed1caa870bcf53d6393c0b89f6453c2f3b623f597cb82970b0d5e520472",
         "8b9e56dcbb4da5330341d54c937ba3aced37f4c78c2fba24769c4bc0134a1d13",
         "b81a725b6462b05808976ec77d15c18e3ee33905aabd92a64aeee9ef03a7b024",
         "7ea813f1adb9bf5c9f378dd821b29770a8555d6366de3fc0c484e0afba41f439"),
     "game_chain": (
-        "ba75365995a191931bb268deefb968d73658dd0616dfa2ef8e2c89af98e14faa",
+        "d90937df26072946fd22cb942ca9749fc3647598dd625fc237e4f321947099f6",
         "d52681996cfb9ba758a89a3accc44c33672e01dc52ad16db2b2bfc8e05150666",
         "c3a428b8bee4233bc0e0d56cb3c7d7c0a6980dcba0d7593c0bf8d34027b8ffcc",
         "9dc264988d6e9bda561eca4ac96937b5db99853aaf0d6d523324ed6d91a2998a"),
@@ -299,7 +300,7 @@ def test_trace_bytes_are_pinned_on_the_shipped_configs_and_benchmark_workloads(
     for name, b in (("double_integrator.cfg", di_bundle), ("unicycle.cfg", unicycle_bundle)):
         sts, ctl, bounds = (tmp_path / f"{name}.{ext}" for ext in ("sts", "ctl", "csv"))
         plot, out = tmp_path / f"{name}.plot.csv", tmp_path / name
-        formats.write_system(sts, b.system, grid=b.cfg.grid, timestamp=False)
+        formats.write_system(sts, b.boxes, timestamp=False)
         formats.write_controller(ctl, b.controller, grid=b.cfg.grid, timestamp=False)
         formats.write_bounds(bounds, b.lower, b.controller, timestamp=False)
         assert cli.cmd_export_plot(ctl, plot, timestamp=False) == cli.EXIT_OK
