@@ -16,6 +16,11 @@ through plain Python. Memory beyond the arrays of the written or parsed
 object is about ten times a block's size; blocks end only at newlines, so a
 line longer than `_BLOCK_BYTES` makes its block that long.
 
+Every reader takes records in the one order its writer produces and sorts
+nothing: STS2 records ascend by input, then by cell; CTL1 records ascend
+strictly by state; row k of a bounds CSV names state k. `_reject` names the
+line of the first record that breaks a rule.
+
 Accepted integer grammar: a number is one or more ASCII decimal digits (no
 sign); tokens are separated by any run of spaces, tabs or carriage returns,
 and lines may have leading whitespace. Blank lines and `#` comments may
@@ -55,14 +60,17 @@ def _fmt_num(v) -> str:
     return repr(float(v))
 
 
-def _parse_list(text) -> list:
+def _parse_list(text, kind=float) -> list:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise FormatError(f"expected bracketed list, got '{text}'")
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    return [float(t) for t in inner.replace(",", " ").split()]
+    return [kind(t) for t in text[1:-1].replace(",", " ").split()]
+
+
+def _flag(word) -> bool:
+    if word not in ("0", "1"):
+        raise ValueError(f"periodic flag '{word}' is not 0 or 1")
+    return word == "1"
 
 
 # The `# grid:` metadata: each GridSpec field, in file order, with its kind,
@@ -71,7 +79,7 @@ _NUM = (_fmt_num, float)
 _LIST = (lambda values: "[" + ",".join(map(_fmt_num, values)) + "]",
          lambda text: np.array(_parse_list(text)))
 _FLAGS = (lambda flags: "[" + ",".join("1" if f else "0" for f in flags) + "]",
-          lambda text: tuple(int(v) != 0 for v in _parse_list(text)))
+          lambda text: tuple(_parse_list(text, _flag)))
 _GRID_META = {"tau": _NUM, "mu": _NUM, "eta": _LIST, "periodic": _FLAGS,
               "domain_lower": _LIST, "domain_upper": _LIST,
               "input_lower": _LIST, "input_upper": _LIST}
@@ -86,7 +94,7 @@ def _parse_grid(entries: dict) -> GridSpec:
         raise FormatError(f"grid metadata missing keys: {sorted(missing)}")
     try:
         return GridSpec(**{key: kind[1](entries[key]) for key, kind in _GRID_META.items()})
-    except (ValueError, OverflowError) as e:  # int() of an infinite flag overflows
+    except ValueError as e:
         raise FormatError(f"bad grid metadata: {e}") from None
 
 
@@ -280,52 +288,19 @@ def _scan(fh, lineno, lead, sep: bytes, fields, what, on_line, inf=False):
             np.concatenate(values_out))
 
 
-def _tail_line(lines, tail_len, i):
-    """Line number of the record holding tail value i."""
-    return lines[int(np.searchsorted(np.cumsum(tail_len), i, side="right"))]
+def _reject(lines, bad, message):
+    """Reject the first record flagged in the per-record mask `bad`, naming its
+    line; message(i) says what is wrong with record i."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(f"line {lines[i]}: {message(i)}")
 
 
-def _check_tail(lines, tail_len, tail, limit, message):
-    """Reject the first tail value >= limit, naming its line."""
-    if tail.size and tail.max() >= limit:
-        i = int(np.argmax(tail >= limit))
-        line = _tail_line(lines, tail_len, i)
-        raise FormatError(f"line {line}: {message} {tail[i]} out of range")
-
-
-def _check_ascending(lines, tail_len, tail, what):
-    """Reject the first record whose tail does not strictly ascend, naming its line."""
-    ascending = np.ones(tail.size, dtype=bool)
-    ascending[1:] = tail[1:] > tail[:-1]
-    ascending[(np.cumsum(tail_len) - tail_len)[tail_len > 0]] = True
-    if not ascending.all():
-        line = _tail_line(lines, tail_len, int(np.argmin(ascending)))
-        raise FormatError(f"line {line}: {what} not strictly ascending")
-
-
-def _key_order(key, lines, what):
-    """Order that sorts the records by key, None when they already ascend;
-    a duplicate key is rejected, naming its second line."""
-    if (key[1:] > key[:-1]).all():
-        return None
-    order = np.argsort(key, kind="stable")
-    dup = np.flatnonzero(key[order][1:] == key[order][:-1])
-    if dup.size:
-        raise FormatError(f"line {lines[order[dup[0] + 1]]}: duplicate {what}")
-    return order
-
-
-def _keyed_csr(key, size, lines, tail_len, tail, what):
-    """(offsets, values) of a CSR over keys 0..size-1 holding each record's
-    tail under its key; a duplicate key is rejected."""
-    order = _key_order(key, lines, what)
-    if order is not None:
-        starts = np.cumsum(tail_len) - tail_len
-        tail = tail[segment_indices(starts[order], tail_len[order])]
-    offsets = np.zeros(size + 1, dtype=np.int64)
-    offsets[key + 1] = tail_len
-    np.cumsum(offsets, out=offsets)
-    return offsets, tail
+def _repeated_or_descending(key):
+    """Per-record mask of the records whose key does not exceed the one before."""
+    bad = np.zeros(key.size, dtype=bool)
+    bad[1:] = key[1:] <= key[:-1]
+    return bad
 
 
 # -- STS2 and CTL1: tagged records -----------------------------------------------
@@ -459,31 +434,25 @@ def _parse_boxes(path) -> SuccessorBoxes:
     n = K.size
     shapes, last = _read_shapes(shape_lines, m, K)
 
-    def reject(bad, message):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise FormatError(f"line {lines[i]}: {message(i)}")
-
-    reject(tail_len != n + 1, lambda i: f"malformed {what}: expected {n} start"
-                                        f"{'s' if n > 1 else ''} and a shape id")
+    _reject(lines, tail_len != n + 1, lambda i: f"malformed {what}: expected {n} start"
+                                                f"{'s' if n > 1 else ''} and a shape id")
     rec = values.reshape(-1, n + 3)
     x, u, starts, k = rec[:, 0], rec[:, 1], rec[:, 2:-1], rec[:, -1]
-    reject((x >= N) | (u >= m), lambda i: "state or input out of range")
-    key = u.astype(np.int64) * N + x
-    reject(np.concatenate(([False], key[1:] <= key[:-1])),
-           lambda i: f"record of cell {x[i]} and input {u[i]} repeated or out of order "
-                     "(records ascend by input, then by cell)")
+    _reject(lines, (x >= N) | (u >= m), lambda i: "state or input out of range")
+    _reject(lines, _repeated_or_descending(u.astype(np.int64) * N + x),
+            lambda i: f"record of cell {x[i]} and input {u[i]} repeated or out of order "
+                      "(records ascend by input, then by cell)")
     per_input = np.array([s.shape[0] for s in shapes], dtype=np.int64)
-    reject(k >= per_input[u], lambda i: f"unknown shape {k[i]} of input {u[i]}")
-    reject(lines < last[u], lambda i: f"record before the shape lines of input {u[i]}")
+    _reject(lines, k >= per_input[u], lambda i: f"unknown shape {k[i]} of input {u[i]}")
+    _reject(lines, lines < last[u], lambda i: f"record before the shape lines of input {u[i]}")
     table = np.concatenate([np.zeros((0, n), dtype=np.int32), *shapes])
     row = (np.cumsum(per_input) - per_input)[u] + k
     for a in range(n):
-        reject(starts[:, a] >= K[a], lambda i: f"start {starts[i, a]} on axis x{a + 1} off the "
-                                               f"grid's {K[a]} cells")
+        _reject(lines, starts[:, a] >= K[a],
+                lambda i: f"start {starts[i, a]} on axis x{a + 1} off the grid's {K[a]} cells")
         if not grid.periodic[a]:
-            reject(starts[:, a] + table[row, a] > K[a],
-                   lambda i: f"box past the grid's edge on axis x{a + 1}")
+            _reject(lines, starts[:, a] + table[row, a] > K[a],
+                    lambda i: f"box past the grid's edge on axis x{a + 1}")
     bounds = np.searchsorted(u, np.arange(m + 1))
     return SuccessorBoxes(grid, [(x[a:b], starts[a:b], k[a:b], shapes[v])
                                  for v, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))])
@@ -514,7 +483,8 @@ def write_controller(path, ctrl: SymbolicController, grid: GridSpec, timestamp: 
 
 
 def parse_controller(path):
-    """Read a CTL1 file; returns (SymbolicController, GridSpec)."""
+    """Read a CTL1 file; returns (SymbolicController, GridSpec). Records ascend
+    strictly by state, and so does each record's list of inputs."""
     what = "controller line"
     n, m, grid, lines, tail_len, values, _ = _read_tagged(path, "CTL1", b"c", what)
     start = np.cumsum(tail_len + 2) - (tail_len + 2)
@@ -522,23 +492,28 @@ def parse_controller(path):
     tail = np.ones(values.size, dtype=bool)
     tail[start] = tail[start + 1] = False
     inputs = values[tail]
-    bad = (x >= n) | (value >= n)
-    if bad.any():
-        raise FormatError(f"line {lines[np.argmax(bad)]}: state or value out of range")
-    empty = (value > 0) & (tail_len == 0)
-    if empty.any():
-        raise FormatError(f"line {lines[np.argmax(empty)]}: winning state without inputs")
-    on_target = (value == 0) & (tail_len > 0)
-    if on_target.any():
-        raise FormatError(f"line {lines[np.argmax(on_target)]}: target state with inputs")
-    _check_tail(lines, tail_len, inputs, m, "input")
-    # refine.applied_inputs takes a row's first input to be its lowest
-    _check_ascending(lines, tail_len, inputs, "inputs")
-    offsets, enabled = _keyed_csr(x, n, lines, tail_len, inputs, "controller state")
+    _reject(lines, (x >= n) | (value >= n), lambda i: "state or value out of range")
+    _reject(lines, (value > 0) & (tail_len == 0), lambda i: "winning state without inputs")
+    _reject(lines, (value == 0) & (tail_len > 0), lambda i: "target state with inputs")
+    # the per-input checks flag the record that holds the first bad input
+    owner = np.repeat(np.arange(x.size), tail_len)
+    above = inputs >= m
+    _reject(lines, np.bincount(owner[above], minlength=x.size) > 0,
+            lambda i: f"input {inputs[np.argmax(above)]} out of range")
+    # refine.applied_inputs takes a row's first input to be its lowest; with
+    # inputs below m, (record, input) keys ascend exactly when each row does
+    stalled = _repeated_or_descending(owner * m + inputs)
+    _reject(lines, np.bincount(owner[stalled], minlength=x.size) > 0,
+            lambda i: "inputs not strictly ascending")
+    _reject(lines, _repeated_or_descending(x),
+            lambda i: f"record of state {x[i]} repeated or out of order (records ascend by state)")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[x + 1] = tail_len
+    np.cumsum(offsets, out=offsets)
     levels = np.full(n, n + 1, dtype=np.int64)
     levels[x] = value + 1
     ctrl = SymbolicController(num_states=n, num_inputs=m, levels=levels, offsets=offsets,
-                              enabled_inputs_flat=enabled)
+                              enabled_inputs_flat=inputs)
     return ctrl, grid
 
 
@@ -573,9 +548,9 @@ def write_bounds(path, lower: EntryTimeTable, upper: SymbolicController,
 def parse_bounds(path, controller: SymbolicController | None = None):
     """Read a bounds CSV; returns (lower, upper) float arrays with inf sentinels.
 
-    Rows may come in any order, but must name each state 0..n-1 once. With a
-    controller, the table must cover its states and its upper column must be
-    the controller's values.
+    Row k must name state k, and no lower bound may exceed its upper bound.
+    With a controller, the table must cover its states and its upper column
+    must be the controller's values.
     """
     def on_line(lineno, line):
         if not (line.startswith("#") or line.startswith("state,")):
@@ -583,21 +558,14 @@ def parse_bounds(path, controller: SymbolicController | None = None):
 
     with open(path, "rb") as fh:
         lines, counts, values = _scan(fh, 1, None, b",", 3, "bounds row", on_line, inf=True)
-    if (counts != 1).any():
-        raise FormatError(f"line {lines[np.argmax((counts != 1).any(axis=1))]}: "
-                          "malformed bounds row")
+    _reject(lines, (counts != 1).any(axis=1), lambda i: "malformed bounds row")
     rows = values.reshape(-1, 3)
     states = rows[:, 0]
-    order = _key_order(states, lines, "bounds state")
-    ranked = states if order is None else states[order]
-    gap = ranked != np.arange(states.size)
-    if gap.any():
-        k = int(np.argmax(gap))
-        line = lines[k if order is None else order[k]]
-        raise FormatError(f"line {line}: no row for state {k} before state {ranked[k]}")
-    lo, up = np.empty((2, states.size))
-    lo[states] = np.where(rows[:, 1] < 0, np.inf, rows[:, 1])
-    up[states] = np.where(rows[:, 2] < 0, np.inf, rows[:, 2])
+    _reject(lines, states != np.arange(states.size),
+            lambda i: f"row for state {states[i]} where state {i} is due")
+    lo, up = np.where(rows[:, 1:] < 0, np.inf, rows[:, 1:]).T
+    _reject(lines, lo > up, lambda i: f"lower bound {fmt_entry_time(lo[i])} above upper bound "
+                                      f"{fmt_entry_time(up[i])}")
     if controller is not None:
         if states.size != controller.num_states:
             raise FormatError(f"bounds file {path} covers {states.size} states, "

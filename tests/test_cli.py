@@ -362,16 +362,33 @@ def test_certification_failure_exit_code(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["abstract", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
     assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
-    # doctored bounds: lower above any achievable entry time, upper column
-    # kept equal to the controller's values
+    # doctored bounds: every lower bound raised to its upper bound, the
+    # controller's value, which both traces reach in fewer steps
     _, up = formats.parse_bounds(os.path.join(out, "double_integrator_bounds.csv"))
     doctored = os.path.join(out, "doctored.csv")
     with open(doctored, "w") as fh:
         fh.write("state,lower,upper\n")
         for x, u in enumerate(up):
-            fh.write(f"{x},50,{formats.fmt_entry_time(u)}\n")
+            fh.write(f"{x},{formats.fmt_entry_time(u)},{formats.fmt_entry_time(u)}\n")
     assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
                      "--bounds", doctored]) == cli.EXIT_CERTIFICATION
+
+
+def test_simulate_bounds_with_lower_above_upper_exits_2(tmp_path, capsys):
+    # a lower bound of 50 lies above every finite upper bound of this grid: the
+    # file is refused, not the certificate
+    cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
+    out = str(tmp_path / "out")
+    assert cli.main(["abstract", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    assert cli.main(["synthesize", "--config", cfg_path, "--out", out, "--no-timestamp"]) == 0
+    _, up = formats.parse_bounds(os.path.join(out, "double_integrator_bounds.csv"))
+    doctored = write(tmp_path / "doctored.csv", "state,lower,upper\n" + "".join(
+        f"{x},50,{formats.fmt_entry_time(u)}\n" for x, u in enumerate(up)))
+    assert cli.main(["simulate", "--config", cfg_path, "--out", out, "--no-timestamp",
+                     "--bounds", doctored]) == cli.EXIT_CONFIG
+    x = int(np.argmax(up < 50))
+    assert capsys.readouterr().err == (f"error: line {x + 2}: lower bound 50 above upper "
+                                       f"bound {int(up[x])}\n")
 
 
 @pytest.mark.parametrize("line", ["t 0 0 : 5", "t 0 0 : a", "t 0 0 : -1"])
@@ -445,8 +462,9 @@ def test_simulate_bounds_from_other_grid_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rows, message", [
-    ([0, 1, 1, 2], "line 4: duplicate bounds state"),
-    ([0, 2, 3], "line 3: no row for state 1 before state 2"),
+    ([0, 1, 1, 2], "line 4: row for state 1 where state 2 is due"),
+    ([0, 2, 3], "line 3: row for state 2 where state 1 is due"),
+    ([1, 0, 2], "line 2: row for state 1 where state 0 is due"),
 ])
 def test_simulate_bounds_with_duplicate_or_missing_rows_exits_2(tmp_path, capsys, rows, message):
     cfg_path = write(tmp_path / "di.cfg", DI_CONFIG)
@@ -924,7 +942,12 @@ def fuzz_run(tmp_path_factory):
 def _mutate(data: bytes, edits) -> bytes:
     for op, at, byte in edits:
         i = at % (len(data) + 1)
-        if op == "truncate":
+        if op == "swap":
+            lines = data.split(b"\n")
+            i, j = at % len(lines), byte % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+            data = b"\n".join(lines)
+        elif op == "truncate":
             data = data[:i]
         elif op == "insert":
             data = data[:i] + bytes([byte]) + data[i:]
@@ -936,7 +959,7 @@ def _mutate(data: bytes, edits) -> bytes:
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(sorted(FUZZ_COMMANDS)),
-       edits=st.lists(st.tuples(st.sampled_from(["flip", "delete", "insert", "truncate"]),
+       edits=st.lists(st.tuples(st.sampled_from(["flip", "delete", "insert", "truncate", "swap"]),
                                 st.integers(0, 1 << 20), st.integers(0, 255)),
                       min_size=1, max_size=3))
 def test_mutated_artifacts_and_configs_exit_2_with_one_error_line(fuzz_run, kind, edits):

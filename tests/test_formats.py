@@ -295,17 +295,18 @@ def test_sts2_accepts_whitespace_and_comments(tmp_path):
                                         (3, 1): [2, 3]})
 
 
-def test_ctl1_and_bounds_accept_whitespace_and_any_order(tmp_path):
+def test_ctl1_and_bounds_accept_whitespace_and_comments(tmp_path):
     ctl = tmp_path / "a.ctl"
-    # inputs ascend within each row; across rows (0 1 | 1) they need not
+    # inputs ascend within each row; across rows (1 | 0 1) they need not
     ctl.write_bytes(b"CTL1\r\nstates 3\r\ninputs 2\r\n" + line_grid_meta(3, 2).encode()
-                    + b"c 2 1 : 0 1\r\nc 1 2 : 1\r\n\r\n# target\r\n  c 0 0 :\r\n")
+                    + b"\r\n# target\r\n  c 0 0 :\r\nc 1 2 : 1\r\n\tc 2 1 : 0 1\r\n")
     ctrl, _ = formats.parse_controller(ctl)
     assert ctrl.levels.tolist() == [1, 3, 2]
     assert enabled(ctrl, 2).tolist() == [0, 1] and enabled(ctrl, 1).tolist() == [1]
     assert enabled(ctrl, 0).size == 0
     csv = tmp_path / "b.csv"
-    csv.write_bytes(b"# written: then\r\nstate,lower,upper\r\n2,inf,inf\r\n 0, 0 ,0\r\n1,1,\tinf\r\n")
+    csv.write_bytes(b"# written: then\r\nstate,lower,upper\r\n 0, 0 ,0\r\n\r\n# unreached\r\n"
+                    b"1,1,\tinf\r\n2,inf,inf\r\n")
     lo, up = formats.parse_bounds(csv)
     assert lo.tolist() == [0, 1, np.inf] and up.tolist() == [0, np.inf, np.inf]
 
@@ -357,7 +358,9 @@ HEAD = "STS2\n" + GRID + COUNTS + "shape 0 0 1\n"
     pytest.param("STS2\n" + GRID.replace("tau=1", "tau=x") + COUNTS, r"bad grid metadata",
                  id="grid-bad-number"),
     pytest.param("STS2\n" + GRID.replace("periodic=[0]", "periodic=[inf]") + COUNTS,
-                 r"bad grid metadata: cannot convert float infinity", id="grid-infinite-flag"),
+                 r"bad grid metadata: periodic flag 'inf' is not 0 or 1", id="grid-infinite-flag"),
+    pytest.param("STS2\n" + GRID.replace("periodic=[0]", "periodic=[0.5]") + COUNTS,
+                 r"bad grid metadata: periodic flag '0.5' is not 0 or 1", id="grid-fractional-flag"),
     pytest.param("STS2\n" + GRID + "# grid: tau=5.0\n" + COUNTS,
                  r"line 3: repeated grid key 'tau'", id="grid-repeated-key"),
     pytest.param("STS2\n# grid: bogus=7\n" + GRID + COUNTS, r"line 2: unknown grid key 'bogus'",
@@ -440,7 +443,12 @@ def _ctl1(n, m, records):
     pytest.param(_ctl1(2, 1, "c 1 1 : 1\n"), r"line 5: input 1 out of range",
                  id="input-out-of-range"),
     pytest.param(_ctl1(2, 1, "c 0 0 :\nc 0 0 :\n"),
-                 r"line 6: duplicate controller state", id="duplicate-state"),
+                 r"line 6: record of state 0 repeated or out of order \(records ascend by state\)",
+                 id="duplicate-state"),
+    pytest.param(_ctl1(3, 2, "c 0 0 :\nc 2 1 : 0\nc 1 2 : 1\n"),
+                 r"line 7: record of state 1 repeated or out of order", id="descending-states"),
+    pytest.param(_ctl1(3, 2, "c 2 1 : 0\nc 0 0 :\n"),
+                 r"line 6: record of state 0 repeated or out of order", id="target-after-winning"),
     pytest.param(_ctl1(3, 2, "c 0 0 : 1\n"), r"line 5: target state with inputs",
                  id="target-with-inputs"),
     pytest.param(_ctl1(3, 2, "c 2 1 : 1 1\n"),
@@ -449,6 +457,8 @@ def _ctl1(n, m, records):
                  r"line 7: inputs not strictly ascending", id="descending-inputs"),
     pytest.param(_ctl1(2, 1, "initial 0\n"), r"line 5: unrecognized line",
                  id="initial-line"),
+    pytest.param(_ctl1(2, 1, "").replace("periodic=[0]", "periodic=[-0]"),
+                 r"bad grid metadata: periodic flag '-0' is not 0 or 1", id="grid-signed-flag"),
     pytest.param("CTL1\nstates 2\ninputs 1\nc 0 0 :\n",
                  r"^no '# grid:' metadata: symtoc reads gridded systems only$", id="no-grid"),
     pytest.param("STS1\nstates 2\n", r"not a CTL1 file", id="wrong-magic"),
@@ -472,11 +482,14 @@ def test_ctl1_rejects(tmp_path, text, match):
     ("1,nif,2", r"line 2: malformed number"),
     ("1,12inf,2", r"line 2: malformed number"),
     ("inf,1,2", r"line 2: malformed bounds row 'inf,1,2'"),
-    ("0,1,2\n1,0,0\n1,5,5\n2,inf,inf", r"line 4: duplicate bounds state"),
-    ("2,1,1\n0,1,2\n2,inf,inf\n1,0,0", r"line 4: duplicate bounds state"),
-    ("0,1,2\n2,inf,inf", r"line 3: no row for state 1 before state 2"),
-    ("3,1,1\n0,1,2\n2,inf,inf", r"line 4: no row for state 1 before state 2"),
-    ("1,1,1", r"line 2: no row for state 0 before state 1"),
+    ("0,1,2\n1,0,0\n1,5,5\n2,inf,inf", r"line 4: row for state 1 where state 2 is due"),
+    ("2,1,1\n0,1,2\n2,inf,inf\n1,0,0", r"line 2: row for state 2 where state 0 is due"),
+    ("0,1,2\n2,inf,inf", r"line 3: row for state 2 where state 1 is due"),
+    ("3,1,1\n0,1,2\n2,inf,inf", r"line 2: row for state 3 where state 0 is due"),
+    ("1,1,1", r"line 2: row for state 1 where state 0 is due"),
+    ("0,0,0\n2,1,1\n1,1,1", r"line 3: row for state 2 where state 1 is due"),
+    ("0,0,0\n1,5,2", r"line 3: lower bound 5 above upper bound 2"),
+    ("0,inf,2", r"line 2: lower bound inf above upper bound 2"),
 ])
 def test_bounds_rejects(tmp_path, row, match):
     path = tmp_path / "bad.csv"
